@@ -28,6 +28,16 @@
 //! the commit fan-out a client sees a mix of `C` and `C+1` and simply
 //! retries; it never merges across the flip.
 //!
+//! # Links
+//!
+//! The controller dials nodes, never the reverse, and keeps every link
+//! in one [`ConnPool`]: stage, commit, abort, heartbeat and stats calls
+//! check a link out for one round trip and park it again, so a publish
+//! opens no connection and a steady cluster holds one link per node. A
+//! link any call failed on is dropped, which is what makes each per-node
+//! retry run on a new physical connection. Only the rejoin liveness
+//! probe dials outside the pool, on purpose.
+//!
 //! # Failover
 //!
 //! The monitor thread pings every node each interval. A node missing
@@ -46,21 +56,23 @@
 //! instead of leaving them piled on survivors — and, because the
 //! returner is marked *fresh*, stages them as full rebuilds cut from the
 //! pinned snapshot.
+//!
+//! [`SnapshotSegment`]: lmm_engine::SnapshotSegment
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lmm_engine::{RankSnapshot, SnapshotSegment};
+use lmm_engine::RankSnapshot;
 use lmm_graph::sharding::ShardMap;
 use lmm_serve::{publish_grades, shard_site_range, SwapGrade};
 
 use crate::error::{ClusterError, Result};
 use crate::retry::RetryPolicy;
-use crate::transport::{FaultPlan, FramedConn, WireCounters};
+use crate::transport::{lock_clean, Accepted, ConnPool, FaultPlan, FramedConn, WireCounters};
 use crate::wire::{Message, NodeWireStats};
 
 /// Controller tuning knobs.
@@ -145,13 +157,20 @@ struct ControllerInner {
     addr: String,
     shutdown: AtomicBool,
     state: Mutex<ControlState>,
+    /// Paired with `state`: signalled when a node registers or rejoins
+    /// (for `wait_for_nodes`) and at shutdown (for the monitor's sleep).
+    wake: Condvar,
     /// Serializes publishes and failovers. Lock order: this, then `state`.
     publish_gate: Mutex<()>,
     counters: Arc<WireCounters>,
+    /// Every controller→node link: stage, commit, abort, heartbeat and
+    /// stats calls all go through here, so a steady cluster dials each
+    /// node once. Lock order: `state`, then the pool (eviction drops the
+    /// evicted address's parked links while it holds the registry).
+    pool: ConnPool,
     /// Background catch-up publishes spawned by rejoins; joined at
     /// shutdown.
     aux: Mutex<Vec<JoinHandle<()>>>,
-    next_conn: AtomicU64,
     publishes: AtomicU64,
     evictions: AtomicU64,
     failovers: AtomicU64,
@@ -228,6 +247,12 @@ pub struct ClusterStats {
     /// `Abort` messages delivered to survivors of failed publish
     /// attempts.
     pub publish_aborts: u64,
+    /// Controller→node connections opened over the controller's
+    /// lifetime. Links are pooled, so in a steady cluster this stays at
+    /// the node count however many publishes and heartbeats run; it
+    /// grows when a link went stale, a call failed, or a heartbeat found
+    /// a node's link busy with a publish and opened a second one.
+    pub node_dials: u64,
     /// Per-node rows, id-ordered.
     pub nodes: Vec<NodeReport>,
     /// Live-document skew across **all** cluster shards (max shard over
@@ -244,11 +269,7 @@ pub struct ClusterStats {
 pub struct ClusterController {
     inner: Arc<ControllerInner>,
     threads: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    conns: Arc<Accepted>,
 }
 
 impl ClusterController {
@@ -289,16 +310,18 @@ impl ClusterController {
                 reason: format!("listener has no local address: {e}"),
             })?
             .to_string();
+        let counters = Arc::new(WireCounters::default());
         let inner = Arc::new(ControllerInner {
             map,
-            cfg,
             addr,
             shutdown: AtomicBool::new(false),
             state: Mutex::new(ControlState::default()),
+            wake: Condvar::new(),
             publish_gate: Mutex::new(()),
-            counters: Arc::new(WireCounters::default()),
+            pool: ConnPool::new(cfg.io_timeout, Arc::clone(&counters), cfg.fault),
+            cfg,
+            counters,
             aux: Mutex::new(Vec::new()),
-            next_conn: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -307,7 +330,7 @@ impl ClusterController {
             rejoins_rejected: AtomicU64::new(0),
             publish_aborts: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Accepted::default());
         let accept = {
             let inner = Arc::clone(&inner);
             let conns = Arc::clone(&conns);
@@ -348,12 +371,15 @@ impl ClusterController {
     /// # Errors
     /// [`ClusterError::NoNodes`] on timeout.
     pub fn wait_for_nodes(&self, n: usize, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        while self.n_nodes() < n {
-            if Instant::now() >= deadline {
-                return Err(ClusterError::NoNodes);
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let (state, _) = self
+            .inner
+            .wake
+            .wait_timeout_while(lock_clean(&self.inner.state), timeout, |state| {
+                state.nodes.len() < n
+            })
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if state.nodes.len() < n {
+            return Err(ClusterError::NoNodes);
         }
         Ok(())
     }
@@ -413,11 +439,14 @@ impl ClusterController {
         self.inner.failover()
     }
 
-    /// Gathers cluster-wide statistics, dialing every node for its
-    /// counters (unreachable nodes report `wire: None`).
+    /// Gathers cluster-wide statistics, asking every node for its
+    /// counters over the pooled links (unreachable nodes report
+    /// `wire: None`).
     #[must_use]
     pub fn stats(&self) -> ClusterStats {
         let inner = &self.inner;
+        // Sampled before the gather below uses (and may open) links.
+        let node_dials = inner.pool.dials();
         let (epoch, rank_epoch, rows): (u64, u64, Vec<(u64, NodeEntry)>) = {
             let state = lock_clean(&inner.state);
             (
@@ -430,14 +459,10 @@ impl ClusterController {
         let mut shard_docs: Vec<u64> = Vec::new();
         let mut tombstones = 0u64;
         for (id, entry) in rows {
-            let wire = inner
-                .dial(&entry.addr)
-                .and_then(|mut conn| conn.call(&Message::StatsReq).map_err(|_| ()))
-                .ok()
-                .and_then(|reply| match reply {
-                    Message::Stats(stats) => Some(stats),
-                    _ => None,
-                });
+            let wire = match inner.pool.call(&entry.addr, &Message::StatsReq) {
+                Ok(Message::Stats(stats)) => Some(stats),
+                _ => None,
+            };
             if let Some(stats) = &wire {
                 tombstones += stats.tombstone_rejections;
                 shard_docs.extend(stats.shard_docs.iter().map(|&(_, d)| d));
@@ -466,6 +491,7 @@ impl ClusterController {
             rejoins: inner.rejoins.load(Ordering::Relaxed),
             rejoins_rejected: inner.rejoins_rejected.load(Ordering::Relaxed),
             publish_aborts: inner.publish_aborts.load(Ordering::Relaxed),
+            node_dials,
             nodes,
             doc_skew,
             tombstone_rejections: tombstones,
@@ -473,20 +499,27 @@ impl ClusterController {
         }
     }
 
-    /// Stops the controller and joins its threads.
+    /// Stops the controller, joins its threads, and closes every link —
+    /// inbound and pooled — before it returns.
     pub fn shutdown(mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Wake the monitor out of its interval sleep (under `state`, so
+        // the flag cannot slip between its check and its wait), and the
+        // accept thread out of `accept` with a throwaway connection.
+        {
+            let _state = lock_clean(&self.inner.state);
+            self.inner.wake.notify_all();
+        }
+        let _ = TcpStream::connect(&self.inner.addr);
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        let handles = std::mem::take(&mut *lock_clean(&self.conns));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.conns.close();
         let aux = std::mem::take(&mut *lock_clean(&self.inner.aux));
         for handle in aux {
             let _ = handle.join();
         }
+        self.inner.pool.retain(|_| false);
     }
 }
 
@@ -494,21 +527,13 @@ impl ClusterController {
 struct NodeJob {
     node: u64,
     addr: String,
-    stages: Vec<(u64, SwapGrade, Option<SnapshotSegment>)>,
+    /// The attempt's `Stage` frames, built once while planning and sent
+    /// by reference — a per-node retry re-sends them without re-cutting
+    /// or copying a segment.
+    stages: Vec<Message>,
 }
 
 impl ControllerInner {
-    fn dial(&self, addr: &str) -> std::result::Result<FramedConn, ()> {
-        let conn = FramedConn::connect(addr, self.cfg.io_timeout, Arc::clone(&self.counters))
-            .map_err(|_| ())?;
-        Ok(match &self.cfg.fault {
-            Some(plan) => conn.with_faults(Arc::new(
-                plan.injector(self.next_conn.fetch_add(1, Ordering::Relaxed)),
-            )),
-            None => conn,
-        })
-    }
-
     /// The publish loop. Caller holds the publish gate.
     fn publish_locked(&self, snapshot: &RankSnapshot) -> Result<ClusterPublishReport> {
         let mut attempts = 0usize;
@@ -628,7 +653,12 @@ impl ControllerInner {
                             shard_site_range(&self.map, shard, snapshot.n_sites()),
                         )),
                     };
-                    job.stages.push((shard as u64, grades[shard], segment));
+                    job.stages.push(Message::Stage {
+                        epoch: next_epoch,
+                        shard: shard as u64,
+                        grade: grades[shard],
+                        segment,
+                    });
                 }
                 (
                     next_epoch,
@@ -736,7 +766,8 @@ impl ControllerInner {
     }
 
     /// The tight per-node retry cap. Transient transport faults get a
-    /// couple of quick retries with a fresh dial (both phases are
+    /// couple of quick retries, each on a new physical connection (the
+    /// pool never re-parks a link a call failed on; both phases are
     /// idempotent: restages supersede, duplicate commits ack), but a node
     /// that keeps failing is declared dead fast — burning the *full*
     /// retry budget here would stretch every failover by the whole
@@ -763,21 +794,14 @@ impl ControllerInner {
     }
 
     fn try_stage(&self, job: &NodeJob, epoch: u64) -> std::result::Result<(), String> {
-        let mut conn = self
-            .dial(&job.addr)
-            .map_err(|()| format!("dial {}", job.addr))?;
-        for (shard, grade, segment) in &job.stages {
-            let reply = conn
-                .call(&Message::Stage {
-                    epoch,
-                    shard: *shard,
-                    grade: *grade,
-                    segment: segment.clone(),
-                })
-                .map_err(|e| format!("stage shard {shard}: {e}"))?;
+        for stage in &job.stages {
+            let reply = self
+                .pool
+                .call(&job.addr, stage)
+                .map_err(|e| format!("stage via {}: {e}", job.addr))?;
             match reply {
                 Message::Ack { epoch: acked } if acked == epoch => {}
-                other => return Err(format!("stage shard {shard} answered {other:?}")),
+                other => return Err(format!("stage answered {other:?}")),
             }
         }
         Ok(())
@@ -810,12 +834,10 @@ impl ControllerInner {
         epoch: u64,
         rank_epoch: u64,
     ) -> std::result::Result<(), String> {
-        let mut conn = self
-            .dial(&job.addr)
-            .map_err(|()| format!("dial {}", job.addr))?;
-        let reply = conn
-            .call(&Message::Commit { epoch, rank_epoch })
-            .map_err(|e| format!("commit: {e}"))?;
+        let reply = self
+            .pool
+            .call(&job.addr, &Message::Commit { epoch, rank_epoch })
+            .map_err(|e| format!("commit via {}: {e}", job.addr))?;
         match reply {
             Message::Ack { epoch: acked } if acked == epoch => Ok(()),
             other => Err(format!("commit answered {other:?}")),
@@ -831,12 +853,8 @@ impl ControllerInner {
             if failed.contains(&job.node) {
                 continue;
             }
-            let acked = self
-                .dial(&job.addr)
-                .ok()
-                .and_then(|mut conn| conn.call(&Message::Abort { epoch }).ok())
-                .is_some_and(|reply| matches!(reply, Message::Ack { .. }));
-            if acked {
+            let reply = self.pool.call(&job.addr, &Message::Abort { epoch });
+            if matches!(reply, Ok(Message::Ack { .. })) {
                 self.publish_aborts.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -846,9 +864,10 @@ impl ControllerInner {
     /// so a rejoin hands them back. Each shard has exactly one claimant:
     /// the newest eviction strips its shards from every older claim.
     fn evict_locked(&self, state: &mut ControlState, id: u64) {
-        if state.nodes.remove(&id).is_none() {
+        let Some(evicted) = state.nodes.remove(&id) else {
             return;
-        }
+        };
+        self.pool.retain(|addr| addr != evicted.addr);
         self.evictions.fetch_add(1, Ordering::Relaxed);
         state.fresh.remove(&id);
         let owned: Vec<u64> = state
@@ -892,33 +911,19 @@ impl ControllerInner {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    inner: &Arc<ControllerInner>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                let handle = std::thread::spawn(move || serve_conn(stream, &inner));
-                lock_clean(conns).push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
+/// Blocks in `accept`, so a registering node or a client is served the
+/// moment it connects; `shutdown` wakes it with a connection of its own.
+fn accept_loop(listener: &TcpListener, inner: &Arc<ControllerInner>, conns: &Accepted) {
+    while let Ok((stream, _)) = listener.accept() {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        let inner = Arc::clone(inner);
+        conns.spawn(stream, move |stream| serve_conn(stream, &inner));
     }
 }
 
 fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     let Ok(mut conn) =
         FramedConn::from_stream(stream, inner.cfg.io_timeout, Arc::clone(&inner.counters))
     else {
@@ -954,6 +959,7 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                         last_fanout_ms: 0.0,
                     },
                 );
+                inner.wake.notify_all();
                 Message::Registered { node }
             }
             Message::Rejoin { node, addr } => {
@@ -976,13 +982,15 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                     let state = lock_clean(&inner.state);
                     state.nodes.get(&node).map(|entry| entry.addr.clone())
                 };
+                // The probe dials fresh on purpose: a parked link proves
+                // only that the prior incarnation was alive when parked.
                 let prior_alive = prior_addr.as_deref().is_some_and(|old| {
                     old != addr
                         && inner
+                            .pool
                             .dial(old)
-                            .ok()
-                            .and_then(|mut conn| conn.call(&Message::Ping { seq: 0 }).ok())
-                            .is_some_and(|reply| matches!(reply, Message::Pong { .. }))
+                            .and_then(|mut conn| conn.call(&Message::Ping { seq: 0 }))
+                            .is_ok_and(|reply| matches!(reply, Message::Pong { .. }))
                 });
                 if prior_alive {
                     inner.rejoins_rejected.fetch_add(1, Ordering::Relaxed);
@@ -996,16 +1004,23 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
                     let has_pinned = {
                         let mut state = lock_clean(&inner.state);
                         state.next_node = state.next_node.max(node + 1);
-                        state.nodes.insert(
+                        let prior = state.nodes.insert(
                             node,
                             NodeEntry {
-                                addr,
+                                addr: addr.clone(),
                                 missed: 0,
                                 rtt_us: 0,
                                 last_fanout_ms: 0.0,
                             },
                         );
+                        // Links parked for the dead incarnation's
+                        // address are useless now. (A same-address
+                        // resend is the same incarnation: keep them.)
+                        if let Some(prior) = prior.filter(|prior| prior.addr != addr) {
+                            inner.pool.retain(|parked| parked != prior.addr);
+                        }
                         state.fresh.insert(node);
+                        inner.wake.notify_all();
                         state.pinned.is_some()
                     };
                     inner.rejoins.fetch_add(1, Ordering::Relaxed);
@@ -1085,13 +1100,20 @@ fn serve_conn(stream: TcpStream, inner: &Arc<ControllerInner>) {
 
 fn monitor_loop(inner: &Arc<ControllerInner>) {
     let mut seq = 0u64;
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(inner.cfg.heartbeat_interval);
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+    loop {
         let targets: Vec<(u64, String)> = {
-            let state = lock_clean(&inner.state);
+            // One interval's sleep, cut short only by shutdown.
+            let (state, _) = inner
+                .wake
+                .wait_timeout_while(
+                    lock_clean(&inner.state),
+                    inner.cfg.heartbeat_interval,
+                    |_| !inner.shutdown.load(Ordering::SeqCst),
+                )
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if inner.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
             state
                 .nodes
                 .iter()
@@ -1102,11 +1124,12 @@ fn monitor_loop(inner: &Arc<ControllerInner>) {
         for (id, addr) in targets {
             seq += 1;
             let started = Instant::now();
-            let alive = inner
-                .dial(&addr)
-                .ok()
-                .and_then(|mut conn| conn.call(&Message::Ping { seq }).ok())
-                .is_some_and(|reply| matches!(reply, Message::Pong { seq: s, .. } if s == seq));
+            // Over the pool: if the node's link is busy carrying a stage,
+            // the beat opens a second link instead of queueing behind it.
+            let alive = matches!(
+                inner.pool.call(&addr, &Message::Ping { seq }),
+                Ok(Message::Pong { seq: s, .. }) if s == seq
+            );
             let mut state = lock_clean(&inner.state);
             let Some(entry) = state.nodes.get_mut(&id) else {
                 continue;

@@ -10,10 +10,13 @@
 //! epoch — so "same data, new placement" never reads as "same epoch,
 //! different data".
 //!
-//! Concurrency model: one accept thread (non-blocking poll so shutdown is
-//! prompt), one thread per accepted connection. Serving state swaps
-//! atomically under a mutex held only for the pointer swap and `Arc`
-//! clones — query compute happens off-lock.
+//! Concurrency model: one accept thread (a non-blocking poll whose idle
+//! tick doubles as the staged-set GC), one thread per accepted
+//! connection. Peers keep their links open — the controller's pool holds
+//! one per node, clients one per node they query — so the accept poll is
+//! paid when a link is first dialed, not per publish or per query.
+//! Serving state swaps atomically under a mutex held only for the pointer
+//! swap and `Arc` clones — query compute happens off-lock.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -28,7 +31,7 @@ use lmm_serve::{DocScore, ShardState, SiteTopK, SwapGrade};
 
 use crate::error::{ClusterError, Result};
 use crate::retry::RetryPolicy;
-use crate::transport::{FaultPlan, FramedConn, TransportError, WireCounters};
+use crate::transport::{lock_clean, Accepted, FaultPlan, FramedConn, TransportError, WireCounters};
 use crate::wire::{Message, NodeWireStats};
 
 /// Shard-node tuning knobs.
@@ -120,7 +123,7 @@ struct NodeInner {
 pub struct ShardNode {
     inner: Arc<NodeInner>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Accepted>,
 }
 
 impl ShardNode {
@@ -190,7 +193,7 @@ impl ShardNode {
             aborted: AtomicU64::new(0),
             staged_expired: AtomicU64::new(0),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Accepted::default());
         let accept = {
             let inner = Arc::clone(&inner);
             let conns = Arc::clone(&conns);
@@ -228,26 +231,27 @@ impl ShardNode {
         self.inner.wire_stats()
     }
 
-    /// Stops the node abruptly: in-flight connections are wound down, the
-    /// listener closes, and — crucially for the failover story — the
-    /// controller is *not* told. It finds out the way real clusters do:
-    /// missed heartbeats.
+    /// Closes every accepted connection while the node keeps running —
+    /// what an idle-link reaper or a middlebox reset does to long-lived
+    /// links. Peers find their parked links stale on the next call and
+    /// re-dial; nothing else about the node changes.
+    pub fn drop_connections(&self) {
+        self.conns.sever();
+    }
+
+    /// Stops the node abruptly: the listener closes, every accepted
+    /// connection is shut down under its thread (peers hold these open
+    /// indefinitely, so waiting for them to go idle would wait out a read
+    /// timeout), and — crucially for the failover story — the controller
+    /// is *not* told. It finds out the way real clusters do: missed
+    /// heartbeats.
     pub fn kill(mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        let handles = std::mem::take(&mut *lock_clean(&self.conns));
-        for handle in handles {
-            let _ = handle.join();
-        }
+        self.conns.close();
     }
-}
-
-/// Locks a mutex, recovering from poisoning (node state is swapped
-/// wholesale, so a panicked peer thread cannot leave it torn).
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Registers (or rejoins) with the controller under the node's retry
@@ -318,11 +322,7 @@ fn register_with_controller(
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    inner: &Arc<NodeInner>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: &TcpListener, inner: &Arc<NodeInner>, conns: &Accepted) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -330,15 +330,17 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 let inner = Arc::clone(inner);
-                let handle = std::thread::spawn(move || conn_loop(stream, &inner));
-                lock_clean(conns).push(handle);
+                conns.spawn(stream, move |stream| conn_loop(stream, &inner));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 // The idle poll doubles as a node-local GC tick: a staged
                 // set whose publisher died stage/commit-gap is reclaimed
                 // even if no controller ever connects again (the commit-
                 // time expiry check keeps the safety property; this keeps
-                // the memory from staying pinned indefinitely).
+                // the memory from staying pinned indefinitely). That is
+                // why this loop polls where the controller's blocks. The
+                // poll delays only a link's first frame: peers keep their
+                // links open, so it is off the publish and query paths.
                 inner.expire_stale_stage();
                 std::thread::sleep(inner.cfg.poll);
             }

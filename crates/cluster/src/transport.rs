@@ -8,6 +8,13 @@
 //! bounded wait — never a hang — and the caller maps the typed
 //! [`TransportError`] to a retriable `NodeUnavailable`.
 //!
+//! Connections are long-lived on both ends. The dialing side keeps its
+//! links in a [`ConnPool`] (checked out per call, parked again only after
+//! a clean round trip, lazily re-dialed when stale); the accepting side
+//! keeps one thread per link in an [`Accepted`] registry that forgets
+//! finished threads and can close every link at once for a prompt
+//! teardown.
+//!
 //! Fault injection ([`FaultPlan`]) is symmetric: a *sent* frame can be
 //! silently dropped (the peer's read times out), delayed, or the socket
 //! torn down mid-conversation; a *received* frame can be swallowed after
@@ -17,10 +24,12 @@
 //! function of the plan's seed and the connection's index, so a failing
 //! run replays exactly.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::wire::{decode_message, encode_frame, Message, WireError, MAX_PAYLOAD};
@@ -185,9 +194,7 @@ fn splitmix(mut x: u64) -> u64 {
 
 impl FaultInjector {
     fn draw(state: &Mutex<u64>) -> u32 {
-        let mut state = state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock_clean(state);
         *state ^= *state << 13;
         *state ^= *state >> 7;
         *state ^= *state << 17;
@@ -330,7 +337,7 @@ impl FramedConn {
                 Fault::Drop => return Ok(()),
                 Fault::Delay(d) => std::thread::sleep(d),
                 Fault::Disconnect => {
-                    let _ = self.stream.shutdown(std::net::Shutdown::Both);
+                    let _ = self.stream.shutdown(Shutdown::Both);
                     return Err(TransportError::Closed);
                 }
             }
@@ -447,6 +454,179 @@ impl FramedConn {
     pub fn call(&mut self, msg: &Message) -> Result<Message, TransportError> {
         self.send(msg)?;
         self.recv()
+    }
+}
+
+/// Locks a mutex, recovering from poisoning: everything the fabric keeps
+/// behind a mutex is updated in single steps that leave it valid, so a
+/// panicked peer thread cannot leave it torn.
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The dialing side's connections, keyed by peer address: every outbound
+/// request/response call of an endpoint goes through [`ConnPool::call`].
+///
+/// A call *checks out* an idle link (it leaves the pool, so a concurrent
+/// call to the same peer never queues behind it — it takes another idle
+/// link or dials one) and parks it again only after a clean round trip.
+/// Any failure drops the link, so a poisoned stream never serves a later
+/// call and a caller's retry always runs on a new physical connection.
+///
+/// A parked link can be *stale*: the peer restarted, closed it, or a
+/// partition outlived it. Every message sent through here is idempotent,
+/// so a transport failure on a parked link falls through to exactly one
+/// fresh dial before it surfaces — peer restarts and severed links cost
+/// the caller a reconnect, not an error. Wire errors are typed peer
+/// answers, not staleness, and surface immediately.
+///
+/// Each physical connection gets its own [`FaultPlan::injector`], indexed
+/// by dial order. The pool's mutex is a leaf lock: it is held only to
+/// move a link in or out, never across I/O.
+#[derive(Debug)]
+pub struct ConnPool {
+    timeout: Duration,
+    counters: Arc<WireCounters>,
+    fault: Option<FaultPlan>,
+    idle: Mutex<HashMap<String, Vec<FramedConn>>>,
+    dial_count: AtomicU64,
+    reconnects: AtomicU64,
+}
+
+impl ConnPool {
+    /// An empty pool whose connections share `timeout` (connect, read and
+    /// write bound), `counters`, and — when set — the fault plan.
+    #[must_use]
+    pub fn new(timeout: Duration, counters: Arc<WireCounters>, fault: Option<FaultPlan>) -> Self {
+        Self {
+            timeout,
+            counters,
+            fault,
+            idle: Mutex::new(HashMap::new()),
+            dial_count: AtomicU64::new(0),
+            reconnects: AtomicU64::new(0),
+        }
+    }
+
+    /// Opens a new physical connection to `addr`, outside the pool.
+    ///
+    /// # Errors
+    /// See [`FramedConn::connect`].
+    pub fn dial(&self, addr: &str) -> Result<FramedConn, TransportError> {
+        let conn = FramedConn::connect(addr, self.timeout, Arc::clone(&self.counters))?;
+        let index = self.dial_count.fetch_add(1, Ordering::Relaxed);
+        Ok(match &self.fault {
+            Some(plan) => conn.with_faults(Arc::new(plan.injector(index))),
+            None => conn,
+        })
+    }
+
+    /// One round trip to `addr` over a parked link, or a fresh one.
+    ///
+    /// # Errors
+    /// The transport error of the last physical attempt (at most two: the
+    /// parked link, then one fresh dial).
+    pub fn call(&self, addr: &str, msg: &Message) -> Result<Message, TransportError> {
+        // Bind the parked link first: an `if let` on the locked map would
+        // hold the guard across the round trip.
+        let parked = lock_clean(&self.idle).get_mut(addr).and_then(Vec::pop);
+        if let Some(mut conn) = parked {
+            match conn.call(msg) {
+                Ok(reply) => {
+                    self.park(addr, conn);
+                    return Ok(reply);
+                }
+                Err(e @ TransportError::Wire(_)) => return Err(e),
+                Err(_) => {
+                    self.reconnects.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        let mut conn = self.dial(addr)?;
+        let reply = conn.call(msg)?;
+        self.park(addr, conn);
+        Ok(reply)
+    }
+
+    fn park(&self, addr: &str, conn: FramedConn) {
+        let mut idle = lock_clean(&self.idle);
+        // A popped-empty slot stays in the map, so re-parking on the
+        // steady path finds it without allocating a key.
+        match idle.get_mut(addr) {
+            Some(links) => links.push(conn),
+            None => {
+                idle.insert(addr.to_string(), vec![conn]);
+            }
+        }
+    }
+
+    /// Closes every parked link to an address `keep` rejects.
+    pub fn retain(&self, mut keep: impl FnMut(&str) -> bool) {
+        lock_clean(&self.idle).retain(|addr, _| keep(addr));
+    }
+
+    /// Physical connections opened so far.
+    #[must_use]
+    pub fn dials(&self) -> u64 {
+        self.dial_count.load(Ordering::Relaxed)
+    }
+
+    /// Stale parked links replaced by a fresh dial so far.
+    #[must_use]
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects.load(Ordering::Relaxed)
+    }
+}
+
+/// The accepting side's connections: one thread per accepted link, plus a
+/// handle on each link's socket.
+///
+/// Finished threads are forgotten whenever a new link is accepted, so the
+/// registry holds O(live links) however many short-lived peers come and
+/// go. [`Accepted::close`] shuts every socket down first and joins second:
+/// a thread parked in an idle read wakes at once instead of after its read
+/// timeout.
+#[derive(Debug, Default)]
+pub struct Accepted {
+    links: Mutex<Vec<(JoinHandle<()>, TcpStream)>>,
+}
+
+impl Accepted {
+    /// Runs `serve` over `stream` on a new thread and tracks it. A stream
+    /// whose handle cannot be duplicated is dropped (the peer sees a
+    /// close and re-dials).
+    pub fn spawn(&self, stream: TcpStream, serve: impl FnOnce(TcpStream) + Send + 'static) {
+        let Ok(handle) = stream.try_clone() else {
+            return;
+        };
+        let thread = std::thread::spawn(move || serve(stream));
+        let mut links = lock_clean(&self.links);
+        links.retain(|(thread, _)| !thread.is_finished());
+        links.push((thread, handle));
+    }
+
+    /// Tracked links: live ones, plus any that finished since the last
+    /// accept.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        lock_clean(&self.links).len()
+    }
+
+    /// Shuts every tracked socket down without waiting for the threads:
+    /// each peer sees a close, each serving thread winds down on its own.
+    pub fn sever(&self) {
+        for (_, stream) in lock_clean(&self.links).iter() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Shuts every tracked socket down and joins every thread.
+    pub fn close(&self) {
+        self.sever();
+        let links = std::mem::take(&mut *lock_clean(&self.links));
+        for (thread, _) in links {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -653,6 +833,164 @@ mod tests {
         // may be born partitioned.
         let clean_start = (0..16).any(|index| !plan.injector(index).partitioned());
         assert!(clean_start, "every connection starts inside the blackout");
+    }
+
+    /// A listener that answers every `Ping` on every connection with a
+    /// `Pong`, tracked by an [`Accepted`] registry.
+    fn echo_server() -> (String, Arc<Accepted>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let accepted = Arc::new(Accepted::default());
+        let registry = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            while let Ok((stream, _)) = listener.accept() {
+                registry.spawn(stream, |stream| {
+                    let counters = Arc::new(WireCounters::default());
+                    let Ok(mut conn) =
+                        FramedConn::from_stream(stream, Duration::from_secs(5), counters)
+                    else {
+                        return;
+                    };
+                    while let Ok(Message::Ping { seq }) = conn.recv() {
+                        if conn.send(&Message::Pong { seq, epoch: 0 }).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, accepted)
+    }
+
+    fn pool(fault: Option<FaultPlan>) -> ConnPool {
+        ConnPool::new(
+            Duration::from_secs(5),
+            Arc::new(WireCounters::default()),
+            fault,
+        )
+    }
+
+    #[test]
+    fn pooled_calls_reuse_one_link_and_redial_a_severed_one() {
+        let (addr, accepted) = echo_server();
+        let pool = pool(None);
+        for seq in 0..20 {
+            let reply = pool.call(&addr, &Message::Ping { seq }).expect("call");
+            assert_eq!(reply, Message::Pong { seq, epoch: 0 });
+        }
+        assert_eq!((pool.dials(), pool.reconnects()), (1, 0));
+        // The peer closes the link while it sits parked: the next call
+        // notices, re-dials once, and succeeds.
+        accepted.sever();
+        let reply = pool.call(&addr, &Message::Ping { seq: 99 }).expect("call");
+        assert_eq!(reply, Message::Pong { seq: 99, epoch: 0 });
+        assert_eq!((pool.dials(), pool.reconnects()), (2, 1));
+        // Pruned addresses lose their parked links; the next call dials.
+        pool.retain(|parked| parked != addr);
+        pool.call(&addr, &Message::Ping { seq: 100 }).expect("call");
+        assert_eq!((pool.dials(), pool.reconnects()), (3, 1));
+    }
+
+    #[test]
+    fn failed_pooled_link_is_retried_on_a_new_connection_with_a_new_injector() {
+        // A plan whose connection 0 sends one frame and tears down on the
+        // second, while connection 1 sends two frames cleanly. A retry
+        // that reused the link, or re-rolled injector 0 on a new link,
+        // could not complete three calls on two dials.
+        let plan = (0..10_000u64)
+            .map(|seed| FaultPlan {
+                disconnect_per_mille: 300,
+                ..FaultPlan::quiet(seed)
+            })
+            .find(|plan| {
+                let (first, second) = (plan.injector(0), plan.injector(1));
+                first.roll() == Fault::None
+                    && first.roll() == Fault::Disconnect
+                    && second.roll() == Fault::None
+                    && second.roll() == Fault::None
+            })
+            .expect("some seed yields the schedule");
+        let (addr, _accepted) = echo_server();
+        let pool = pool(Some(plan));
+        for seq in 0..3 {
+            let reply = pool.call(&addr, &Message::Ping { seq }).expect("call");
+            assert_eq!(reply, Message::Pong { seq, epoch: 0 });
+        }
+        assert_eq!((pool.dials(), pool.reconnects()), (2, 1));
+    }
+
+    #[test]
+    fn concurrent_calls_to_one_peer_do_not_queue_on_one_link() {
+        // While one caller holds the only parked link mid-call, a second
+        // caller must open its own link rather than wait.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let pool = Arc::new(pool(None));
+        let serve = |listener: &TcpListener| {
+            let (stream, _) = listener.accept().expect("accept");
+            FramedConn::from_stream(
+                stream,
+                Duration::from_secs(5),
+                Arc::new(WireCounters::default()),
+            )
+            .expect("wrap")
+        };
+        let slow = {
+            let (pool, addr) = (Arc::clone(&pool), addr.clone());
+            std::thread::spawn(move || pool.call(&addr, &Message::Ping { seq: 1 }))
+        };
+        let mut first = serve(&listener);
+        assert_eq!(first.recv().expect("recv"), Message::Ping { seq: 1 });
+        // The first call is now in flight and unanswered.
+        let fast = {
+            let (pool, addr) = (Arc::clone(&pool), addr.clone());
+            std::thread::spawn(move || pool.call(&addr, &Message::Ping { seq: 2 }))
+        };
+        let mut second = serve(&listener);
+        assert_eq!(second.recv().expect("recv"), Message::Ping { seq: 2 });
+        second
+            .send(&Message::Pong { seq: 2, epoch: 0 })
+            .expect("send");
+        assert!(fast.join().expect("join").is_ok());
+        first
+            .send(&Message::Pong { seq: 1, epoch: 0 })
+            .expect("send");
+        assert!(slow.join().expect("join").is_ok());
+        assert_eq!(pool.dials(), 2);
+    }
+
+    #[test]
+    fn accepted_registry_forgets_finished_links() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let accepted = Accepted::default();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..200 {
+            drop(TcpStream::connect(addr).expect("connect"));
+            let (stream, _) = listener.accept().expect("accept");
+            let done = done_tx.clone();
+            accepted.spawn(stream, move |mut stream| {
+                // Serve until the peer's close, like a real conn loop.
+                let _ = stream.read(&mut [0u8; 1]);
+                let _ = done.send(());
+            });
+            done_rx.recv().expect("serving thread ended");
+        }
+        // Every link ended before the next was accepted, so each accept
+        // found at most a few threads still returning — not 200 handles.
+        assert!(accepted.len() < 20, "registry grew to {}", accepted.len());
+        // One live link keeps its place, and `close` reaches it.
+        let live = TcpStream::connect(addr).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        accepted.spawn(stream, |mut stream| {
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        assert!(accepted.len() >= 1);
+        let started = std::time::Instant::now();
+        accepted.close();
+        assert!(started.elapsed() < Duration::from_secs(2));
+        assert_eq!(accepted.len(), 0);
+        drop(live);
     }
 
     #[test]

@@ -73,6 +73,32 @@ fn delta_for_step(graph: &DocGraph, step: usize) -> GraphDelta {
     delta
 }
 
+/// A controller whose monitor never beats within a test's lifetime, so
+/// the test thread is the only user of the controller's node links.
+fn unmonitored_controller() -> ControllerConfig {
+    ControllerConfig {
+        heartbeat_interval: Duration::from_secs(600),
+        auto_failover: false,
+        ..fast_controller()
+    }
+}
+
+/// The engine's snapshot now, then one more after each of `steps` churn
+/// deltas — ranked up front so a test can publish them back to back.
+fn snapshot_series(docs: usize, sites: usize, steps: usize) -> (DocGraph, Vec<RankSnapshot>) {
+    let mut graph = campus(docs, sites);
+    let mut engine = engine_for(&graph);
+    let mut series = vec![engine.snapshot().unwrap()];
+    for step in 0..steps {
+        let delta = delta_for_step(&graph, step);
+        let (mutated, _) = graph.apply(&delta).unwrap();
+        engine.apply_delta(&delta).unwrap();
+        graph = mutated;
+        series.push(engine.snapshot().unwrap());
+    }
+    (graph, series)
+}
+
 fn fast_controller() -> ControllerConfig {
     ControllerConfig {
         heartbeat_interval: Duration::from_millis(40),
@@ -764,4 +790,228 @@ fn stale_publish_is_rejected_and_newer_snapshot_wins() {
 
     controller.shutdown();
     node.kill();
+}
+
+#[test]
+fn steady_cluster_dials_each_node_once() {
+    let (graph, series) = snapshot_series(200, 6, 10);
+    let map = ShardMap::balanced(&graph, 4).unwrap();
+    let interval = Duration::from_millis(200);
+    let started = Instant::now();
+    let controller = ClusterController::start(
+        map,
+        ControllerConfig {
+            heartbeat_interval: interval,
+            ..fast_controller()
+        },
+    )
+    .unwrap();
+    let nodes: Vec<ShardNode> = (0..2)
+        .map(|_| ShardNode::start(controller.addr(), NodeConfig::default()).unwrap())
+        .collect();
+    controller
+        .wait_for_nodes(2, Duration::from_secs(5))
+        .unwrap();
+
+    // A warm-up publish and ten more, each staging and committing on
+    // both nodes: 44 node conversations at the least.
+    for snapshot in &series {
+        let report = controller.publish(snapshot).unwrap();
+        assert_eq!(report.attempts, 1);
+    }
+    // Finished inside the first heartbeat interval: no beat ran beside a
+    // publish, so no link was ever busy when somebody wanted it.
+    let undisturbed = started.elapsed() < interval;
+    // Then heartbeats alone, for at least five intervals.
+    std::thread::sleep(interval * 6);
+
+    let stats = controller.stats();
+    assert_eq!(stats.publishes, 11);
+    assert_eq!(stats.missed_heartbeats, 0);
+    assert!(
+        stats.nodes.iter().all(|n| n.rtt_us > 0),
+        "no heartbeat ever completed: {stats:?}"
+    );
+    if undisturbed {
+        assert_eq!(stats.node_dials, 2, "a steady cluster re-dialed");
+    } else {
+        // A slow host let a beat overlap a publish: that beat opened a
+        // second link rather than wait, and both links are kept.
+        assert!((2..=4).contains(&stats.node_dials), "{stats:?}");
+    }
+
+    controller.shutdown();
+    for node in nodes {
+        node.kill();
+    }
+}
+
+#[test]
+fn severed_link_costs_a_redial_not_a_retry() {
+    let (graph, series) = snapshot_series(200, 6, 1);
+    let map = ShardMap::balanced(&graph, 4).unwrap();
+    let controller = ClusterController::start(map, unmonitored_controller()).unwrap();
+    let nodes: Vec<ShardNode> = (0..2)
+        .map(|_| ShardNode::start(controller.addr(), NodeConfig::default()).unwrap())
+        .collect();
+    controller
+        .wait_for_nodes(2, Duration::from_secs(5))
+        .unwrap();
+    controller.publish(&series[0]).unwrap();
+    let client = ClusterClient::new(controller.addr(), ClientConfig::default());
+    client.top_k(5).unwrap();
+    assert_eq!(controller.stats().node_dials, 2);
+
+    // One node closes every link it accepted — the controller's and the
+    // client's — while both sit parked. Neither side may notice more
+    // than a reconnect.
+    nodes[0].drop_connections();
+    let report = controller.publish(&series[1]).unwrap();
+    assert_eq!(report.attempts, 1, "a stale link cost a publish retry");
+    assert_eq!(report.nodes, 2);
+    let stats = controller.stats();
+    assert_eq!(stats.node_dials, 3);
+    assert_eq!((stats.evictions, stats.publish_aborts), (0, 0));
+
+    let (epoch, top) = client.top_k(5).unwrap();
+    assert_eq!(epoch, series[1].epoch());
+    assert_eq!(top.len(), 5);
+    let seen = client.stats();
+    assert_eq!(seen.reconnects, 1, "{seen:?}");
+    assert_eq!(
+        (seen.node_failures, seen.gather_retries),
+        (0, 0),
+        "{seen:?}"
+    );
+
+    drop(client);
+    controller.shutdown();
+    for node in nodes {
+        node.kill();
+    }
+}
+
+#[test]
+fn heartbeat_does_not_queue_behind_a_publish_in_flight() {
+    let (graph, series) = snapshot_series(120, 4, 0);
+    let map = ShardMap::balanced(&graph, 2).unwrap();
+    let cfg = ControllerConfig {
+        heartbeat_interval: Duration::from_millis(40),
+        miss_limit: 2,
+        io_timeout: Duration::from_millis(500),
+        ..fast_controller()
+    };
+    let controller = ClusterController::start(map, cfg).unwrap();
+    // Every frame the node touches takes 60 ms each way, so the publish
+    // below keeps the node's link busy for three ~120 ms conversations
+    // while the monitor wants it every 40 ms.
+    let node = ShardNode::start(
+        controller.addr(),
+        NodeConfig {
+            fault: Some(FaultPlan {
+                delay_per_mille: 1000,
+                recv_delay_per_mille: 1000,
+                delay: Duration::from_millis(60),
+                ..FaultPlan::quiet(0xBEA7)
+            }),
+            ..NodeConfig::default()
+        },
+    )
+    .unwrap();
+    controller
+        .wait_for_nodes(1, Duration::from_secs(5))
+        .unwrap();
+    let report = controller.publish(&series[0]).unwrap();
+    assert_eq!(report.attempts, 1);
+
+    let stats = controller.stats();
+    // The beats that found the link busy went out on a second one …
+    assert!(
+        stats.node_dials >= 2,
+        "a beat waited for the link: {stats:?}"
+    );
+    // … and none of them was late enough to count against the node.
+    assert_eq!(stats.missed_heartbeats, 0);
+    assert_eq!(stats.nodes[0].missed, 0);
+    assert_eq!(stats.evictions, 0);
+    assert_eq!(node.epochs(), controller.epochs());
+
+    controller.shutdown();
+    node.kill();
+}
+
+#[test]
+fn publishes_ride_out_disconnects_on_new_connections() {
+    let (graph, series) = snapshot_series(200, 6, 8);
+    let map = ShardMap::balanced(&graph, 4).unwrap();
+    let controller = ClusterController::start(
+        map,
+        ControllerConfig {
+            fault: Some(FaultPlan {
+                disconnect_per_mille: 100,
+                ..FaultPlan::quiet(0xD15C)
+            }),
+            ..unmonitored_controller()
+        },
+    )
+    .unwrap();
+    let nodes: Vec<ShardNode> = (0..2)
+        .map(|_| ShardNode::start(controller.addr(), NodeConfig::default()).unwrap())
+        .collect();
+    controller
+        .wait_for_nodes(2, Duration::from_secs(5))
+        .unwrap();
+
+    // One send in ten tears its link down. A torn link is never parked
+    // again: the call moves to a new physical connection (with its own
+    // fault schedule), so no node is ever blamed and no publish retried.
+    for snapshot in &series {
+        let report = controller.publish(snapshot).unwrap();
+        assert_eq!((report.attempts, report.nodes), (1, 2), "{report:?}");
+    }
+    let stats = controller.stats();
+    assert!(
+        stats.node_dials > 2,
+        "no disconnect was injected: {stats:?}"
+    );
+    assert_eq!((stats.evictions, stats.publish_aborts), (0, 0));
+    for node in &nodes {
+        assert_eq!(node.epochs(), controller.epochs());
+    }
+
+    controller.shutdown();
+    for node in nodes {
+        node.kill();
+    }
+}
+
+#[test]
+fn kill_with_an_idle_inbound_link_returns_promptly() {
+    let graph = campus(120, 4);
+    let map = ShardMap::balanced(&graph, 2).unwrap();
+    let controller = ClusterController::start(map, unmonitored_controller()).unwrap();
+    let node = ShardNode::start(controller.addr(), NodeConfig::default()).unwrap();
+    // A peer that keeps its link open and idle, as the controller's pool
+    // and every client do: the node's thread for it sits in a read.
+    let mut conn = FramedConn::connect(
+        node.addr(),
+        Duration::from_secs(2),
+        Arc::new(WireCounters::default()),
+    )
+    .unwrap();
+    let reply = conn.call(&Message::Ping { seq: 1 }).unwrap();
+    assert!(matches!(reply, Message::Pong { .. }));
+
+    let started = Instant::now();
+    node.kill();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "kill waited {took:?} on an idle link"
+    );
+    assert!(conn.call(&Message::Ping { seq: 2 }).is_err());
+
+    let started = Instant::now();
+    controller.shutdown();
+    assert!(started.elapsed() < Duration::from_millis(500));
 }

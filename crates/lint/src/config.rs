@@ -105,14 +105,17 @@ pub fn workspace() -> LintConfig {
             },
             LockOrder {
                 // One publish at a time, then the control state, then
-                // connection/auxiliary thread registries.
+                // the node-link pool (eviction and rejoin drop an
+                // address's parked links while they hold the registry;
+                // the pool's own mutex is a leaf inside transport.rs),
+                // then the catch-up thread registry.
                 file: "crates/cluster/src/controller.rs",
-                tiers: &[&["publish_gate"], &["state"], &["conns"], &["aux"]],
+                tiers: &[&["publish_gate"], &["state"], &["pool"], &["aux"]],
             },
             LockOrder {
                 // Commit swaps serving while consuming the staged set.
                 file: "crates/cluster/src/node.rs",
-                tiers: &[&["serving"], &["staged"], &["conns"]],
+                tiers: &[&["serving"], &["staged"]],
             },
             LockOrder {
                 file: "crates/cluster/src/client.rs",
