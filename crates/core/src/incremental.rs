@@ -33,7 +33,7 @@
 //! engine's `apply_delta`. [`remap_result`] carries a layered result
 //! across an explicit [`DocGraph::compact_ids`] densification, so
 //! surviving sites warm-start straight through the
-//! [`IdRemap`](lmm_graph::remap::IdRemap). The tests verify every pipeline
+//! [`IdRemap`]. The tests verify every pipeline
 //! reproduces a from-scratch recomputation.
 
 use std::sync::Arc;

@@ -10,8 +10,7 @@
 //! This version hashes each element (one site assignment, one weighted
 //! edge) through a strong 64-bit finalizer and combines the element hashes
 //! with **wrapping addition**. Addition is commutative and invertible, so
-//! the exact edge diff reported by
-//! [`AppliedDelta`](lmm_graph::delta::AppliedDelta) composes in O(delta):
+//! the exact edge diff reported by [`AppliedDelta`] composes in O(delta):
 //! add the terms of added links and appended documents, subtract the terms
 //! of removed links. [`GraphFingerprint::compose`] is *exact* — it equals
 //! [`GraphFingerprint::of`] on the mutated graph bit for bit (a regression
@@ -74,10 +73,12 @@ pub struct GraphFingerprint {
 }
 
 impl GraphFingerprint {
-    /// Fingerprints a graph from scratch: one pass over the **live**
-    /// assignments (walked through the member lists, which exclude
-    /// tombstoned documents) and the adjacency (dead rows are empty, dead
-    /// columns absent) — O(docs + links).
+    /// Fingerprints a graph from scratch: one pass, site by site, over the
+    /// **live** assignments (the member lists, which exclude tombstoned
+    /// documents) and their out-links (dead documents own no row and appear
+    /// in none) — O(docs + links). The sum is order-free, so the per-site
+    /// link blocks are read in place and the flat adjacency view is never
+    /// built.
     ///
     /// Audit note: the hash must cover the *content* of the edge set and
     /// the site partition — not just the counts — or a same-shape recrawl
@@ -90,13 +91,14 @@ impl GraphFingerprint {
     #[must_use]
     pub fn of(graph: &DocGraph) -> Self {
         let mut hash = 0u64;
+        let unit = 1.0f64.to_bits();
         for site in 0..graph.n_sites() {
-            for doc in graph.docs_of_site(lmm_graph::SiteId(site)) {
+            for (doc, links) in graph.site_out_links(lmm_graph::SiteId(site)) {
                 hash = hash.wrapping_add(assign_term(doc.index(), site));
+                for &dst in links {
+                    hash = hash.wrapping_add(edge_term(doc.index(), dst, unit));
+                }
             }
-        }
-        for (src, dst, v) in graph.adjacency().iter() {
-            hash = hash.wrapping_add(edge_term(src, dst, v.to_bits()));
         }
         Self {
             n_docs: graph.n_docs(),

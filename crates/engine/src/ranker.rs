@@ -53,8 +53,7 @@ pub trait Ranker: Send + Sync {
     ///
     /// # Errors
     /// Backend-specific failures (non-convergence, unsupported context
-    /// features, invalid graphs), uniformly wrapped in
-    /// [`EngineError`](crate::EngineError).
+    /// features, invalid graphs), uniformly wrapped in [`EngineError`].
     fn rank(&self, graph: &DocGraph, ctx: &ExecContext) -> Result<RankOutcome>;
 
     /// Applies a structural [`GraphDelta`] to the backend's maintained

@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
-use lmm_core::siterank::SiteLayerMethod;
-use lmm_engine::{BackendSpec, EngineError, MemorySink, RankEngine};
+use lmm_core::incremental::{incremental_update, SiteDelta};
+use lmm_core::siterank::{layered_doc_rank, LayeredRankConfig, SiteLayerMethod};
+use lmm_engine::{BackendSpec, EngineError, GraphFingerprint, MemorySink, RankEngine};
 use lmm_graph::delta::GraphDelta;
 use lmm_graph::generator::CampusWebConfig;
 use lmm_graph::{DocGraph, SiteId};
@@ -356,4 +357,40 @@ fn rank_after_growth_still_goes_incremental() {
         "growth should not force a full recompute"
     );
     assert_eq!(runs[1].sites_grown, 1);
+}
+
+/// The write path reads links through the per-site blocks only: applying a
+/// local and a global delta, summarizing them, re-ranking incrementally and
+/// composing the fingerprint never materialize the O(docs + links) flat
+/// adjacency view — on the base graph or on either mutated one.
+#[test]
+fn the_write_path_never_builds_the_flat_view() {
+    let base = campus();
+    let cfg = LayeredRankConfig::default();
+    let ranked = layered_doc_rank(&base, &cfg).unwrap();
+    let fingerprint = GraphFingerprint::of(&base);
+
+    let mut local = GraphDelta::for_graph(&base);
+    let s3 = base.docs_of_site(SiteId(3));
+    local.remove_link(s3[0], s3[1]).unwrap();
+    local.add_link(s3[1], s3[0]).unwrap();
+    let (rewired, applied) = base.apply(&local).unwrap();
+    assert!(!applied.cross_links_changed);
+    let (ranked, stats) =
+        incremental_update(&ranked, &rewired, &SiteDelta::from(&applied), &cfg).unwrap();
+    assert!(!stats.site_rank_recomputed);
+    let fingerprint = fingerprint.compose(&applied);
+
+    let (grown, applied) = rewired.apply(&mixed_delta(&rewired)).unwrap();
+    assert!(applied.cross_links_changed);
+    let (_, stats) = incremental_update(&ranked, &grown, &SiteDelta::from(&applied), &cfg).unwrap();
+    assert!(stats.site_rank_recomputed);
+    assert_eq!(fingerprint.compose(&applied), GraphFingerprint::of(&grown));
+
+    for graph in [&base, &rewired, &grown] {
+        assert!(!graph.flat_view_is_built());
+    }
+    // The probe does see a consumer that asks for the whole matrix.
+    assert_eq!(grown.adjacency().nnz(), grown.n_links());
+    assert!(grown.flat_view_is_built() && !rewired.flat_view_is_built());
 }

@@ -114,8 +114,7 @@ pub fn crawl(source: &DocGraph, config: &CrawlConfig) -> Result<CrawlResult> {
             break;
         };
         visited.push(doc);
-        let (cols, _) = source.adjacency().row(doc.index());
-        for &dst in cols {
+        for &dst in source.out_links(doc) {
             if !visited_mark[dst] {
                 visited_mark[dst] = true;
                 frontier.push_back(DocId(dst));
@@ -138,8 +137,7 @@ pub fn crawl(source: &DocGraph, config: &CrawlConfig) -> Result<CrawlResult> {
         );
     }
     for (i, d) in visited.iter().enumerate() {
-        let (cols, _) = source.adjacency().row(d.index());
-        for &dst in cols {
+        for &dst in source.out_links(*d) {
             if new_id[dst] != usize::MAX {
                 builder
                     .add_link(DocId(i), DocId(new_id[dst]))

@@ -36,10 +36,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::docgraph::{DocGraph, PageKind};
+use crate::docgraph::{DocGraph, LinkBlock, PageKind};
 use crate::error::{GraphError, Result};
 use crate::ids::{DocId, SiteId};
-use lmm_linalg::CsrMatrix;
 
 /// One recorded link mutation. Ordered replay makes add/remove on the same
 /// pair behave like sequential edits.
@@ -522,6 +521,7 @@ impl GraphDelta {
 /// staleness sets the incremental re-ranking layer consumes, plus the
 /// **exact** edge diff the serving layer folds into delta-composed graph
 /// fingerprints (and a future delta-gossip layer can ship to replicas).
+/// Its size is O(delta): `apply` visits only the rows the delta can change.
 ///
 /// `changed_sites`, `grown_sites`, `shrunk_sites`, and `removed_sites` are
 /// pairwise disjoint, sorted, and deduplicated; all name *pre-existing*
@@ -552,7 +552,7 @@ pub struct AppliedDelta {
     /// or the live site set itself changed.
     pub cross_links_changed: bool,
     /// Every link present in the mutated graph but not the base graph
-    /// (deterministic order: by source row, then destination).
+    /// (deterministic order: ascending by source, then destination).
     pub links_added: Vec<(DocId, DocId)>,
     /// Every link present in the base graph but not the mutated graph
     /// (same ordering as `links_added`) — including links dropped because
@@ -599,15 +599,26 @@ impl DocGraph {
     /// densification step).
     ///
     /// This is the hot path of live re-ranking, so it **patches** rather
-    /// than rebuilds: untouched adjacency rows are copied wholesale, only
-    /// rows named by the delta's link ops (or holding a link to a removed
-    /// document) are edited, the URL/kind columns share their existing
-    /// segments copy-on-write, and the induced summary falls out of the
-    /// same pass — the per-row diffs between old and new edge sets. No-op
-    /// mutations (removing an absent link, re-adding an existing one,
-    /// net-zero cross rewires) therefore never mark a layer stale.
-    /// Append-only deltas cost O(delta + sites); deltas that remove pages
-    /// additionally scan the adjacency once to drop in-links of the dead.
+    /// than rebuilds. Links live in one `Arc`-shared block of out-link rows
+    /// per site; only the rows the delta can change are edited — sources of
+    /// its link ops, rows it tombstones, rows holding a link to a document
+    /// it tombstones — and only the sites that own a row that really
+    /// changed, or whose membership changed, get a new block (and, for
+    /// membership, a new member list). Every other site's block and member
+    /// list, and the URL/kind/site-name columns, are shared with the base
+    /// graph. The induced summary falls out of the same pass — the per-row
+    /// diffs between old and new edge sets — so no-op mutations (removing
+    /// an absent link, re-adding an existing one, net-zero cross rewires)
+    /// never mark a layer stale and never copy a block.
+    ///
+    /// Cost: O(ops · log + Σ size of the rebuilt site blocks + sites) for
+    /// growth and rewire deltas — `sites` is the clone of the two per-site
+    /// pointer tables — plus a `memcpy` of the site-assignment table and
+    /// the tombstone lists, plus one read-only O(links) scan of the blocks
+    /// when the delta removes pages or sites (to find the in-links of the
+    /// dead). It never touches the flat [`adjacency`](DocGraph::adjacency)
+    /// view: the mutated graph starts without one, and the first caller
+    /// that asks for it pays the O(docs + links) materialization.
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidDelta`] when the delta was built
@@ -631,19 +642,19 @@ impl DocGraph {
         }
         let n_base_docs = self.n_docs();
         let n_base_sites = self.n_sites();
-        let mut names: HashSet<&str> = (0..n_base_sites)
-            .map(|s| self.site_name(SiteId(s)))
-            .collect();
-        for name in &delta.new_sites {
-            if name.is_empty() {
-                return Err(GraphError::InvalidDelta {
-                    reason: "new site name is empty".into(),
-                });
-            }
-            if !names.insert(name) {
-                return Err(GraphError::InvalidDelta {
-                    reason: format!("new site name {name:?} already exists"),
-                });
+        if !delta.new_sites.is_empty() {
+            let mut names: HashSet<&str> = self.site_names.iter().map(String::as_str).collect();
+            for name in &delta.new_sites {
+                if name.is_empty() {
+                    return Err(GraphError::InvalidDelta {
+                        reason: "new site name is empty".into(),
+                    });
+                }
+                if !names.insert(name) {
+                    return Err(GraphError::InvalidDelta {
+                        reason: format!("new site name {name:?} already exists"),
+                    });
+                }
             }
         }
 
@@ -727,13 +738,10 @@ impl DocGraph {
                     .push(DocId(id));
             }
         }
-        // Every surviving site must stay non-empty.
-        for s in 0..n_base_sites {
-            if !self.is_live_site(SiteId(s)) || delta.removed_sites.contains(&s) {
-                continue;
-            }
-            let size = self.site_size(SiteId(s)) + appended.get(&s).map_or(0, Vec::len)
-                - lost.get(&s).copied().unwrap_or(0);
+        // Every surviving site must stay non-empty; only a site that loses
+        // pages can fail that.
+        for (&s, &n_lost) in &lost {
+            let size = self.site_size(SiteId(s)) + appended.get(&s).map_or(0, Vec::len) - n_lost;
             if size == 0 {
                 return Err(GraphError::InvalidDelta {
                     reason: format!(
@@ -772,30 +780,38 @@ impl DocGraph {
         let mut cold: BTreeSet<usize> = shrunk.union(&grown).copied().collect();
         cold.extend(removed_sites.iter().copied());
 
-        // Group link ops by source row, preserving replay order within a
-        // row: a removal only erases links present *at that point*, so
-        // add-then-remove deletes and remove-then-add restores — the same
-        // result as sequential edits.
-        let mut ops_by_src: HashMap<usize, Vec<(usize, bool)>> = HashMap::new();
+        // The rows this delta can change, ascending (so the edge diff comes
+        // out ordered by source): sources of link ops, grouped with replay
+        // order preserved within a row — a removal only erases links present
+        // *at that point*, so add-then-remove deletes and remove-then-add
+        // restores, like sequential edits — plus every newly dead row, plus
+        // (one read-only scan, only when something dies) every row holding
+        // a link to the newly dead.
+        let mut touched: BTreeMap<usize, Vec<(usize, bool)>> = BTreeMap::new();
         for op in &delta.link_ops {
-            match *op {
-                LinkOp::Add(from, to) => ops_by_src
-                    .entry(from.index())
-                    .or_default()
-                    .push((to.index(), true)),
-                LinkOp::Remove(from, to) => ops_by_src
-                    .entry(from.index())
-                    .or_default()
-                    .push((to.index(), false)),
+            let (from, to, is_add) = match *op {
+                LinkOp::Add(from, to) => (from, to, true),
+                LinkOp::Remove(from, to) => (from, to, false),
+            };
+            touched
+                .entry(from.index())
+                .or_default()
+                .push((to.index(), is_add));
+        }
+        for &d in &dead_new {
+            touched.entry(d).or_default();
+        }
+        if !dead_new.is_empty() {
+            for s in 0..n_base_sites {
+                for (doc, row) in self.site_out_links(SiteId(s)) {
+                    if row.iter().any(|c| dead_new.contains(c)) {
+                        touched.entry(doc.index()).or_default();
+                    }
+                }
             }
         }
 
         let n_docs = delta.result_docs();
-        let base = self.adjacency();
-        let mut row_ptr = Vec::with_capacity(n_docs + 1);
-        row_ptr.push(0usize);
-        let mut col_idx: Vec<usize> = Vec::with_capacity(base.nnz() + delta.link_ops.len());
-
         let mut changed: BTreeSet<usize> = BTreeSet::new();
         // Net cross-link count change per ordered site pair: the SiteRank
         // depends on the *counts*, so a rewire that removes one s->t link
@@ -827,9 +843,13 @@ impl DocGraph {
         let is_dead = |d: usize| -> bool {
             dead_new.contains(&d) || (d < n_base_docs && !self.is_live_doc(DocId(d)))
         };
-        for row in 0..n_docs {
+        // New contents of every live row that really changed (ascending by
+        // row), and the sites that own one.
+        let mut patched: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut relink: BTreeSet<usize> = BTreeSet::new();
+        for (&row, ops) in &touched {
             let base_cols: &[usize] = if row < n_base_docs {
-                base.row(row).0
+                self.out_links(DocId(row))
             } else {
                 &[]
             };
@@ -838,29 +858,31 @@ impl DocGraph {
                 for &b in base_cols {
                     record_change(row, b, -1);
                 }
-                row_ptr.push(col_idx.len());
-                continue;
-            }
-            let ops = ops_by_src.get(&row);
-            let holds_dead =
-                !dead_new.is_empty() && base_cols.iter().any(|&c| dead_new.contains(&c));
-            if ops.is_none() && !holds_dead {
-                col_idx.extend_from_slice(base_cols);
-                row_ptr.push(col_idx.len());
                 continue;
             }
             let mut set: BTreeSet<usize> = base_cols.iter().copied().collect();
-            if let Some(ops) = ops {
-                for &(dst, is_add) in ops {
-                    if is_add {
-                        set.insert(dst);
-                    } else {
-                        set.remove(&dst);
-                    }
+            for &(dst, is_add) in ops {
+                if is_add {
+                    set.insert(dst);
+                } else {
+                    set.remove(&dst);
                 }
             }
             set.retain(|&c| !is_dead(c));
             let final_cols: Vec<usize> = set.into_iter().collect();
+            if final_cols == base_cols {
+                continue;
+            }
+            // The set made the row strictly ascending; a block must also
+            // never name a document outside the mutated graph.
+            if let Some(&c) = final_cols.last().filter(|&&c| c >= n_docs) {
+                return Err(GraphError::InvalidDelta {
+                    reason: format!(
+                        "patched adjacency is inconsistent: row {row} links document {c}, \
+                         but only {n_docs} exist"
+                    ),
+                });
+            }
             // Sorted merge-diff of base vs final edge sets — only *real*
             // changes feed the induced delta.
             let (mut i, mut j) = (0usize, 0usize);
@@ -885,18 +907,13 @@ impl DocGraph {
                     (None, None) => unreachable!("loop condition"),
                 }
             }
-            col_idx.extend_from_slice(&final_cols);
-            row_ptr.push(col_idx.len());
+            relink.insert(delta.site_of_ref(self, DocId(row)).index());
+            patched.push((row, final_cols));
         }
-        let values = vec![1.0f64; col_idx.len()];
-        let adjacency = CsrMatrix::from_raw_parts(n_docs, n_docs, row_ptr, col_idx, values)
-            .map_err(|e| GraphError::InvalidDelta {
-                reason: format!("patched adjacency is inconsistent: {e}"),
-            })?;
 
         // --- Columnar storage: copy-on-write extension + targeted member
-        // rebuilds (existing entries keep their positions — that is the
-        // renumbering guarantee). ---
+        // and link-block rebuilds (existing entries keep their positions —
+        // that is the renumbering guarantee). ---
         let urls = self
             .urls
             .append(delta.new_pages.iter().map(|p| p.url.clone()).collect());
@@ -905,30 +922,49 @@ impl DocGraph {
             .append(delta.new_pages.iter().map(|p| p.kind).collect());
         let mut site_of = self.site_of.clone();
         site_of.extend(delta.new_pages.iter().map(|p| p.site));
-        let mut site_names = self.site_names.clone();
-        site_names.extend(delta.new_sites.iter().cloned());
+        let site_names = self.site_names.append(delta.new_sites.clone());
         let mut site_members = self.site_members.clone();
         site_members.resize(site_names.len(), Arc::new(Vec::new()));
-        let mut rebuild: BTreeSet<usize> = appended.keys().copied().collect();
-        rebuild.extend(lost.keys().copied());
-        rebuild.extend(removed_sites.iter().copied());
-        for &s in &rebuild {
-            let mut members: Vec<DocId> = if s < n_base_sites && !delta.removed_sites.contains(&s) {
-                self.site_members[s]
-                    .iter()
-                    .copied()
-                    .filter(|d| !dead_new.contains(&d.index()))
-                    .collect()
-            } else {
-                Vec::new()
-            };
+        let mut site_links = self.site_links.clone();
+        site_links.resize(site_names.len(), Arc::new(LinkBlock::with_capacity(0, 0)));
+        // Sites whose membership changes get a new member list; those and
+        // the owners of a patched row get a new link block. Every other
+        // site keeps sharing both with the base graph.
+        let mut regroup: BTreeSet<usize> = appended.keys().copied().collect();
+        regroup.extend(lost.keys().copied());
+        regroup.extend(delta.removed_sites.iter().copied());
+        relink.extend(regroup.iter().copied());
+        let patched_row = |d: DocId| {
+            let found = patched.binary_search_by_key(&d.index(), |(row, _)| *row);
+            found.ok().map(|i| patched[i].1.as_slice())
+        };
+        for &s in &relink {
+            let mut members: Vec<DocId> = Vec::new();
+            let mut block = LinkBlock::with_capacity(0, 0);
             if !delta.removed_sites.contains(&s) {
-                if let Some(adds) = appended.get(&s) {
-                    members.extend_from_slice(adds);
+                if s < n_base_sites {
+                    block = LinkBlock::with_capacity(
+                        self.site_size(SiteId(s)),
+                        self.site_links[s].n_links(),
+                    );
+                    for (d, row) in self.site_out_links(SiteId(s)) {
+                        if !dead_new.contains(&d.index()) {
+                            members.push(d);
+                            block.push_row(patched_row(d).unwrap_or(row));
+                        }
+                    }
+                }
+                for &d in appended.get(&s).into_iter().flatten() {
+                    members.push(d);
+                    block.push_row(patched_row(d).unwrap_or(&[]));
                 }
             }
-            site_members[s] = Arc::new(members);
+            if regroup.contains(&s) {
+                site_members[s] = Arc::new(members);
+            }
+            site_links[s] = Arc::new(block);
         }
+        let n_links = self.n_links + links_added.len() - links_removed.len();
         let mut dead_docs: Vec<DocId> = self.dead_docs.as_ref().clone();
         dead_docs.extend(dead_new.iter().map(|&d| DocId(d)));
         dead_docs.sort_unstable();
@@ -954,9 +990,11 @@ impl DocGraph {
             site_of,
             site_names,
             site_members,
+            site_links,
+            n_links,
             dead_docs: Arc::new(dead_docs),
             dead_sites: Arc::new(dead_sites),
-            adjacency,
+            flat: Arc::default(),
         };
 
         let added_sites = delta.new_sites.len();
@@ -987,6 +1025,10 @@ impl DocGraph {
 mod tests {
     use super::*;
     use crate::docgraph::DocGraphBuilder;
+    use crate::generator::CampusWebConfig;
+    use lmm_linalg::CooMatrix;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn base() -> DocGraph {
         let mut b = DocGraphBuilder::new();
@@ -1564,5 +1606,256 @@ mod tests {
         assert_eq!(h.site_size(SiteId(2)), 2);
         assert_eq!(h.site_size(SiteId(3)), 4);
         assert_eq!(applied.removed_docs.len(), 4);
+    }
+    // --- Site-blocked storage: sharing and equivalence ---
+
+    /// Base sites whose link block / member list `new` does not share with
+    /// `old`.
+    fn unshared(old: &DocGraph, new: &DocGraph) -> (BTreeSet<usize>, BTreeSet<usize>) {
+        let sites = 0..old.n_sites();
+        let relinked = |&s: &usize| !Arc::ptr_eq(&old.site_links[s], &new.site_links[s]);
+        let regrouped = |&s: &usize| !Arc::ptr_eq(&old.site_members[s], &new.site_members[s]);
+        (
+            sites.clone().filter(relinked).collect(),
+            sites.filter(regrouped).collect(),
+        )
+    }
+
+    /// One step of a seeded churn stream, recorded twice: as a
+    /// [`GraphDelta`] and as the plain op list / death list a naive edge-set
+    /// model replays. Steps below `GROWTH_ONLY` only rewire and grow; later
+    /// ones also remove pages and sites and cancel same-delta additions.
+    struct ChurnStep {
+        delta: GraphDelta,
+        ops: Vec<(usize, usize, bool)>,
+        dead: Vec<usize>,
+    }
+    const GROWTH_ONLY: usize = 40;
+
+    impl ChurnStep {
+        fn link(&mut self, from: DocId, to: DocId, add: bool) {
+            if add {
+                self.delta.add_link(from, to).unwrap();
+            } else {
+                self.delta.remove_link(from, to).unwrap();
+            }
+            self.ops.push((from.index(), to.index(), add));
+        }
+
+        fn generate(g: &DocGraph, rng: &mut StdRng, step: usize) -> Self {
+            let sites: Vec<SiteId> = g.live_sites().collect();
+            let site = |rng: &mut StdRng| sites[rng.random_range(0..sites.len())];
+            let doc_of = |rng: &mut StdRng, s: SiteId| {
+                let members = g.docs_of_site(s);
+                members[rng.random_range(0..members.len())]
+            };
+            let any_doc = |rng: &mut StdRng| {
+                let s = site(rng);
+                doc_of(rng, s)
+            };
+            let mut this = ChurnStep {
+                delta: GraphDelta::for_graph(g),
+                ops: Vec::new(),
+                dead: Vec::new(),
+            };
+            // Rewires inside and across sites; many are no-ops (re-adding a
+            // present link, removing an absent one).
+            for _ in 0..rng.random_range(0..5usize) {
+                let from = any_doc(rng);
+                let to = match g.out_links(from).first() {
+                    Some(&present) if rng.random::<bool>() => DocId(present),
+                    _ => any_doc(rng),
+                };
+                this.link(from, to, rng.random::<bool>());
+            }
+            let kind = step % if step < GROWTH_ONLY { 3 } else { 6 };
+            match kind {
+                1 => {
+                    let s = site(rng);
+                    let p = this
+                        .delta
+                        .add_page(s, &format!("http://grow-{step}/"))
+                        .unwrap();
+                    this.link(doc_of(rng, s), p, true);
+                    this.link(p, any_doc(rng), true);
+                }
+                2 => {
+                    let s = this.delta.add_site(&format!("site-{step}.example"));
+                    let p0 = this.delta.add_page(s, &format!("http://s{step}/")).unwrap();
+                    let p1 = this
+                        .delta
+                        .add_page(s, &format!("http://s{step}/1"))
+                        .unwrap();
+                    this.link(p0, p1, true);
+                    this.link(p1, p0, true);
+                    this.link(any_doc(rng), p0, true);
+                }
+                3 => {
+                    let s = site(rng);
+                    if g.site_size(s) >= 2 {
+                        let victim = doc_of(rng, s);
+                        this.delta.remove_page(victim).unwrap();
+                        this.dead.push(victim.index());
+                    }
+                }
+                4 if sites.len() > 6 => {
+                    let s = site(rng);
+                    // Ops recorded so far may sit in `s`; they die with it.
+                    this.delta.remove_site(s).unwrap();
+                    this.dead
+                        .extend(g.docs_of_site(s).iter().map(|d| d.index()));
+                }
+                5 => {
+                    // Same-delta cancellations: a page, and a whole site.
+                    let s = site(rng);
+                    let doomed = this.delta.add_page(s, "http://doomed/").unwrap();
+                    this.link(doc_of(rng, s), doomed, true);
+                    this.delta.remove_page(doomed).unwrap();
+                    let t = this.delta.add_site(&format!("doomed-{step}.example"));
+                    let q = this.delta.add_page(t, "http://doomed.example/").unwrap();
+                    this.link(q, doc_of(rng, s), true);
+                    this.delta.remove_site(t).unwrap();
+                    this.dead.extend([doomed.index(), q.index()]);
+                }
+                _ => {}
+            }
+            this
+        }
+    }
+
+    #[test]
+    fn apply_rebuilds_exactly_the_touched_blocks_over_a_churn_stream() {
+        let mut cfg = CampusWebConfig::small();
+        (cfg.total_docs, cfg.n_sites) = (400, 10);
+        cfg.spam_farms.clear();
+        let mut g = cfg.generate().unwrap();
+        let mut rng = StdRng::seed_from_u64(0x5174_b10c);
+        // The naive model: a set of edges and the documents dead so far.
+        let mut edges: BTreeSet<(usize, usize)> =
+            g.links().map(|(a, b)| (a.index(), b.index())).collect();
+        let mut dead: BTreeSet<usize> = BTreeSet::new();
+        let (mut removals, mut noop_steps) = (0usize, 0usize);
+        for step in 0..240 {
+            let churn = ChurnStep::generate(&g, &mut rng, step);
+            let (new, applied) = g.apply(&churn.delta).unwrap();
+
+            // (b) Equivalence against the model, which shares no code with
+            // `apply`: replay the ops on the edge set, then drop what
+            // touches a dead document.
+            let before = edges.clone();
+            for &(from, to, add) in &churn.ops {
+                if add {
+                    edges.insert((from, to));
+                } else {
+                    edges.remove(&(from, to));
+                }
+            }
+            dead.extend(churn.dead.iter().copied());
+            edges.retain(|(a, b)| !dead.contains(a) && !dead.contains(b));
+            let stored: Vec<(usize, usize)> =
+                new.links().map(|(a, b)| (a.index(), b.index())).collect();
+            assert!(
+                stored.iter().copied().eq(edges.iter().copied()),
+                "step {step}"
+            );
+            let pairs = |v: &[(DocId, DocId)]| -> Vec<(usize, usize)> {
+                v.iter().map(|(a, b)| (a.index(), b.index())).collect()
+            };
+            let added: Vec<_> = edges.difference(&before).copied().collect();
+            let removed: Vec<_> = before.difference(&edges).copied().collect();
+            assert_eq!(pairs(&applied.links_added), added, "step {step}");
+            assert_eq!(pairs(&applied.links_removed), removed, "step {step}");
+            assert_eq!(new.n_links(), edges.len());
+            let mut coo = CooMatrix::new(new.n_docs(), new.n_docs());
+            coo.extend(edges.iter().map(|&(a, b)| (a, b, 1.0)));
+            assert_eq!(*new.adjacency(), coo.to_csr(), "step {step}");
+            assert_eq!(new.n_links(), new.adjacency().nnz());
+            // The patched graph equals one built from scratch out of its
+            // own links (densified first once it carries tombstones).
+            let dense = new.compact_ids().0;
+            assert_eq!(
+                new.has_tombstones(),
+                step >= GROWTH_ONLY && !dead.is_empty()
+            );
+            assert_eq!(DocGraphBuilder::from_graph(&dense).build(), dense);
+
+            // (a) Sharing is exact: a base site gets a new block iff one of
+            // its rows really changed or its membership did, a new member
+            // list iff its membership did; everything else is the base
+            // graph's own allocation.
+            let regrouped: BTreeSet<usize> = applied
+                .grown_sites
+                .iter()
+                .chain(&applied.shrunk_sites)
+                .chain(&applied.removed_sites)
+                .copied()
+                .collect();
+            let mut relinked = regrouped.clone();
+            for (src, _) in applied.links_added.iter().chain(&applied.links_removed) {
+                let s = new.site_of(*src).index();
+                if s < g.n_sites() {
+                    relinked.insert(s);
+                }
+            }
+            assert_eq!(
+                unshared(&g, &new),
+                (relinked.clone(), regrouped),
+                "step {step}"
+            );
+            removals += usize::from(!applied.removed_docs.is_empty());
+            noop_steps += usize::from(relinked.is_empty());
+            g = new;
+        }
+        // The stream really mixed: removals happened, and some steps
+        // touched nothing (pure no-op rewires share every block).
+        assert!(removals >= 60, "{removals} removal steps");
+        assert!(noop_steps >= 1, "{noop_steps} no-op steps");
+        assert!(g.n_sites() > 10 && g.n_live_sites() < g.n_sites());
+    }
+
+    #[test]
+    fn removing_a_page_rebuilds_the_block_that_linked_it() {
+        // a.org's page a1 has exactly one in-link, from c.org; b.org is a
+        // bystander.
+        let mut b = DocGraphBuilder::new();
+        let a0 = b.add_doc("a.org", "http://a.org/");
+        let a1 = b.add_doc("a.org", "http://a.org/1");
+        let b0 = b.add_doc("b.org", "http://b.org/");
+        let b1 = b.add_doc("b.org", "http://b.org/1");
+        let c0 = b.add_doc("c.org", "http://c.org/");
+        let c1 = b.add_doc("c.org", "http://c.org/1");
+        for (from, to) in [(a0, b0), (b0, b1), (b1, a0), (c0, a1), (c0, c1), (c1, c0)] {
+            b.add_link(from, to).unwrap();
+        }
+        let g = b.build();
+        let mut d = GraphDelta::for_graph(&g);
+        d.remove_page(a1).unwrap();
+        let (h, applied) = g.apply(&d).unwrap();
+        assert_eq!(applied.links_removed, vec![(c0, a1)]);
+        assert_eq!(applied.shrunk_sites, vec![0]);
+        assert_eq!(h.out_links(c0), &[c1.index()]);
+        assert_eq!(h.n_links(), 5);
+        // a.org lost a member (new list, new block); c.org only lost a link
+        // (new block, same list); b.org is untouched.
+        assert_eq!(
+            unshared(&g, &h),
+            (BTreeSet::from([0, 2]), BTreeSet::from([0]))
+        );
+    }
+
+    #[test]
+    fn noop_and_name_free_deltas_share_everything() {
+        let g = base();
+        let mut d = GraphDelta::for_graph(&g);
+        d.add_link(DocId(0), DocId(1)).unwrap(); // already present
+        d.remove_link(DocId(1), DocId(0)).unwrap(); // absent
+        let (h, _) = g.apply(&d).unwrap();
+        assert_eq!(unshared(&g, &h), (BTreeSet::new(), BTreeSet::new()));
+        // No site added: the name table is the same segment, not a copy.
+        assert_eq!(h.site_names, g.site_names);
+        assert_eq!(
+            h.site_name(SiteId(1)).as_ptr(),
+            g.site_name(SiteId(1)).as_ptr()
+        );
     }
 }

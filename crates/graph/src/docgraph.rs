@@ -1,7 +1,7 @@
 //! The document-level web graph `G_D(V_D, E_D)` of Section 3.1.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::error::{GraphError, Result};
 use crate::ids::{DocId, SiteId};
@@ -118,8 +118,64 @@ impl<T: PartialEq> PartialEq for CowColumn<T> {
     }
 }
 
+/// One site's out-link rows — the unit of link *state*, as the site is the
+/// unit of rank state. Row `i` holds the out-links of the site's `i`-th
+/// member as ascending global document ids; a block is immutable once built,
+/// so [`DocGraph::apply`] shares the blocks of sites a delta does not touch
+/// by `Arc`.
+#[derive(Debug, PartialEq)]
+pub(crate) struct LinkBlock {
+    /// Row starts; `row_ptr.len() == rows + 1`, first entry 0.
+    row_ptr: Vec<usize>,
+    cols: Vec<usize>,
+}
+
+impl LinkBlock {
+    pub(crate) fn with_capacity(rows: usize, links: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        Self {
+            row_ptr,
+            cols: Vec::with_capacity(links),
+        }
+    }
+
+    fn from_rows<'a>(rows: impl ExactSizeIterator<Item = &'a [usize]> + Clone) -> Self {
+        let links = rows.clone().map(<[usize]>::len).sum();
+        let mut block = Self::with_capacity(rows.len(), links);
+        for row in rows {
+            block.push_row(row);
+        }
+        block
+    }
+
+    pub(crate) fn push_row(&mut self, cols: &[usize]) {
+        self.cols.extend_from_slice(cols);
+        self.row_ptr.push(self.cols.len());
+    }
+
+    fn row(&self, i: usize) -> &[usize] {
+        &self.cols[self.row_ptr[i]..self.row_ptr[i + 1]]
+    }
+
+    pub(crate) fn n_links(&self) -> usize {
+        self.cols.len()
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = &[usize]> {
+        self.row_ptr.windows(2).map(|w| &self.cols[w[0]..w[1]])
+    }
+}
+
 /// An immutable document-level web graph: documents with URLs, their owning
 /// sites, and deduplicated hyperlink edges.
+///
+/// Links are stored the way the layered model partitions them: one
+/// `Arc`-shared block of out-link rows per site, parallel to the member
+/// lists. [`out_links`](Self::out_links), [`site_out_links`](Self::site_out_links)
+/// and [`links`](Self::links) read the blocks directly;
+/// [`adjacency`](Self::adjacency) is a derived whole-graph view for the
+/// consumers that need one matrix.
 ///
 /// Build one with [`DocGraphBuilder`] or generate one with
 /// [`crate::generator`].
@@ -140,13 +196,21 @@ pub struct DocGraph {
     pub(crate) urls: CowColumn<String>,
     pub(crate) kinds: CowColumn<PageKind>,
     pub(crate) site_of: Vec<SiteId>,
-    pub(crate) site_names: Vec<String>,
+    pub(crate) site_names: CowColumn<String>,
     pub(crate) site_members: Vec<Arc<Vec<DocId>>>,
+    /// Out-link rows of each site, parallel to `site_members`: row `i` of
+    /// block `s` belongs to `site_members[s][i]`. Tombstoned documents are
+    /// in no member list, hence in no block.
+    pub(crate) site_links: Vec<Arc<LinkBlock>>,
+    pub(crate) n_links: usize,
     /// Tombstoned document ids, ascending (usually empty).
     pub(crate) dead_docs: Arc<Vec<DocId>>,
     /// Tombstoned site ids, ascending (usually empty).
     pub(crate) dead_sites: Arc<Vec<SiteId>>,
-    pub(crate) adjacency: CsrMatrix,
+    /// The whole-graph CSR view behind [`DocGraph::adjacency`], built from
+    /// the blocks on first use. One cell per graph version: clones share
+    /// it, `apply` starts the mutated graph with a fresh one.
+    pub(crate) flat: Arc<OnceLock<CsrMatrix>>,
 }
 
 impl PartialEq for DocGraph {
@@ -158,7 +222,7 @@ impl PartialEq for DocGraph {
             && self.site_members == other.site_members
             && self.dead_docs == other.dead_docs
             && self.dead_sites == other.dead_sites
-            && self.adjacency == other.adjacency
+            && self.site_links == other.site_links
     }
 }
 
@@ -239,7 +303,7 @@ impl DocGraph {
     /// Number of (deduplicated) hyperlink edges.
     #[must_use]
     pub fn n_links(&self) -> usize {
-        self.adjacency.nnz()
+        self.n_links
     }
 
     /// URL of a document.
@@ -283,7 +347,7 @@ impl DocGraph {
     /// Panics if the id is out of bounds.
     #[must_use]
     pub fn site_name(&self, site: SiteId) -> &str {
-        &self.site_names[site.index()]
+        self.site_names.get(site.index())
     }
 
     /// Live documents of a site (ascending ids) — the paper's `V_d(s)`.
@@ -305,11 +369,67 @@ impl DocGraph {
         self.site_members[site.index()].len()
     }
 
+    /// Out-links of a document: ascending ids of the documents it links
+    /// to. Empty for a tombstoned document. O(log size of its site).
+    ///
+    /// # Panics
+    /// Panics if the id is out of bounds.
+    #[must_use]
+    pub fn out_links(&self, doc: DocId) -> &[usize] {
+        let site = self.site_of[doc.index()].index();
+        match self.site_members[site].binary_search(&doc) {
+            Ok(row) => self.site_links[site].row(row),
+            Err(_) => &[],
+        }
+    }
+
+    /// The live documents of a site (ascending) paired with their out-links
+    /// — one site's link block, read in place. Walking every site this way
+    /// visits each link once, grouped by site rather than in id order;
+    /// order-free whole-graph passes (sums, counts, hashes) should use it
+    /// instead of [`adjacency`](Self::adjacency).
+    ///
+    /// # Panics
+    /// Panics if the id is out of bounds.
+    pub fn site_out_links(&self, site: SiteId) -> impl Iterator<Item = (DocId, &[usize])> + '_ {
+        let members = self.site_members[site.index()].iter().copied();
+        members.zip(self.site_links[site.index()].rows())
+    }
+
     /// The deduplicated 0/1 adjacency matrix of the DocGraph. Tombstoned
     /// documents have empty rows and appear in no column.
+    ///
+    /// This is a **derived view**: the first call on a graph version
+    /// materializes the matrix from the per-site link blocks in
+    /// O(docs + links) and caches it (clones of the graph share the cache;
+    /// [`apply`](Self::apply) never builds it). It is for consumers that
+    /// need the whole matrix — flat PageRank, HITS, the simulated P2P
+    /// baseline. Per-document and per-site readers should use
+    /// [`out_links`](Self::out_links), [`site_out_links`](Self::site_out_links)
+    /// or [`links`](Self::links), which cost nothing up front.
     #[must_use]
     pub fn adjacency(&self) -> &CsrMatrix {
-        &self.adjacency
+        self.flat.get_or_init(|| {
+            let n = self.n_docs();
+            let mut row_ptr = Vec::with_capacity(n + 1);
+            row_ptr.push(0);
+            let mut col_idx = Vec::with_capacity(self.n_links);
+            for doc in 0..n {
+                col_idx.extend_from_slice(self.out_links(DocId(doc)));
+                row_ptr.push(col_idx.len());
+            }
+            let values = vec![1.0f64; col_idx.len()];
+            CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, values)
+                .expect("link blocks hold sorted, in-range rows (apply checks every patched row)")
+        })
+    }
+
+    /// `true` once [`adjacency`](Self::adjacency) has materialized the flat
+    /// view of this graph version (test probe: the write path must not).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn flat_view_is_built(&self) -> bool {
+        self.flat.get().is_some()
     }
 
     /// Out-degree of a document.
@@ -318,15 +438,17 @@ impl DocGraph {
     /// Panics if the id is out of bounds.
     #[must_use]
     pub fn out_degree(&self, doc: DocId) -> usize {
-        self.adjacency.row_nnz(doc.index())
+        self.out_links(doc).len()
     }
 
     /// In-degrees of all documents (one pass over the edges).
     #[must_use]
     pub fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.n_docs()];
-        for (_, dst, _) in self.adjacency.iter() {
-            deg[dst] += 1;
+        for block in &self.site_links {
+            for &dst in &block.cols {
+                deg[dst] += 1;
+            }
         }
         deg
     }
@@ -353,11 +475,10 @@ impl DocGraph {
             local_of.insert(d.index(), local);
         }
         let mut coo = CooMatrix::new(members.len(), members.len());
-        for (local, d) in members.iter().enumerate() {
-            let (cols, vals) = self.adjacency.row(d.index());
-            for (&dst, &w) in cols.iter().zip(vals) {
-                if let Some(&dst_local) = local_of.get(&dst) {
-                    coo.push(local, dst_local, w);
+        for (local, (_, row)) in self.site_out_links(site).enumerate() {
+            for dst in row {
+                if let Some(&dst_local) = local_of.get(dst) {
+                    coo.push(local, dst_local, 1.0);
                 }
             }
         }
@@ -370,17 +491,23 @@ impl DocGraph {
     /// Counts the links that cross site boundaries.
     #[must_use]
     pub fn cross_site_links(&self) -> usize {
-        self.adjacency
-            .iter()
-            .filter(|&(src, dst, _)| self.site_of[src] != self.site_of[dst])
-            .count()
+        let mut crossing = 0;
+        for (s, block) in self.site_links.iter().enumerate() {
+            let leaves = |dst: &&usize| self.site_of[**dst].index() != s;
+            crossing += block.cols.iter().filter(leaves).count();
+        }
+        crossing
     }
 
-    /// Iterates over all `(from, to)` document links.
+    /// Iterates over all `(from, to)` document links, ascending by source
+    /// then destination (the order snapshot files are written in). Costs one
+    /// O(log site size) row lookup per document; passes that do not need
+    /// the order should walk [`site_out_links`](Self::site_out_links).
     pub fn links(&self) -> impl Iterator<Item = (DocId, DocId)> + '_ {
-        self.adjacency
-            .iter()
-            .map(|(src, dst, _)| (DocId(src), DocId(dst)))
+        (0..self.n_docs()).flat_map(move |src| {
+            let row = self.out_links(DocId(src));
+            row.iter().map(move |&dst| (DocId(src), DocId(dst)))
+        })
     }
 
     /// Densifies the id space: drops every tombstoned document and site
@@ -434,47 +561,43 @@ impl DocGraph {
                 );
             }
         }
+        // Survivors keep their relative order, so member lists and link
+        // rows stay sorted under the renumbering.
         let mut site_names = Vec::with_capacity(next_site);
         let mut site_members = Vec::with_capacity(next_site);
+        let mut site_links = Vec::with_capacity(next_site);
         for (s, mapped) in site_map.iter().enumerate() {
-            if mapped.is_some() {
-                site_names.push(self.site_names[s].clone());
-                site_members.push(Arc::new(
-                    self.site_members[s]
-                        .iter()
-                        .map(|&d| doc_map[d.index()].expect("members are live"))
-                        .collect::<Vec<_>>(),
-                ));
-            }
-        }
-        // Adjacency rows in old order restricted to live rows: survivors
-        // keep their relative order, so the new CSR can be built directly.
-        let mut row_ptr = Vec::with_capacity(next + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.adjacency.nnz());
-        for (d, mapped) in doc_map.iter().enumerate() {
             if mapped.is_none() {
                 continue;
             }
-            let (cols, _) = self.adjacency.row(d);
-            col_idx.extend(
-                cols.iter()
-                    .map(|&c| doc_map[c].expect("no live row links a dead column").index()),
-            );
-            row_ptr.push(col_idx.len());
+            site_names.push(self.site_names.get(s).clone());
+            let mut members = Vec::with_capacity(self.site_members[s].len());
+            let mut block =
+                LinkBlock::with_capacity(members.capacity(), self.site_links[s].n_links());
+            let mut remapped = Vec::new();
+            for (d, row) in self.site_out_links(SiteId(s)) {
+                members.push(doc_map[d.index()].expect("members are live"));
+                remapped.clear();
+                remapped.extend(
+                    row.iter()
+                        .map(|&c| doc_map[c].expect("no live row links a dead column").index()),
+                );
+                block.push_row(&remapped);
+            }
+            site_members.push(Arc::new(members));
+            site_links.push(Arc::new(block));
         }
-        let values = vec![1.0f64; col_idx.len()];
-        let adjacency = CsrMatrix::from_raw_parts(next, next, row_ptr, col_idx, values)
-            .expect("compacted adjacency is consistent by construction");
         let compacted = DocGraph {
             urls: CowColumn::from_vec(urls),
             kinds: CowColumn::from_vec(kinds),
             site_of,
-            site_names,
+            site_names: CowColumn::from_vec(site_names),
             site_members,
+            site_links,
+            n_links: self.n_links,
             dead_docs: Arc::new(Vec::new()),
             dead_sites: Arc::new(Vec::new()),
-            adjacency,
+            flat: Arc::default(),
         };
         (compacted, IdRemap::new(doc_map, site_map))
     }
@@ -639,21 +762,31 @@ impl DocGraphBuilder {
         for (from, to) in &self.edges {
             coo.push(from.index(), to.index(), 1.0);
         }
-        // Duplicate links collapse to weight 1.
-        let adjacency = coo.to_csr().map_values(|_| 1.0);
+        // Sorted rows with duplicate links collapsed, then dealt out to
+        // their sites.
+        let rows = coo.to_csr();
         let mut site_members = vec![Vec::new(); self.site_names.len()];
         for (doc, site) in self.site_of.iter().enumerate() {
             site_members[site.index()].push(DocId(doc));
         }
+        let site_links = site_members
+            .iter()
+            .map(|members| {
+                let rows = members.iter().map(|d| rows.row(d.index()).0);
+                Arc::new(LinkBlock::from_rows(rows))
+            })
+            .collect();
         DocGraph {
             urls: CowColumn::from_vec(self.urls),
             kinds: CowColumn::from_vec(self.kinds),
             site_of: self.site_of,
-            site_names: self.site_names,
+            site_names: CowColumn::from_vec(self.site_names),
             site_members: site_members.into_iter().map(Arc::new).collect(),
+            site_links,
+            n_links: rows.nnz(),
             dead_docs: Arc::new(Vec::new()),
             dead_sites: Arc::new(Vec::new()),
-            adjacency,
+            flat: Arc::default(),
         }
     }
 }
@@ -788,6 +921,37 @@ mod tests {
     fn links_iterator_matches_adjacency() {
         let g = two_site_graph();
         assert_eq!(g.links().count(), g.n_links());
+        // Ascending by (source, destination), like the matrix's own order.
+        let from_matrix: Vec<_> = g.adjacency().iter().map(|(s, d, _)| (s, d)).collect();
+        let listed: Vec<_> = g.links().map(|(s, d)| (s.index(), d.index())).collect();
+        assert_eq!(listed, from_matrix);
+    }
+
+    #[test]
+    fn block_reads_agree_with_the_flat_view() {
+        let g = two_site_graph();
+        assert_eq!(g.out_links(DocId(2)), &[0, 3]);
+        let rows: Vec<_> = g.site_out_links(SiteId(1)).collect();
+        assert_eq!(rows, vec![(DocId(3), &[4][..]), (DocId(4), &[0][..])]);
+        for d in 0..g.n_docs() {
+            assert_eq!(g.out_links(DocId(d)), g.adjacency().row(d).0);
+        }
+    }
+
+    #[test]
+    fn flat_view_is_lazy_and_shared_by_clones() {
+        let g = two_site_graph();
+        assert!(!g.flat_view_is_built());
+        // Block readers leave it unbuilt.
+        let _ = (g.in_degrees(), g.cross_site_links(), g.links().count());
+        let _ = g.site_subgraph(SiteId(0));
+        assert!(!g.flat_view_is_built());
+        // A clone taken before or after the first call shares the one view.
+        let early = g.clone();
+        let view: *const CsrMatrix = g.adjacency();
+        assert!(g.flat_view_is_built() && early.flat_view_is_built());
+        assert!(std::ptr::eq(view, early.adjacency()));
+        assert!(std::ptr::eq(view, g.clone().adjacency()));
     }
 
     #[test]

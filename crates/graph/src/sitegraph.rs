@@ -73,12 +73,16 @@ impl SiteGraph {
         let ns = doc_graph.n_sites();
         let mut coo = CooMatrix::new(ns, ns);
         let site_of = doc_graph.site_assignments();
-        for (src, dst, _) in doc_graph.adjacency().iter() {
-            let (s, t) = (site_of[src], site_of[dst]);
-            if s == t && !options.include_self_loops {
-                continue;
+        // Counts are order-free, so the links are read block by block.
+        for s in 0..ns {
+            for (_, row) in doc_graph.site_out_links(SiteId(s)) {
+                for &dst in row {
+                    let t = site_of[dst].index();
+                    if s != t || options.include_self_loops {
+                        coo.push(s, t, 1.0);
+                    }
+                }
             }
-            coo.push(s.index(), t.index(), 1.0);
         }
         let counts = coo.to_csr();
         let weights = match options.weighting {

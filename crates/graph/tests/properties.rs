@@ -2,9 +2,11 @@
 //! of generated graphs and consistency between DocGraph and SiteGraph
 //! views.
 
+use lmm_graph::docgraph::DocGraphBuilder;
 use lmm_graph::generator::{random_web, CampusWebConfig, ZipfSampler};
 use lmm_graph::sitegraph::{SiteGraph, SiteGraphOptions, SiteLinkWeighting};
 use lmm_graph::{DocId, SiteId};
+use lmm_linalg::CooMatrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,6 +20,48 @@ fn small_campus(seed: u64, n_sites: usize, total_docs: usize) -> lmm_graph::DocG
     cfg.spam_farms[0].host_site = n_sites / 2;
     cfg.spam_farms[0].n_pages = 25;
     cfg.generate().expect("campus web")
+}
+
+/// xorshift64*: deterministic churn without pulling in rand. `step(m)`
+/// draws from `0..m`.
+fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
+    let mut rng = seed | 1; // the zero state is absorbing
+    move |m| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % m
+    }
+}
+
+/// Repeated add/remove flips on random doc pairs, plus a page grown onto a
+/// random site every other round.
+fn churny_delta(
+    g: &lmm_graph::DocGraph,
+    step: &mut impl FnMut(usize) -> usize,
+    round: usize,
+) -> lmm_graph::GraphDelta {
+    let mut d = lmm_graph::GraphDelta::for_graph(g);
+    for _ in 0..12 {
+        let a = DocId(step(g.n_docs()));
+        let b = DocId(step(g.n_docs()));
+        if a == b {
+            continue;
+        }
+        if step(2) == 0 {
+            d.add_link(a, b).unwrap();
+        } else {
+            d.remove_link(a, b).unwrap();
+        }
+    }
+    if round % 2 == 1 {
+        let site = SiteId(step(g.n_sites()));
+        let p = d
+            .add_page(site, &format!("http://compact-{round}.page/"))
+            .unwrap();
+        d.add_link(g.docs_of_site(site)[0], p).unwrap();
+    }
+    d
 }
 
 proptest! {
@@ -121,39 +165,13 @@ proptest! {
     #[test]
     fn compact_log_equals_sequential_apply(seed in any::<u64>(), rounds in 2usize..6) {
         let g = small_campus(seed, 6, 200);
-        let mut rng = seed | 1; // xorshift's zero state is absorbing
-        let mut step = move |m: usize| -> usize {
-            // xorshift64*: deterministic churn without pulling in rand.
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % m
-        };
+        let mut step = xorshift(seed);
         // Build a churny log: several deltas, each with repeated add/remove
         // flips on a small pool of doc pairs plus occasional growth.
         let mut current = g.clone();
         let mut log: Option<lmm_graph::GraphDelta> = None;
         for round in 0..rounds {
-            let mut d = lmm_graph::GraphDelta::for_graph(&current);
-            for _ in 0..12 {
-                let a = DocId(step(current.n_docs()));
-                let b = DocId(step(current.n_docs()));
-                if a == b {
-                    continue;
-                }
-                if step(2) == 0 {
-                    d.add_link(a, b).unwrap();
-                } else {
-                    d.remove_link(a, b).unwrap();
-                }
-            }
-            if round % 2 == 1 {
-                let site = SiteId(step(current.n_sites()));
-                let p = d
-                    .add_page(site, &format!("http://compact-{round}.page/"))
-                    .unwrap();
-                d.add_link(current.docs_of_site(site)[0], p).unwrap();
-            }
+            let d = churny_delta(&current, &mut step, round);
             let (next, _) = current.apply(&d).unwrap();
             current = next;
             log = Some(match log {
@@ -173,6 +191,31 @@ proptest! {
         prop_assert_eq!(&current, &seq, "merge must equal sequential apply");
         prop_assert_eq!(&seq, &one, "compaction changed the mutated graph");
         prop_assert_eq!(seq_applied, one_applied, "compaction changed the summary");
+    }
+
+    /// A graph patched block by block is the graph a builder makes from
+    /// scratch out of the same links, and its derived flat view is the
+    /// matrix those links assemble to.
+    #[test]
+    fn patched_graph_equals_scratch_rebuild(seed in any::<u64>(), rounds in 1usize..8) {
+        let mut g = small_campus(seed, 6, 200);
+        let mut step = xorshift(seed);
+        for round in 0..rounds {
+            g = g.apply(&churny_delta(&g, &mut step, round)).unwrap().0;
+        }
+        prop_assert!(!g.flat_view_is_built(), "apply must not build the flat view");
+        prop_assert_eq!(&DocGraphBuilder::from_graph(&g).build(), &g);
+        let mut coo = CooMatrix::new(g.n_docs(), g.n_docs());
+        coo.extend(g.links().map(|(from, to)| (from.index(), to.index(), 1.0)));
+        prop_assert_eq!(g.adjacency(), &coo.to_csr());
+        prop_assert_eq!(g.n_links(), g.adjacency().nnz());
+        // Every site's block holds exactly its members' matrix rows.
+        for s in 0..g.n_sites() {
+            for (doc, row) in g.site_out_links(SiteId(s)) {
+                prop_assert_eq!(row, g.adjacency().row(doc.index()).0);
+                prop_assert_eq!(row, g.out_links(doc));
+            }
+        }
     }
 
     /// Zipf samples stay in range and low indices dominate on average.

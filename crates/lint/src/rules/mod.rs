@@ -1,5 +1,6 @@
-//! The rule passes. Each pass takes a lexed [`MaskedFile`] (and the
-//! policy from [`crate::config`]) and returns [`Violation`]s.
+//! The rule passes. Each pass takes a lexed
+//! [`MaskedFile`](crate::lexer::MaskedFile) (and the policy from
+//! [`crate::config`]) and returns [`Violation`](crate::report::Violation)s.
 
 pub mod atomics;
 pub mod det;
