@@ -303,15 +303,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         first.rebuilt, first.nodes, first.max_fanout_ms
     );
 
-    let server = ShardedServer::start(
-        map,
-        &snapshot,
-        ServeConfig {
-            heap_k: 128,
-            max_gather_retries: 4,
-            direct_reads: true,
-        },
-    )?;
+    let server = ShardedServer::start(map, &snapshot, ServeConfig { heap_k: 128 })?;
     let client = ClusterClient::new(controller.addr(), ClientConfig::default());
     let mut parity_rng = XorShift::new(0xc1u64 << 32 | 0x5eed);
     assert_parity(&client, &server, &snapshot, &mut parity_rng);

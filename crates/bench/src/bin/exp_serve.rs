@@ -322,11 +322,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Arc::new(ShardedServer::start(
         map.clone(),
         &engine.snapshot()?,
-        ServeConfig {
-            heap_k: 128,
-            max_gather_retries: 4,
-            direct_reads: true,
-        },
+        ServeConfig { heap_k: 128 },
     )?);
 
     // Closed-loop readers: hammer until stopped, verifying every response.
@@ -494,9 +490,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let qps = stats.total_queries() as f64 / wall.as_secs_f64().max(1e-9);
     println!(
         "\nreaders verified {total_verified} responses ({:.0} q/s over {wall:.2?}); \
-         {} answered during swaps from the pre-swap epoch; \
-         gathers: {} retries, {} escalations",
-        qps, old_epoch_probes, stats.gather_retries, stats.gate_escalations
+         {} answered during swaps from the pre-swap epoch",
+        qps, old_epoch_probes
     );
 
     let json = render_json(
@@ -549,8 +544,6 @@ fn stats_json(
         stats.site_top_k_queries
     );
     let _ = writeln!(out, "    \"compare_queries\": {},", stats.compare_queries);
-    let _ = writeln!(out, "    \"gather_retries\": {},", stats.gather_retries);
-    let _ = writeln!(out, "    \"gate_escalations\": {},", stats.gate_escalations);
     let _ = writeln!(out, "    \"publishes\": {},", stats.publishes);
     let _ = writeln!(out, "    \"shards_rebuilt\": {},", stats.shards_rebuilt);
     let _ = writeln!(out, "    \"shards_repinned\": {}", stats.shards_repinned);

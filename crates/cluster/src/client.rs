@@ -5,9 +5,8 @@
 //! scatter-gather that straddles a publish (some nodes already at `C+1`,
 //! some still at `C`) retries, then **escalates**: it re-fetches
 //! placement from the controller each round and backs off until the
-//! commit fan-out lands — the wire analogue of the in-process router
-//! waiting on the publish gate. Epoch mixing is *detected and retried*,
-//! never merged.
+//! commit fan-out lands. Epoch mixing is *detected and retried*, never
+//! merged.
 //!
 //! Failures are typed by what repairs them: a dead node answers as a
 //! retriable [`ClusterError::NodeUnavailable`] (the controller's failover
@@ -53,8 +52,10 @@ use crate::wire::Message;
 pub struct ClientConfig {
     /// Connect/read/write timeout per call.
     pub io_timeout: Duration,
-    /// Free gather retries before escalating (mirrors the in-process
-    /// `ServeConfig::max_gather_retries`).
+    /// Free gather retries before escalating: a gather whose nodes
+    /// answered from different cluster epochs (a commit or failover in
+    /// flight), or hit a retriable node failure, is asked again at once
+    /// this many times.
     pub max_gather_retries: usize,
     /// Retry discipline past the free retries: each escalation round
     /// re-fetches placement and sleeps a budgeted, jittered backoff step

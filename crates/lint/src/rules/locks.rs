@@ -26,7 +26,8 @@
 //! This module also hosts the sibling rule `lock_free` (see
 //! [`check_lock_free`]): for functions declared lock-free in
 //! [`crate::config`], *any* blocking-synchronization token is a
-//! violation — no receiver allowlist, no ordering to get right.
+//! violation — no receiver allowlist, no ordering to get right — and so
+//! is a declared name the file no longer defines.
 
 use crate::config::{LockFreePath, LockOrder};
 use crate::lexer::MaskedFile;
@@ -141,9 +142,29 @@ const BLOCKING_TOKENS: &[&str] = &[".lock()", ".read()", ".write()", "Mutex", "R
 /// receiver filter — on a declared lock-free path even an io-looking
 /// `.read()` is flagged, because the cost of a false positive (rename or
 /// annotate) is tiny next to the cost of a mutex quietly returning to
-/// the serve read path.
+/// the serve read path. A declared name with no non-test `fn` in the file
+/// is flagged too (file-level, line 0): a renamed read function would
+/// otherwise silently fall off the policy.
 pub fn check_lock_free(file: &MaskedFile, path: &str, policy: &LockFreePath) -> Vec<Violation> {
     let mut out = Vec::new();
+    for name in policy.fns {
+        if !file
+            .fns
+            .iter()
+            .any(|f| f.name == *name && !file.in_test(f.body.start))
+        {
+            out.push(Violation::new(
+                LOCK_FREE_RULE,
+                path,
+                0,
+                format!(
+                    "`{name}` is declared lock-free but no longer defined here: remove it \
+                     from the lock_free list in crates/lint/src/config.rs, or list the \
+                     function that replaced it",
+                ),
+            ));
+        }
+    }
     for f in &file.fns {
         if file.in_test(f.body.start) || !policy.fns.contains(&f.name.as_str()) {
             continue;

@@ -14,6 +14,10 @@ fn top_k_for_site(s: &S) -> u64 {
     s.cell.load().top.first().copied().unwrap_or(0)
 }
 
+fn stats(s: &S) -> u64 {
+    s.cell.load().queries
+}
+
 fn publish(s: &S) {
     let _gate = s.gate.lock().unwrap();
 }

@@ -79,6 +79,21 @@ fn lock_free_negative_is_clean() {
 }
 
 #[test]
+fn lock_free_flags_declared_fns_the_file_no_longer_defines() {
+    let v = rules::locks::check_lock_free(
+        &fixture("lockfree_stale.rs"),
+        "lockfree_stale.rs",
+        &FIXTURE_LOCK_FREE,
+    );
+    // compare (test-only), top_k_for_site (renamed), stats (gone).
+    assert_eq!(v.len(), 3, "{v:#?}");
+    assert!(v.iter().all(|v| v.rule == "lock_free" && v.line == 0));
+    for name in ["`compare`", "`top_k_for_site`", "`stats`"] {
+        assert!(v.iter().any(|v| v.message.contains(name)), "{v:#?}");
+    }
+}
+
+#[test]
 fn relaxed_positive_flags_flags_and_epochs() {
     let cfg = config::workspace();
     let v = rules::atomics::check(&fixture("relaxed_bad.rs"), "relaxed_bad.rs", &cfg);

@@ -53,26 +53,6 @@ pub enum ServeError {
         /// Epoch currently served.
         serving: u64,
     },
-    /// A shard worker is gone (the server is shutting down).
-    ShardDown {
-        /// Index of the unreachable shard.
-        shard: usize,
-    },
-    /// The OS refused to spawn a shard worker thread at construction
-    /// (resource exhaustion) — the server cannot come up.
-    WorkerSpawn {
-        /// Shard whose worker failed to start.
-        shard: usize,
-        /// The OS error.
-        reason: String,
-    },
-    /// The publish gate is poisoned: a publisher panicked mid-swap. The
-    /// per-shard stores are individually intact (each swap is one `Arc`
-    /// assignment), but the tier may be serving a mix of epochs that no
-    /// new publish will repair, so publishing and gate-escalated gathers
-    /// fail typed instead of propagating the panic into callers — readers
-    /// on the single-shard fast path keep answering.
-    PublishPoisoned,
 }
 
 impl fmt::Display for ServeError {
@@ -104,15 +84,6 @@ impl fmt::Display for ServeError {
                     f,
                     "snapshot epoch {published} is older than serving epoch {serving}"
                 )
-            }
-            ServeError::ShardDown { shard } => {
-                write!(f, "shard {shard} worker is no longer running")
-            }
-            ServeError::WorkerSpawn { shard, reason } => {
-                write!(f, "failed to spawn worker for shard {shard}: {reason}")
-            }
-            ServeError::PublishPoisoned => {
-                write!(f, "publish gate poisoned: a publisher panicked mid-swap")
             }
         }
     }

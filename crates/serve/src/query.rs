@@ -1,7 +1,7 @@
 //! The shared query surface of a serving tier.
 //!
 //! [`ShardQuery`] abstracts over *where* the shards live: the in-process
-//! [`ShardedServer`] (workers on mpsc queues) and
+//! [`ShardedServer`] (one serving set, answered on the caller's thread) and
 //! the remote `lmm-cluster` client (shards on TCP nodes) answer the same
 //! five queries under the same epoch-consistency contract — every
 //! response carries exactly one epoch, and every value in it was read

@@ -1,56 +1,40 @@
-//! The sharded server: a lock-free direct read path for single-shard
-//! point queries, a fixed pool of shard workers fed by mpsc request
-//! queues for cross-shard gathers, and an epoch-swap publisher that never
-//! blocks reads.
+//! The sharded server: every query answers on the caller's thread from
+//! one atomically swapped serving set, and an epoch-swap publisher that
+//! never blocks reads.
 //!
 //! # Concurrency design
 //!
-//! Each shard owns a **cell** ([`ArcCell<ShardState>`]) holding its
-//! current immutable state. Loading a cell is lock-free (see
-//! [`crate::cell`] for the algorithm): no mutex, no syscall, no worker
-//! wakeup — so a publish in progress never blocks a query, and a query
-//! never observes a half-built store. The routing snapshot (doc → shard)
-//! lives in its own `ArcCell` and is read the same way.
+//! The server holds one **serving set** in an [`ArcCell`]: the routing
+//! snapshot (doc → site → shard) and every shard's immutable
+//! [`ShardState`], all pinned to one epoch. Loading the cell is lock-free
+//! (see [`crate::cell`] for the algorithm): no mutex, no syscall, no
+//! thread wake-up — so a publish in progress never blocks a query, and a
+//! query never observes a half-built store.
 //!
-//! Queries split by shape:
+//! Every read — [`score`], [`score_batch`], [`top_k`],
+//! [`top_k_for_site`], [`compare`] and [`epoch`] — does exactly one load
+//! and answers from the loaded set, so every response carries **exactly
+//! one epoch** by construction. A global `top_k` merges the shards'
+//! precomputed lists right there; nothing is scattered, gathered,
+//! retried or escalated.
 //!
-//! * **Direct path** (single-shard point queries — [`score`], one-shard
-//!   [`score_batch`], [`top_k_for_site`], [`compare`] of co-sharded
-//!   docs): answered on the **caller's thread** against the loaded
-//!   `Arc<ShardState>`. Zero mutex acquisitions, zero mpsc sends. One
-//!   loaded state means exactly one epoch by construction.
-//! * **Fan-out path** (cross-shard gathers — [`top_k`], multi-shard
-//!   batches): scattered to the per-shard workers over mpsc and merged at
-//!   the router, because a gather wants the shards computing in parallel.
-//!
-//! The publisher walks the shards one by one (the "shard-by-shard swap"),
-//! rebuilding the stores the snapshot's [`Staleness`] set names and
-//! re-pinning the rest, storing each cell as it goes, and stores the
-//! routing snapshot **last** — so a reader that observes routing epoch
-//! N+1 is guaranteed every cell already serves ≥ N+1 (the torn-read
-//! hazard the old two-mutex design left open; now `debug_assert`ed on
-//! every direct read).
-//!
-//! Every router-level response carries **exactly one epoch**. Direct
-//! reads get this for free. Cross-shard gathers scatter, then check that
-//! every partial answered from the same epoch; if a swap was straddled,
-//! the gather retries (the swap is short), and after `max_gather_retries`
-//! attempts it escalates: it takes the publish gate — the lock the
-//! publisher holds for the duration of a swap — so the cells are
-//! quiescent and one consistent gather is guaranteed. Escalation is the
-//! slow path by construction; the read paths take no router-level lock.
+//! The publisher holds the publish gate, which serializes publishers and
+//! is never touched by a read. It builds the next set from the current
+//! one — rebuilding the stores the snapshot's [`Staleness`] set names,
+//! refreshing or re-pinning the rest — and installs it with one `store`.
+//! Readers answer from the old set until that store and from the new one
+//! after it. A publisher that panics before its store leaves the old set
+//! whole, so the gate recovers from poisoning and the next publish goes
+//! ahead.
 //!
 //! [`score`]: ShardedServer::score
 //! [`score_batch`]: ShardedServer::score_batch
+//! [`top_k`]: ShardedServer::top_k
 //! [`top_k_for_site`]: ShardedServer::top_k_for_site
 //! [`compare`]: ShardedServer::compare
-//! [`top_k`]: ShardedServer::top_k
-//! [`ArcCell<ShardState>`]: crate::cell::ArcCell
+//! [`epoch`]: ShardedServer::epoch
 
-use std::collections::HashMap;
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::cell::ArcCell;
@@ -68,25 +52,11 @@ pub struct ServeConfig {
     /// `k` beyond it still answer (the shard falls back to a scan), they
     /// just stop being O(k).
     pub heap_k: usize,
-    /// Cross-shard gathers straddling a swap retry this many times before
-    /// escalating to the publish gate.
-    pub max_gather_retries: usize,
-    /// Answer single-shard point queries (`score`, one-shard batches,
-    /// `top_k_for_site`, co-sharded `compare`) directly on the caller's
-    /// thread from a lock-free cell load instead of hopping through the
-    /// shard worker's mpsc queue. On by default; the off position is the
-    /// measured baseline (`exp_latency` runs both in one process) and an
-    /// emergency chute, not a recommended mode.
-    pub direct_reads: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            heap_k: 64,
-            max_gather_retries: 4,
-            direct_reads: true,
-        }
+        Self { heap_k: 64 }
     }
 }
 
@@ -175,47 +145,16 @@ pub struct PublishReport {
     pub noop: bool,
 }
 
-/// What a shard worker is asked to compute.
-enum RequestKind {
-    /// Batched score lookups (the router groups point lookups per shard).
-    Scores(Vec<DocId>),
-    /// Partial top-k for a cross-shard gather.
-    TopK(usize),
-    /// Top-k within one covered site.
-    SiteTopK(SiteId, usize),
+/// What the server answers from: one epoch's routing snapshot and every
+/// shard's store at that same epoch, replaced whole by each publish.
+struct Serving {
+    snapshot: RankSnapshot,
+    shards: Vec<Arc<ShardState>>,
 }
 
-/// One request on a shard worker's queue: the work plus its reply channel,
-/// so the worker never routes.
-struct ShardRequest {
-    kind: RequestKind,
-    reply: Sender<ShardReply>,
-}
-
-/// A shard worker's answer, stamped with the epoch it answered from.
-enum ShardReply {
-    Scores {
-        epoch: u64,
-        scores: Vec<DocScore>,
-    },
-    Top {
-        epoch: u64,
-        entries: Vec<(DocId, f64)>,
-        scanned: bool,
-    },
-    SiteTop {
-        epoch: u64,
-        entries: SiteTopK,
-    },
-}
-
-impl ShardReply {
+impl Serving {
     fn epoch(&self) -> u64 {
-        match self {
-            ShardReply::Scores { epoch, .. }
-            | ShardReply::Top { epoch, .. }
-            | ShardReply::SiteTop { epoch, .. } => *epoch,
-        }
+        self.snapshot.epoch()
     }
 }
 
@@ -227,19 +166,12 @@ impl ShardReply {
 /// [`publish`](ShardedServer::publish).
 pub struct ShardedServer {
     map: ShardMap,
-    /// Per-shard lock-free state cells, shared with the shard workers.
-    cells: Vec<Arc<ArcCell<ShardState>>>,
-    queues: Vec<Sender<ShardRequest>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Snapshot used only for routing decisions (doc → shard); stored
-    /// **after** every cell during a publish, so routing epoch N+1 implies
-    /// every cell serves ≥ N+1 (the direct-read coherence invariant).
-    routing: ArcCell<RankSnapshot>,
-    /// The publish gate: guards the serving epoch and is held for the whole
-    /// shard-by-shard swap, giving escalated gathers a quiescent view. The
-    /// read paths never touch it.
-    gate: Mutex<u64>,
-    stats: Arc<ServeStats>,
+    /// The serving set; every read loads it exactly once.
+    serving: ArcCell<Serving>,
+    /// The publish gate: serializes publishers so each builds on the set
+    /// the previous one stored. The read paths never touch it.
+    gate: Mutex<()>,
+    stats: ServeStats,
     config: ServeConfig,
 }
 
@@ -254,8 +186,7 @@ impl std::fmt::Debug for ShardedServer {
 }
 
 impl ShardedServer {
-    /// Builds every shard store from `snapshot`, spawns one worker per
-    /// shard, and starts serving.
+    /// Builds every shard store from `snapshot` and starts serving.
     ///
     /// # Errors
     /// Returns [`ServeError::InvalidConfig`] when `heap_k` is zero or the
@@ -275,63 +206,20 @@ impl ShardedServer {
                 ),
             });
         }
-        let n_shards = map.n_shards();
-        let stats = Arc::new(ServeStats::default());
-        let mut cells = Vec::with_capacity(n_shards);
-        let mut queues = Vec::with_capacity(n_shards);
-        let mut workers = Vec::with_capacity(n_shards);
-        for shard in 0..n_shards {
-            let sites = shard_site_range(&map, shard, snapshot.n_sites());
-            let state = Arc::new(ShardState::build(snapshot, sites, config.heap_k));
-            let cell = Arc::new(ArcCell::new(state));
-            let (tx, rx) = mpsc::channel::<ShardRequest>();
-            let worker_cell = Arc::clone(&cell);
-            let handle = std::thread::Builder::new()
-                .name(format!("lmm-serve-{shard}"))
-                .spawn(move || {
-                    // The worker parks on its queue and exits when the
-                    // server drops the sender — the lmm-par idiom of
-                    // persistent workers on a channel, specialized to one
-                    // owner per queue.
-                    while let Ok(ShardRequest { kind, reply }) = rx.recv() {
-                        let state = worker_cell.load();
-                        let answer = match kind {
-                            RequestKind::Scores(docs) => ShardReply::Scores {
-                                epoch: state.epoch(),
-                                scores: docs.iter().map(|&d| state.score(d)).collect(),
-                            },
-                            RequestKind::TopK(k) => {
-                                let (entries, from_heap) = state.top_k(k);
-                                ShardReply::Top {
-                                    epoch: state.epoch(),
-                                    entries,
-                                    scanned: !from_heap,
-                                }
-                            }
-                            RequestKind::SiteTopK(site, k) => ShardReply::SiteTop {
-                                epoch: state.epoch(),
-                                entries: state.site_top_k(site, k),
-                            },
-                        };
-                        let _ = reply.send(answer);
-                    }
-                })
-                .map_err(|e| ServeError::WorkerSpawn {
-                    shard,
-                    reason: e.to_string(),
-                })?;
-            cells.push(cell);
-            queues.push(tx);
-            workers.push(handle);
-        }
+        let shards = (0..map.n_shards())
+            .map(|shard| {
+                let sites = shard_site_range(&map, shard, snapshot.n_sites());
+                Arc::new(ShardState::build(snapshot, sites, config.heap_k))
+            })
+            .collect();
         Ok(Self {
             map,
-            cells,
-            queues,
-            workers,
-            routing: ArcCell::new(Arc::new(snapshot.clone())),
-            gate: Mutex::new(snapshot.epoch()),
-            stats,
+            serving: ArcCell::new(Arc::new(Serving {
+                snapshot: snapshot.clone(),
+                shards,
+            })),
+            gate: Mutex::new(()),
+            stats: ServeStats::default(),
             config,
         })
     }
@@ -339,36 +227,14 @@ impl ShardedServer {
     /// Number of shards.
     #[must_use]
     pub fn n_shards(&self) -> usize {
-        self.cells.len()
+        self.map.n_shards()
     }
 
-    /// The epoch currently being published to (reads may still answer from
-    /// the previous epoch while a swap is in flight). Reading the epoch is
-    /// safe even after a publisher panic poisoned the gate — the `u64`
-    /// itself cannot be torn — so this recovers instead of failing.
+    /// The epoch reads currently answer from. A publish in flight is not
+    /// visible until its single store.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        *self
-            .gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The routing snapshot's epoch — always ≤ every cell's serving epoch
-    /// (cells are stored first during a publish). Exposed for the
-    /// coherence regression tests; not part of the stable API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn routing_epoch(&self) -> u64 {
-        self.routing.load().epoch()
-    }
-
-    /// The epoch shard `shard` currently serves. Exposed for the coherence
-    /// regression tests; not part of the stable API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn shard_epoch(&self, shard: usize) -> u64 {
-        self.cells[shard].load().epoch()
+        self.serving.load().epoch()
     }
 
     /// The server's telemetry counters, plus the live per-shard document
@@ -381,36 +247,36 @@ impl ShardedServer {
     pub fn stats(&self) -> ServeStatsSnapshot {
         let mut snapshot = self.stats.snapshot();
         snapshot.shard_docs = self
-            .cells
+            .serving
+            .load()
+            .shards
             .iter()
-            .map(|cell| cell.load().n_docs() as u64)
+            .map(|state| state.n_docs() as u64)
             .collect();
         snapshot
     }
 
-    /// Swaps in a fresh snapshot, shard by shard, without ever blocking
-    /// readers: shards whose sites the snapshot's [`Staleness`] set names
-    /// rebuild their stores; every other shard re-pins its existing store
-    /// `Arc` against the new epoch — or, after a removal
-    /// ([`Staleness::Resized`]), **refreshes**: the per-site orders are
-    /// reused and only the shard top list re-merges under the
-    /// redistributed scores. A snapshot that skipped epochs (the publisher
-    /// missed one) conservatively rebuilds everything, since its staleness
-    /// set only describes the last step.
+    /// Swaps in a fresh snapshot without ever blocking readers: shards
+    /// whose sites the snapshot's [`Staleness`] set names rebuild their
+    /// stores; every other shard re-pins its existing store `Arc` against
+    /// the new epoch — or, after a removal ([`Staleness::Resized`]),
+    /// **refreshes**: the per-site orders are reused and only the shard
+    /// top list re-merges under the redistributed scores. A snapshot that
+    /// skipped epochs (the publisher missed one) conservatively rebuilds
+    /// everything, since its staleness set only describes the last step.
     ///
     /// # Errors
     /// Returns [`ServeError::StaleSnapshot`] when the snapshot's epoch is
-    /// older than the serving epoch, and [`ServeError::PublishPoisoned`]
-    /// when a previous publisher panicked mid-swap. Re-publishing the
-    /// serving epoch is a no-op, not an error.
+    /// older than the serving epoch. Re-publishing the serving epoch is a
+    /// no-op, not an error.
     pub fn publish(&self, snapshot: &RankSnapshot) -> Result<PublishReport> {
         self.publish_paced(snapshot, &|_| {})
     }
 
     /// [`publish`](Self::publish) with a pacing hook invoked after each
-    /// shard cell swap — lets tests construct deterministic straddling
-    /// interleavings (a gather racing a half-done swap, a direct read
-    /// while the gate is held). Not part of the stable API.
+    /// shard store is built, before the set is stored — lets tests hold a
+    /// publish partway through (or make it panic there) at a chosen shard.
+    /// Not part of the stable API.
     ///
     /// # Errors
     /// As [`publish`](Self::publish).
@@ -418,180 +284,140 @@ impl ShardedServer {
     pub fn publish_paced(
         &self,
         snapshot: &RankSnapshot,
-        swapped: &dyn Fn(usize),
+        built: &dyn Fn(usize),
     ) -> Result<PublishReport> {
-        let mut serving = self.gate.lock().map_err(|_| ServeError::PublishPoisoned)?;
-        if snapshot.epoch() < *serving {
+        // A publisher that panicked while holding the gate did so before
+        // its one store, so the set it left behind is whole.
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = self.serving.load();
+        let serving = current.epoch();
+        if snapshot.epoch() < serving {
             return Err(ServeError::StaleSnapshot {
                 published: snapshot.epoch(),
-                serving: *serving,
+                serving,
             });
         }
         ServeStats::bump(&self.stats.publishes);
-        if snapshot.epoch() == *serving {
-            return Ok(PublishReport {
-                epoch: *serving,
-                shards_rebuilt: 0,
-                shards_repinned: 0,
-                shards_refreshed: 0,
-                noop: true,
-            });
+        let mut report = PublishReport {
+            epoch: snapshot.epoch(),
+            shards_rebuilt: 0,
+            shards_repinned: 0,
+            shards_refreshed: 0,
+            noop: snapshot.epoch() == serving,
+        };
+        if report.noop {
+            return Ok(report);
         }
-        let grades = publish_grades(&self.map, *serving, snapshot);
-        let mut rebuilt = 0usize;
-        let mut repinned = 0usize;
-        let mut refreshed = 0usize;
-        for (shard, (cell, grade)) in self.cells.iter().zip(&grades).enumerate() {
+        let grades = publish_grades(&self.map, serving, snapshot);
+        let mut shards = Vec::with_capacity(grades.len());
+        for (shard, (state, grade)) in current.shards.iter().zip(&grades).enumerate() {
             let next = match grade {
                 SwapGrade::Rebuild => {
-                    rebuilt += 1;
+                    report.shards_rebuilt += 1;
                     let sites = shard_site_range(&self.map, shard, snapshot.n_sites());
-                    Arc::new(ShardState::build(snapshot, sites, self.config.heap_k))
+                    ShardState::build(snapshot, sites, self.config.heap_k)
                 }
                 SwapGrade::Refresh => {
-                    refreshed += 1;
-                    Arc::new(cell.load().refresh(snapshot, self.config.heap_k))
+                    report.shards_refreshed += 1;
+                    state.refresh(snapshot, self.config.heap_k)
                 }
                 SwapGrade::Repin => {
-                    repinned += 1;
-                    Arc::new(cell.load().repin(snapshot))
+                    report.shards_repinned += 1;
+                    state.repin(snapshot)
                 }
             };
-            // The swap itself: lock-free, readers never blocked.
-            cell.store(next);
-            swapped(shard);
+            shards.push(Arc::new(next));
+            built(shard);
         }
-        // Routing is stored strictly after every cell: a reader that
-        // observes routing epoch N+1 therefore finds every cell at ≥ N+1
-        // (the direct path's coherence invariant).
-        self.routing.store(Arc::new(snapshot.clone()));
-        *serving = snapshot.epoch();
-        ServeStats::add(&self.stats.shards_rebuilt, rebuilt as u64);
-        ServeStats::add(&self.stats.shards_repinned, repinned as u64);
-        ServeStats::add(&self.stats.shards_refreshed, refreshed as u64);
-        Ok(PublishReport {
-            epoch: snapshot.epoch(),
-            shards_rebuilt: rebuilt,
-            shards_repinned: repinned,
-            shards_refreshed: refreshed,
-            noop: false,
-        })
+        // The swap itself: one lock-free store, readers never blocked.
+        self.serving.store(Arc::new(Serving {
+            snapshot: snapshot.clone(),
+            shards,
+        }));
+        ServeStats::add(&self.stats.shards_rebuilt, report.shards_rebuilt as u64);
+        ServeStats::add(&self.stats.shards_repinned, report.shards_repinned as u64);
+        ServeStats::add(&self.stats.shards_refreshed, report.shards_refreshed as u64);
+        Ok(report)
     }
 
-    /// Records a completed direct-path query (caller-thread, lock-free).
-    fn finish_direct(&self, start: Instant) {
-        ServeStats::bump(&self.stats.direct_hits);
-        self.stats.direct_latency.record(start.elapsed());
+    /// Records one answered query's latency.
+    fn finish(&self, start: Instant) {
+        self.stats.latency.record(start.elapsed());
     }
 
-    /// Records a completed fan-out query (worker scatter-gather).
-    fn finish_fanout(&self, start: Instant) {
-        ServeStats::bump(&self.stats.fanout_queries);
-        self.stats.fanout_latency.record(start.elapsed());
-    }
-
-    /// Loads shard `shard`'s state for a direct read, asserting the
-    /// coherence invariant against the routing epoch the caller routed
-    /// with: because a publish stores every cell before the routing
-    /// snapshot, a cell can never lag the routing that named it.
-    fn load_coherent(&self, shard: usize, routing_epoch: u64) -> Arc<ShardState> {
-        let state = self.cells[shard].load();
-        debug_assert!(
-            state.epoch() >= routing_epoch,
-            "epoch coherence violated: routed at epoch {routing_epoch}, \
-             shard {shard} still serving {}",
-            state.epoch()
-        );
-        state
-    }
-
-    /// Global score of one document: routed to the shard owning its site
-    /// and — on the direct path — answered on the calling thread from the
-    /// shard's loaded state, with zero locks and zero mpsc hops.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownDoc`] when the answering epoch never ranked
-    /// the document; [`ServeError::TombstonedDoc`] when the document was
-    /// removed (stale scores are never served for the dead);
-    /// [`ServeError::ShardDown`] during shutdown.
-    pub fn score(&self, doc: DocId) -> Result<(u64, f64)> {
-        ServeStats::bump(&self.stats.score_queries);
-        let start = Instant::now();
-        let (epoch, score) = if self.config.direct_reads {
-            let routing = self.routing.load();
-            let shard = self.shard_of_doc_in(&routing, doc);
-            let state = self.load_coherent(shard, routing.epoch());
-            let answer = (state.epoch(), state.score(doc));
-            self.finish_direct(start);
-            answer
-        } else {
-            let shard = self.shard_of_doc(doc);
-            let reply = self.request(shard, RequestKind::Scores(vec![doc]))?;
-            let ShardReply::Scores { epoch, scores } = reply else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("scores request answered with a different reply kind");
-            };
-            self.finish_fanout(start);
-            (epoch, scores[0])
-        };
-        self.doc_score_to_result(score, doc, epoch)
-            .map(|score| (epoch, score))
-    }
-
-    /// Maps a shard-level score lookup into the router's typed errors.
-    fn doc_score_to_result(&self, score: DocScore, doc: DocId, epoch: u64) -> Result<f64> {
-        match score {
+    /// One document's score, looked up in the shard owning its site and
+    /// mapped into the router's typed errors. Documents beyond the
+    /// snapshot fall into the last shard, which answers them
+    /// [`ServeError::UnknownDoc`].
+    fn doc_score(&self, serving: &Serving, doc: DocId) -> Result<f64> {
+        let shard = serving
+            .snapshot
+            .site_assignments()
+            .get(doc.index())
+            .map_or(self.n_shards() - 1, |&site| self.map.shard_of_site(site));
+        match serving.shards[shard].score(doc) {
             DocScore::Live(score) => Ok(score),
             DocScore::Tombstoned => {
                 ServeStats::bump(&self.stats.tombstone_rejections);
                 Err(ServeError::TombstonedDoc {
                     doc: doc.index(),
-                    epoch,
+                    epoch: serving.epoch(),
                 })
             }
             DocScore::Unknown => Err(ServeError::UnknownDoc {
                 doc: doc.index(),
-                epoch,
+                epoch: serving.epoch(),
             }),
         }
     }
 
-    /// Batched score lookups: grouped per shard and reassembled in input
-    /// order, all answered from **one** epoch. A batch that lands entirely
-    /// in one shard takes the direct path; a cross-shard batch
-    /// scatter-gathers through the workers (the gather retries across
-    /// swaps).
+    /// Global score of one document, answered on the calling thread from
+    /// the shard owning its site.
     ///
     /// # Errors
-    /// [`ServeError::UnknownDoc`] when the answering epoch does not rank
-    /// some document; [`ServeError::ShardDown`] during shutdown.
-    pub fn score_batch(&self, docs: &[DocId]) -> Result<(u64, Vec<f64>)> {
-        ServeStats::bump(&self.stats.batch_queries);
-        self.score_batch_inner(docs, Instant::now())
+    /// [`ServeError::UnknownDoc`] when the answering epoch never ranked
+    /// the document; [`ServeError::TombstonedDoc`] when the document was
+    /// removed (stale scores are never served for the dead).
+    pub fn score(&self, doc: DocId) -> Result<(u64, f64)> {
+        ServeStats::bump(&self.stats.score_queries);
+        let start = Instant::now();
+        let serving = self.serving.load();
+        let score = self.doc_score(&serving, doc);
+        self.finish(start);
+        Ok((serving.epoch(), score?))
     }
 
-    /// Global top-`k`: per-shard partial heaps scatter-gathered and merged
-    /// at the router, epoch-consistent. Always the fan-out path — a
-    /// cross-shard gather wants the shards computing in parallel.
+    /// Batched score lookups in input order, all answered from **one**
+    /// epoch — whether the documents share a shard or not.
     ///
     /// # Errors
-    /// [`ServeError::ShardDown`] during shutdown.
+    /// [`ServeError::UnknownDoc`] / [`ServeError::TombstonedDoc`] for the
+    /// first document (in input order) the answering epoch cannot score.
+    pub fn score_batch(&self, docs: &[DocId]) -> Result<(u64, Vec<f64>)> {
+        ServeStats::bump(&self.stats.batch_queries);
+        let start = Instant::now();
+        let serving = self.serving.load();
+        let scores: Result<Vec<f64>> = docs
+            .iter()
+            .map(|&doc| self.doc_score(&serving, doc))
+            .collect();
+        self.finish(start);
+        Ok((serving.epoch(), scores?))
+    }
+
+    /// Global top-`k`: every shard's precomputed list merged on the
+    /// calling thread.
+    ///
+    /// # Errors
+    /// None today; the `Result` keeps the shape of [`crate::ShardQuery`].
     pub fn top_k(&self, k: usize) -> Result<(u64, Vec<(DocId, f64)>)> {
         ServeStats::bump(&self.stats.top_k_queries);
         let start = Instant::now();
-        let shards: Vec<usize> = (0..self.n_shards()).collect();
-        let (epoch, replies) = self.consistent_gather(&shards, |_| RequestKind::TopK(k))?;
-        self.finish_fanout(start);
+        let serving = self.serving.load();
         let mut merged: Vec<(DocId, f64)> = Vec::with_capacity(k.saturating_mul(2));
-        for reply in replies {
-            let ShardReply::Top {
-                entries, scanned, ..
-            } = reply
-            else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("top-k request answered with a different reply kind");
-            };
-            if scanned {
+        for state in &serving.shards {
+            let (entries, from_heap) = state.top_k(k);
+            if !from_heap {
                 ServeStats::bump(&self.stats.heap_overflow_scans);
             }
             merged.extend(entries);
@@ -603,36 +429,23 @@ impl ShardedServer {
                 .then(a.0.cmp(&b.0))
         });
         merged.truncate(k);
-        Ok((epoch, merged))
+        self.finish(start);
+        Ok((serving.epoch(), merged))
     }
 
-    /// Top-`k` within one site: routed to the owning shard's precomputed
-    /// per-site ranking — on the direct path, straight off the loaded
-    /// shard state.
+    /// Top-`k` within one site, straight off the owning shard's
+    /// precomputed per-site ranking.
     ///
     /// # Errors
     /// [`ServeError::UnknownSite`] when the answering epoch never ranked
-    /// the site; [`ServeError::TombstonedSite`] when the site was removed;
-    /// [`ServeError::ShardDown`] during shutdown.
+    /// the site; [`ServeError::TombstonedSite`] when the site was removed.
     pub fn top_k_for_site(&self, site: SiteId, k: usize) -> Result<(u64, Vec<(DocId, f64)>)> {
         ServeStats::bump(&self.stats.site_top_k_queries);
         let start = Instant::now();
-        let shard = self.map.shard_of_site(site);
-        let (epoch, entries) = if self.config.direct_reads {
-            let routing_epoch = self.routing.load().epoch();
-            let state = self.load_coherent(shard, routing_epoch);
-            let answer = (state.epoch(), state.site_top_k(site, k));
-            self.finish_direct(start);
-            answer
-        } else {
-            let reply = self.request(shard, RequestKind::SiteTopK(site, k))?;
-            let ShardReply::SiteTop { epoch, entries } = reply else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("site top-k request answered with a different reply kind");
-            };
-            self.finish_fanout(start);
-            (epoch, entries)
-        };
+        let serving = self.serving.load();
+        let epoch = serving.epoch();
+        let entries = serving.shards[self.map.shard_of_site(site)].site_top_k(site, k);
+        self.finish(start);
         match entries {
             SiteTopK::Entries(e) => Ok((epoch, e)),
             SiteTopK::Tombstoned => {
@@ -650,172 +463,28 @@ impl ShardedServer {
     }
 
     /// Compares two documents at one epoch: `Greater` means `a` outranks
-    /// `b`. Co-sharded documents compare on the direct path.
+    /// `b`.
     ///
     /// # Errors
-    /// [`ServeError::UnknownDoc`] when the answering epoch does not rank
-    /// either document; [`ServeError::ShardDown`] during shutdown.
+    /// [`ServeError::UnknownDoc`] / [`ServeError::TombstonedDoc`] when the
+    /// answering epoch cannot score `a`, else `b`.
     pub fn compare(&self, a: DocId, b: DocId) -> Result<(u64, std::cmp::Ordering)> {
         ServeStats::bump(&self.stats.compare_queries);
-        let (epoch, scores) = self.score_batch_inner(&[a, b], Instant::now())?;
-        let order = scores[0]
-            .partial_cmp(&scores[1])
+        let start = Instant::now();
+        let serving = self.serving.load();
+        let scores = self
+            .doc_score(&serving, a)
+            .and_then(|sa| Ok((sa, self.doc_score(&serving, b)?)));
+        self.finish(start);
+        let (sa, sb) = scores?;
+        let order = sa
+            .partial_cmp(&sb)
             // lint: allow(panic, "scores come from a stochastic-matrix power iteration and are finite by construction; a NaN here means the kernel itself is broken")
             .expect("ranking scores are finite")
             // Equal scores: the lower doc id ranks first, matching the
             // serving order everywhere else in the tier.
             .then(b.cmp(&a));
-        Ok((epoch, order))
-    }
-
-    /// Shard owning a document, per the given routing snapshot. Documents
-    /// beyond the routing snapshot (appended by a delta racing this
-    /// lookup) fall into the last shard, which absorbs growth by
-    /// construction.
-    fn shard_of_doc_in(&self, routing: &RankSnapshot, doc: DocId) -> usize {
-        match routing.site_assignments().get(doc.index()) {
-            Some(&site) => self.map.shard_of_site(site),
-            None => self.n_shards() - 1,
-        }
-    }
-
-    /// Shard owning a document, per the current routing snapshot.
-    fn shard_of_doc(&self, doc: DocId) -> usize {
-        let routing = self.routing.load();
-        self.shard_of_doc_in(&routing, doc)
-    }
-
-    fn score_batch_inner(&self, docs: &[DocId], start: Instant) -> Result<(u64, Vec<f64>)> {
-        if docs.is_empty() {
-            // Answer at the routing epoch: lock-free, and within one swap
-            // of the serving epoch by the publish ordering.
-            return Ok((self.routing.load().epoch(), Vec::new()));
-        }
-        // Group lookups per shard (the batching), remembering positions.
-        // One routing load for the whole batch — lock-free.
-        let routing = self.routing.load();
-        let mut per_shard: HashMap<usize, (Vec<DocId>, Vec<usize>)> = HashMap::new();
-        for (pos, &doc) in docs.iter().enumerate() {
-            let entry = per_shard
-                .entry(self.shard_of_doc_in(&routing, doc))
-                .or_default();
-            entry.0.push(doc);
-            entry.1.push(pos);
-        }
-        // The whole batch lands in one shard: answer it directly on this
-        // thread. One loaded state = one epoch, no gather needed. (The
-        // `if let` can only miss when the map is empty, which the guard
-        // above rules out; falling through to the gather stays correct.)
-        if self.config.direct_reads && per_shard.len() == 1 {
-            if let Some(&shard) = per_shard.keys().next() {
-                let state = self.load_coherent(shard, routing.epoch());
-                let epoch = state.epoch();
-                self.finish_direct(start);
-                let mut out = Vec::with_capacity(docs.len());
-                for &doc in docs {
-                    out.push(self.doc_score_to_result(state.score(doc), doc, epoch)?);
-                }
-                return Ok((epoch, out));
-            }
-        }
-        drop(routing);
-        let shards: Vec<usize> = {
-            let mut s: Vec<usize> = per_shard.keys().copied().collect();
-            s.sort_unstable();
-            s
-        };
-        let (epoch, replies) = self.consistent_gather(&shards, |shard| {
-            RequestKind::Scores(per_shard[&shard].0.clone())
-        })?;
-        self.finish_fanout(start);
-        let mut out = vec![0.0f64; docs.len()];
-        for (&shard, reply) in shards.iter().zip(replies) {
-            let ShardReply::Scores { scores, .. } = reply else {
-                // lint: allow(panic, "workers echo the request kind by construction; a mismatched reply is shard-worker memory corruption")
-                unreachable!("scores request answered with a different reply kind");
-            };
-            for (&pos, score) in per_shard[&shard].1.iter().zip(scores) {
-                out[pos] = self.doc_score_to_result(score, docs[pos], epoch)?;
-            }
-        }
-        Ok((epoch, out))
-    }
-
-    /// Sends one request to one shard worker and waits for its reply.
-    fn request(&self, shard: usize, kind: RequestKind) -> Result<ShardReply> {
-        let (reply, rx) = mpsc::channel();
-        self.queues[shard]
-            .send(ShardRequest { kind, reply })
-            .map_err(|_| ServeError::ShardDown { shard })?;
-        rx.recv().map_err(|_| ServeError::ShardDown { shard })
-    }
-
-    /// Scatters one request (built by `make`) to each listed shard and
-    /// collects the replies **in shard order**, retrying (then escalating
-    /// to the publish gate) until every reply carries the same epoch.
-    fn consistent_gather(
-        &self,
-        shards: &[usize],
-        mut make: impl FnMut(usize) -> RequestKind,
-    ) -> Result<(u64, Vec<ShardReply>)> {
-        if shards.is_empty() {
-            return Ok((self.epoch(), Vec::new()));
-        }
-        let mut scatter = |gate_held: bool| -> Result<(bool, u64, Vec<ShardReply>)> {
-            // One reply channel per shard keeps the pairing exact no
-            // matter the completion order.
-            let mut pending = Vec::with_capacity(shards.len());
-            for &shard in shards {
-                let (reply, rx) = mpsc::channel();
-                self.queues[shard]
-                    .send(ShardRequest {
-                        kind: make(shard),
-                        reply,
-                    })
-                    .map_err(|_| ServeError::ShardDown { shard })?;
-                pending.push((shard, rx));
-            }
-            let mut replies = Vec::with_capacity(shards.len());
-            for (shard, rx) in pending {
-                replies.push(rx.recv().map_err(|_| ServeError::ShardDown { shard })?);
-            }
-            let epoch = replies[0].epoch();
-            let consistent = replies.iter().all(|r| r.epoch() == epoch);
-            debug_assert!(!gate_held || consistent, "cells moved under the gate");
-            Ok((consistent, epoch, replies))
-        };
-        if shards.len() <= 1 {
-            let (_, epoch, replies) = scatter(false)?;
-            return Ok((epoch, replies));
-        }
-        for _ in 0..=self.config.max_gather_retries {
-            let (consistent, epoch, replies) = scatter(false)?;
-            if consistent {
-                return Ok((epoch, replies));
-            }
-            ServeStats::bump(&self.stats.gather_retries);
-        }
-        // Escalate: hold the publish gate so no swap can run, guaranteeing
-        // one consistent pass. Counted before the lock so observers can
-        // see the escalation while it blocks on an in-flight swap. A
-        // poisoned gate (publisher panicked mid-swap) degrades to a typed
-        // error instead of propagating the panic into the reader.
-        ServeStats::bump(&self.stats.gate_escalations);
-        let _quiesce: MutexGuard<'_, u64> =
-            self.gate.lock().map_err(|_| ServeError::PublishPoisoned)?;
-        let (_, epoch, replies) = scatter(true)?;
-        Ok((epoch, replies))
-    }
-}
-
-impl Drop for ShardedServer {
-    fn drop(&mut self) {
-        // Closing the queues wakes every worker with `Err`; join so no
-        // worker outlives the cells it reads.
-        self.queues.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        Ok((serving.epoch(), order))
     }
 }
 
@@ -847,13 +516,9 @@ mod tests {
     }
 
     fn server() -> ShardedServer {
-        server_with(ServeConfig::default())
-    }
-
-    fn server_with(config: ServeConfig) -> ShardedServer {
         let map = ShardMap::uniform(4, 2).unwrap();
         let snap = snapshot(1, base_scores(), Staleness::Full);
-        ShardedServer::start(map, &snap, config).unwrap()
+        ShardedServer::start(map, &snap, ServeConfig::default()).unwrap()
     }
 
     #[test]
@@ -878,45 +543,29 @@ mod tests {
     }
 
     #[test]
-    fn direct_and_fanout_paths_answer_identically() {
-        let direct = server();
-        let fanout = server_with(ServeConfig {
-            direct_reads: false,
-            ..ServeConfig::default()
-        });
+    fn every_query_records_one_latency_sample() {
+        let srv = server();
+        srv.score(DocId(5)).unwrap();
+        srv.score_batch(&[DocId(0), DocId(7)]).unwrap();
+        srv.top_k(3).unwrap();
+        srv.top_k_for_site(SiteId(1), 2).unwrap();
+        srv.compare(DocId(0), DocId(7)).unwrap();
+        assert!(srv.score(DocId(99)).is_err());
+        let stats = srv.stats();
+        assert_eq!(stats.total_queries(), 6);
+        assert_eq!(stats.latency.count(), 6, "failed reads are timed too");
+        // The fields the benchmark harness still reads: every query is a
+        // caller-thread answer, and nothing fans out, retries or
+        // escalates.
+        assert_eq!(stats.direct_hits, 6);
         assert_eq!(
-            direct.score(DocId(5)).unwrap(),
-            fanout.score(DocId(5)).unwrap()
+            (
+                stats.fanout_queries,
+                stats.gather_retries,
+                stats.gate_escalations
+            ),
+            (0, 0, 0)
         );
-        assert_eq!(
-            direct.top_k_for_site(SiteId(1), 2).unwrap(),
-            fanout.top_k_for_site(SiteId(1), 2).unwrap()
-        );
-        // Docs 0 and 1 share site 0 → one shard → direct-eligible batch.
-        let one_shard = [DocId(0), DocId(1)];
-        assert_eq!(
-            direct.score_batch(&one_shard).unwrap(),
-            fanout.score_batch(&one_shard).unwrap()
-        );
-        assert_eq!(
-            direct.compare(DocId(2), DocId(3)).unwrap(),
-            fanout.compare(DocId(2), DocId(3)).unwrap()
-        );
-        let d = direct.stats();
-        assert_eq!(d.direct_hits, 4);
-        assert_eq!(d.fanout_queries, 0);
-        assert_eq!(d.direct_latency.count(), 4);
-        let f = fanout.stats();
-        assert_eq!(f.direct_hits, 0);
-        assert_eq!(f.fanout_queries, 4);
-        assert_eq!(f.fanout_latency.count(), 4);
-        // A cross-shard batch fans out even with direct reads on.
-        let cross = [DocId(0), DocId(7)];
-        assert_eq!(
-            direct.score_batch(&cross).unwrap(),
-            fanout.score_batch(&cross).unwrap()
-        );
-        assert_eq!(direct.stats().fanout_queries, 1);
     }
 
     #[test]
@@ -1018,32 +667,26 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_gate_degrades_to_typed_errors() {
+    fn poisoned_gate_recovers_for_the_next_publish() {
         let srv = server();
         // Poison the publish gate: a publisher panics while holding it.
-        let poisoner = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = srv.gate.lock().expect("gate still clean");
-                panic!("publisher died mid-swap");
-            })
-            .join()
-        });
+        let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = srv.gate.lock().expect("gate still clean");
+            panic!("publisher died mid-swap");
+        }));
         assert!(poisoner.is_err(), "the poisoner must have panicked");
-        // Readers keep answering — the direct path never touches the gate
-        // and the worker path only takes it on escalation — and the epoch
-        // read recovers (a u64 cannot be torn).
+        assert!(srv.gate.is_poisoned());
+        // Readers never touch the gate.
         assert_eq!(srv.epoch(), 1);
         let (_, score) = srv.score(DocId(5)).unwrap();
         assert_eq!(score, 0.12);
         let (_, top) = srv.top_k(2).unwrap();
         assert_eq!(top.len(), 2);
-        // Publishing fails typed instead of propagating the panic.
+        // The dead publisher never stored, so the set is whole and the
+        // next publish goes ahead.
         let snap = snapshot(2, base_scores(), Staleness::Full);
-        assert!(matches!(
-            srv.publish(&snap),
-            Err(ServeError::PublishPoisoned)
-        ));
-        assert_eq!(srv.epoch(), 1, "a poisoned publish must swap nothing");
+        assert_eq!(srv.publish(&snap).unwrap().shards_rebuilt, 2);
+        assert_eq!(srv.epoch(), 2);
     }
 
     #[test]
@@ -1052,14 +695,15 @@ mod tests {
         for epoch in 2..6 {
             let snap = snapshot(epoch, base_scores(), Staleness::Full);
             srv.publish_paced(&snap, &|_| {
-                // Mid-swap: cells may already be ahead, routing must not be.
-                let routed = srv.routing_epoch();
-                for shard in 0..srv.n_shards() {
-                    assert!(srv.shard_epoch(shard) >= routed);
-                }
+                // Mid-build: the routing epoch and every shard's answer
+                // still come from the one stored set.
+                assert_eq!(srv.epoch(), epoch - 1);
+                assert_eq!(srv.top_k(8).unwrap().0, epoch - 1);
+                assert_eq!(srv.score_batch(&[DocId(0), DocId(7)]).unwrap().0, epoch - 1);
             })
             .unwrap();
-            assert_eq!(srv.routing_epoch(), epoch);
+            assert_eq!(srv.epoch(), epoch);
+            assert_eq!(srv.top_k(8).unwrap().0, epoch);
         }
     }
 

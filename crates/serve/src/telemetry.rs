@@ -2,12 +2,10 @@
 //! histograms the experiment harness (and any monitoring layer) reads
 //! while the server is hot.
 //!
-//! The histograms make the read-path split observable in production, not
-//! just in the bench: every query records into either the **direct**
-//! histogram (answered on the caller's thread from a lock-free shard
-//! load) or the **fan-out** histogram (scatter-gathered across the shard
-//! workers), so a regression that silently demotes point lookups to the
-//! worker path shows up as a shifted distribution, not just a vibe.
+//! Every query answers on the caller's thread from one loaded serving
+//! set, so there is one read path and one [`ServeStats::latency`]
+//! histogram: every answered query records into it, failed lookups
+//! included.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -149,26 +147,11 @@ pub struct ServeStats {
     pub site_top_k_queries: AtomicU64,
     /// Pairwise compare queries answered.
     pub compare_queries: AtomicU64,
-    /// Queries answered **directly** on the caller's thread from a
-    /// lock-free shard load — zero mutexes, zero mpsc hops. The hot-path
-    /// health signal: under a point-lookup workload this should track
-    /// `score/batch/site_top_k/compare` counts one-for-one.
-    pub direct_hits: AtomicU64,
-    /// Queries answered through the worker fan-out (cross-shard gathers,
-    /// or every query when `direct_reads` is disabled).
-    pub fanout_queries: AtomicU64,
-    /// Scatter-gathers retried because shards straddled a swap.
-    pub gather_retries: AtomicU64,
-    /// Scatter-gathers that escalated to the publish gate after
-    /// exhausting retries.
-    pub gate_escalations: AtomicU64,
     /// Shard-local top-k scans taken because `k` exceeded the precomputed
     /// heap capacity.
     pub heap_overflow_scans: AtomicU64,
-    /// Latency of direct-path queries (caller-thread, lock-free).
-    pub direct_latency: LatencyHistogram,
-    /// Latency of fan-out queries (worker scatter-gather).
-    pub fanout_latency: LatencyHistogram,
+    /// Latency of every query, from the serving-set load to the answer.
+    pub latency: LatencyHistogram,
 }
 
 /// A plain-value copy of [`ServeStats`] at one instant, extended by
@@ -201,20 +184,22 @@ pub struct ServeStatsSnapshot {
     pub site_top_k_queries: u64,
     /// See [`ServeStats::compare_queries`].
     pub compare_queries: u64,
-    /// See [`ServeStats::direct_hits`].
+    /// Equal to [`total_queries`](Self::total_queries): every query is
+    /// answered on the caller's thread. Kept, with the three always-zero
+    /// fields below, only because the benchmark harness still reads them;
+    /// all four go once it stops.
     pub direct_hits: u64,
-    /// See [`ServeStats::fanout_queries`].
+    /// Always 0: no query fans out. Kept for the benchmark harness.
     pub fanout_queries: u64,
-    /// See [`ServeStats::gather_retries`].
+    /// Always 0: no read retries. Kept for the benchmark harness.
     pub gather_retries: u64,
-    /// See [`ServeStats::gate_escalations`].
+    /// Always 0: no read takes the publish gate. Kept for the benchmark
+    /// harness.
     pub gate_escalations: u64,
     /// See [`ServeStats::heap_overflow_scans`].
     pub heap_overflow_scans: u64,
-    /// See [`ServeStats::direct_latency`].
-    pub direct_latency: LatencyHistogramSnapshot,
-    /// See [`ServeStats::fanout_latency`].
-    pub fanout_latency: LatencyHistogramSnapshot,
+    /// See [`ServeStats::latency`].
+    pub latency: LatencyHistogramSnapshot,
 }
 
 impl ServeStats {
@@ -234,7 +219,7 @@ impl ServeStats {
     pub fn snapshot(&self) -> ServeStatsSnapshot {
         // lint: allow(relaxed, "telemetry snapshot: every field read here is a monotonic counter")
         let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServeStatsSnapshot {
+        let mut snapshot = ServeStatsSnapshot {
             publishes: read(&self.publishes),
             shards_rebuilt: read(&self.shards_rebuilt),
             shards_repinned: read(&self.shards_repinned),
@@ -246,14 +231,15 @@ impl ServeStats {
             top_k_queries: read(&self.top_k_queries),
             site_top_k_queries: read(&self.site_top_k_queries),
             compare_queries: read(&self.compare_queries),
-            direct_hits: read(&self.direct_hits),
-            fanout_queries: read(&self.fanout_queries),
-            gather_retries: read(&self.gather_retries),
-            gate_escalations: read(&self.gate_escalations),
+            direct_hits: 0,
+            fanout_queries: 0,
+            gather_retries: 0,
+            gate_escalations: 0,
             heap_overflow_scans: read(&self.heap_overflow_scans),
-            direct_latency: self.direct_latency.snapshot(),
-            fanout_latency: self.fanout_latency.snapshot(),
-        }
+            latency: self.latency.snapshot(),
+        };
+        snapshot.direct_hits = snapshot.total_queries();
+        snapshot
     }
 }
 
@@ -266,19 +252,6 @@ impl ServeStatsSnapshot {
             + self.top_k_queries
             + self.site_top_k_queries
             + self.compare_queries
-    }
-
-    /// Gather retries per answered query — the bounded-retries signal the
-    /// chaos harness asserts on: under a seeded fault schedule this must
-    /// stay a small constant instead of growing with run length (a retry
-    /// storm shows up here long before it shows up as latency). `0.0`
-    /// before any query.
-    #[must_use]
-    pub fn retries_per_query(&self) -> f64 {
-        if self.total_queries() == 0 {
-            return 0.0;
-        }
-        self.gather_retries as f64 / self.total_queries() as f64
     }
 
     /// Per-shard document-count skew: the largest shard's live doc count
@@ -311,16 +284,16 @@ mod tests {
         ServeStats::bump(&stats.tombstone_rejections);
         ServeStats::bump(&stats.top_k_queries);
         ServeStats::bump(&stats.score_queries);
-        ServeStats::bump(&stats.direct_hits);
-        ServeStats::bump(&stats.fanout_queries);
+        stats.latency.record_ns(100);
         let snap = stats.snapshot();
         assert_eq!(snap.publishes, 1);
         assert_eq!(snap.shards_rebuilt, 3);
         assert_eq!(snap.shards_refreshed, 2);
         assert_eq!(snap.tombstone_rejections, 1);
-        assert_eq!(snap.direct_hits, 1);
-        assert_eq!(snap.fanout_queries, 1);
         assert_eq!(snap.total_queries(), 2);
+        assert_eq!(snap.direct_hits, 2);
+        assert_eq!(snap.fanout_queries, 0);
+        assert_eq!(snap.latency.count(), 1);
     }
 
     #[test]

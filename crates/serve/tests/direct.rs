@@ -1,19 +1,23 @@
-//! Proof that single-shard point queries ride the lock-free direct path:
-//! they complete — with the `direct_hits` counter as witness — while the
-//! publish gate is **held** by a paused mid-swap publisher, and even
-//! after a publisher panic has **poisoned** the gate forever. A read path
-//! that acquired any router-level mutex, or hopped through a worker that
-//! did, would deadlock (held gate) or panic (poisoned gate) here.
+//! Proof that every read answers on the caller's thread from one stored
+//! serving set: all five query shapes — `top_k` and batches spanning
+//! shards included — complete from the **old** epoch, whole, while the
+//! publish gate is **held** by a publisher paused partway through
+//! building, and after a publisher **panicked** there. A read path that
+//! acquired any router-level mutex would deadlock (held gate) or fail
+//! (poisoned gate) here, and one that read a shard store before the
+//! publisher's single store would answer a mixed epoch.
 //!
 //! Runs its own threads only; safe under `RUST_TEST_THREADS=1`.
 
+use std::cmp::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use lmm_engine::{RankSnapshot, Staleness};
 use lmm_graph::sharding::ShardMap;
 use lmm_graph::{DocId, SiteId};
-use lmm_serve::{ServeConfig, ServeError, ShardedServer};
+use lmm_serve::{ServeConfig, ShardedServer};
 
 /// 4 sites x 2 docs over 2 shards (sites 0–1 → shard 0, 2–3 → shard 1).
 fn snapshot(epoch: u64, scores: Vec<f64>, staleness: Staleness) -> RankSnapshot {
@@ -37,86 +41,57 @@ fn scores_v1() -> Vec<f64> {
     vec![0.05, 0.10, 0.20, 0.15, 0.08, 0.12, 0.18, 0.12]
 }
 
-#[test]
-fn point_reads_complete_while_the_publish_gate_is_held() {
-    let mut scores_v2 = scores_v1();
-    scores_v2[0] = 0.06; // shard 0 moves
-    scores_v2[6] = 0.17; // shard 1 moves
-    let server = Arc::new(
+/// Epoch 2 moves one document in each shard.
+fn snapshot_v2() -> RankSnapshot {
+    let mut scores = scores_v1();
+    scores[0] = 0.06; // shard 0
+    scores[6] = 0.17; // shard 1
+    snapshot(2, scores, Staleness::Full)
+}
+
+fn server() -> Arc<ShardedServer> {
+    Arc::new(
         ShardedServer::start(
             ShardMap::uniform(4, 2).unwrap(),
             &snapshot(1, scores_v1(), Staleness::Full),
             ServeConfig::default(),
         )
         .unwrap(),
-    );
+    )
+}
 
-    // Publisher swaps shard 0, then parks holding the gate: a stable
-    // mid-swap state (shard 0 at epoch 2, shard 1 at epoch 1, routing at
-    // 1). Any read needing the gate would block right here.
+/// Starts publishing epoch 2 and returns once shard 0's store is built:
+/// the publisher then parks holding the gate until the returned sender
+/// fires — a stable mid-publish state, not a race window.
+fn hold_after_shard_0(server: &Arc<ShardedServer>) -> (JoinHandle<()>, mpsc::Sender<()>) {
     let (paused_tx, paused_rx) = mpsc::channel::<()>();
     let (resume_tx, resume_rx) = mpsc::channel::<()>();
     let publisher = {
-        let server = Arc::clone(&server);
-        let snap = snapshot(2, scores_v2.clone(), Staleness::Full);
+        let server = Arc::clone(server);
         std::thread::spawn(move || {
-            server
-                .publish_paced(&snap, &move |shard| {
+            let report = server
+                .publish_paced(&snapshot_v2(), &move |shard| {
                     if shard == 0 {
                         paused_tx.send(()).expect("test alive");
                         resume_rx.recv().expect("released");
                     }
                 })
                 .expect("publish succeeds");
+            assert_eq!(report.shards_rebuilt, 2);
         })
     };
     paused_rx.recv().unwrap();
-
-    // Every point-query shape completes on the caller's thread, each
-    // stamped with exactly one epoch (its shard's): shard 0 already
-    // serves 2, shard 1 still serves 1.
-    let (epoch, score) = server.score(DocId(0)).unwrap();
-    assert_eq!((epoch, score), (2, 0.06));
-    let (epoch, score) = server.score(DocId(6)).unwrap();
-    assert_eq!((epoch, score), (1, 0.18));
-    let (epoch, batch) = server.score_batch(&[DocId(0), DocId(2)]).unwrap();
-    assert_eq!((epoch, batch), (2, vec![0.06, 0.20]));
-    let (epoch, site_top) = server.top_k_for_site(SiteId(3), 1).unwrap();
-    assert_eq!((epoch, site_top), (1, vec![(DocId(6), 0.18)]));
-    let (epoch, order) = server.compare(DocId(4), DocId(5)).unwrap();
-    assert_eq!((epoch, order), (1, std::cmp::Ordering::Less));
-
-    let stats = server.stats();
-    assert_eq!(stats.direct_hits, 5, "all five reads took the direct path");
-    assert_eq!(stats.fanout_queries, 0, "no read hopped to a worker");
-    assert_eq!(stats.direct_latency.count(), 5);
-
-    resume_tx.send(()).unwrap();
-    publisher.join().expect("publisher panicked");
-    assert_eq!(server.epoch(), 2);
-    let (epoch, score) = server.score(DocId(6)).unwrap();
-    assert_eq!((epoch, score), (2, 0.17));
+    (publisher, resume_tx)
 }
 
-#[test]
-fn point_reads_survive_a_poisoned_publish_gate() {
-    let server = Arc::new(
-        ShardedServer::start(
-            ShardMap::uniform(4, 2).unwrap(),
-            &snapshot(1, scores_v1(), Staleness::Full),
-            ServeConfig::default(),
-        )
-        .unwrap(),
-    );
-
-    // The publisher dies mid-swap (pacing hook panics after shard 0),
-    // unwinding with the gate held — the gate is poisoned for good.
+/// Publishes epoch 2 with a publisher that panics right after building
+/// shard 0, unwinding with the gate held.
+fn panic_after_shard_0(server: &Arc<ShardedServer>) {
     let publisher = {
-        let server = Arc::clone(&server);
-        let snap = snapshot(2, scores_v1(), Staleness::Full);
+        let server = Arc::clone(server);
         std::thread::spawn(move || {
-            let _ = server.publish_paced(&snap, &|shard| {
-                assert!(shard != 0, "publisher dies mid-swap");
+            let _ = server.publish_paced(&snapshot_v2(), &|shard| {
+                assert!(shard != 0, "publisher dies mid-publish");
             });
         })
     };
@@ -124,27 +99,122 @@ fn point_reads_survive_a_poisoned_publish_gate() {
         publisher.join().is_err(),
         "the publisher must have panicked"
     );
-    let snap3 = snapshot(3, scores_v1(), Staleness::Full);
-    assert!(matches!(
-        server.publish(&snap3),
-        Err(ServeError::PublishPoisoned)
-    ));
+}
 
-    // Point reads never touch the gate: they keep answering, each from
-    // its shard's (possibly mid-swap) epoch.
-    let (epoch, score) = server.score(DocId(1)).unwrap();
-    assert_eq!((epoch, score), (2, 0.10)); // shard 0 swapped before the panic
-    let (epoch, score) = server.score(DocId(7)).unwrap();
-    assert_eq!((epoch, score), (1, 0.12)); // shard 1 never swapped
-    let (_, site_top) = server.top_k_for_site(SiteId(0), 2).unwrap();
-    assert_eq!(site_top, vec![(DocId(1), 0.10), (DocId(0), 0.05)]);
-    let stats = server.stats();
-    assert_eq!(stats.direct_hits, 3);
-    assert_eq!(stats.fanout_queries, 0);
+/// Every shape after epoch 2 is stored: each answer comes whole from
+/// `snapshot_v2`.
+fn assert_every_shape_serves_epoch_2(server: &ShardedServer) {
+    assert_eq!(server.epoch(), 2);
+    assert_eq!(server.score(DocId(6)).unwrap(), (2, 0.17));
+    assert_eq!(
+        server.score_batch(&[DocId(0), DocId(7)]).unwrap(),
+        (2, vec![0.06, 0.12])
+    );
+    assert_eq!(
+        server.top_k(3).unwrap(),
+        (
+            2,
+            vec![(DocId(2), 0.20), (DocId(6), 0.17), (DocId(3), 0.15)]
+        )
+    );
+    assert_eq!(
+        server.top_k_for_site(SiteId(0), 2).unwrap(),
+        (2, vec![(DocId(1), 0.10), (DocId(0), 0.06)])
+    );
+    assert_eq!(
+        server.compare(DocId(0), DocId(6)).unwrap(),
+        (2, Ordering::Less)
+    );
+}
 
-    // A cross-shard gather over the permanently straddled tier exhausts
-    // its retries and escalates into the poisoned gate — degrading to the
-    // typed error, never a panic and never a wrong-epoch response.
-    assert!(matches!(server.top_k(3), Err(ServeError::PublishPoisoned)));
-    assert!(server.stats().gate_escalations >= 1);
+#[test]
+fn point_reads_complete_while_the_publish_gate_is_held() {
+    let server = server();
+    let (publisher, resume) = hold_after_shard_0(&server);
+
+    // Shard 0's epoch-2 store is built but not stored: every point shape
+    // still answers epoch 1, on this thread, without touching the gate.
+    assert_eq!(server.epoch(), 1);
+    assert_eq!(server.score(DocId(0)).unwrap(), (1, 0.05));
+    assert_eq!(server.score(DocId(6)).unwrap(), (1, 0.18));
+    assert_eq!(
+        server.score_batch(&[DocId(0), DocId(2)]).unwrap(),
+        (1, vec![0.05, 0.20])
+    );
+    assert_eq!(
+        server.top_k_for_site(SiteId(3), 1).unwrap(),
+        (1, vec![(DocId(6), 0.18)])
+    );
+    assert_eq!(
+        server.compare(DocId(4), DocId(5)).unwrap(),
+        (1, Ordering::Less)
+    );
+
+    resume.send(()).unwrap();
+    publisher.join().expect("publisher panicked");
+    assert_eq!(server.score(DocId(0)).unwrap(), (2, 0.06));
+}
+
+#[test]
+fn top_k_and_cross_shard_reads_answer_the_old_epoch_while_a_publish_builds() {
+    let server = server();
+    let (publisher, resume) = hold_after_shard_0(&server);
+
+    // Reads that span both shards — one built at epoch 2, one not yet —
+    // answer epoch 1 whole: nothing gathers, retries or waits.
+    assert_eq!(
+        server.top_k(3).unwrap(),
+        (
+            1,
+            vec![(DocId(2), 0.20), (DocId(6), 0.18), (DocId(3), 0.15)]
+        )
+    );
+    assert_eq!(
+        server.score_batch(&[DocId(0), DocId(7)]).unwrap(),
+        (1, vec![0.05, 0.12])
+    );
+    assert_eq!(
+        server.compare(DocId(0), DocId(6)).unwrap(),
+        (1, Ordering::Less)
+    );
+    assert_eq!(server.stats().latency.count(), 3);
+
+    resume.send(()).unwrap();
+    publisher.join().expect("publisher panicked");
+    assert_every_shape_serves_epoch_2(&server);
+}
+
+#[test]
+fn point_reads_survive_a_poisoned_publish_gate() {
+    let server = server();
+    panic_after_shard_0(&server);
+
+    // The dead publisher never stored: every read, `top_k` included,
+    // answers epoch 1 whole.
+    assert_eq!(server.epoch(), 1);
+    assert_eq!(server.score(DocId(1)).unwrap(), (1, 0.10));
+    assert_eq!(server.score(DocId(6)).unwrap(), (1, 0.18));
+    assert_eq!(
+        server.top_k_for_site(SiteId(0), 2).unwrap(),
+        (1, vec![(DocId(1), 0.10), (DocId(0), 0.05)])
+    );
+    assert_eq!(
+        server.top_k(3).unwrap(),
+        (
+            1,
+            vec![(DocId(2), 0.20), (DocId(6), 0.18), (DocId(3), 0.15)]
+        )
+    );
+}
+
+#[test]
+fn the_next_publish_goes_ahead_after_a_publisher_panics() {
+    let server = server();
+    panic_after_shard_0(&server);
+
+    // The poisoned gate recovers: the set the dead publisher left is the
+    // one it found, so the retry builds on it like any publish.
+    let report = server.publish(&snapshot_v2()).unwrap();
+    assert_eq!((report.epoch, report.shards_rebuilt), (2, 2));
+    assert_every_shape_serves_epoch_2(&server);
 }

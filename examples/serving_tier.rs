@@ -1,5 +1,5 @@
 //! The sharded serving tier end to end: rank a campus web, shard it by
-//! site, serve epoch-consistent queries from worker threads, then mutate
+//! site, serve epoch-consistent queries on the caller's thread, then mutate
 //! the graph live and hot-swap the new snapshot — watching which shards
 //! rebuild and which merely re-pin.
 //!
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     engine.rank(&graph)?;
 
     // Shard by site (document-balanced contiguous site ranges) and start
-    // one worker per shard.
+    // serving: every query answers on the calling thread.
     let map = ShardMap::balanced(&graph, 4)?;
     for shard in 0..map.n_shards() {
         let sites = map.sites_of_shard(shard);
@@ -43,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert_eq!(top, engine.top_k(5)?);
 
-    // Point lookups batch per shard; compares are epoch-consistent pairs.
+    // A batch answers from one epoch even across shards; compares are
+    // epoch-consistent pairs.
     let (_, scores) = server.score_batch(&[DocId(0), DocId(7), DocId(42)])?;
     println!("batched scores: {scores:?}");
     let (_, order) = server.compare(DocId(0), DocId(42))?;
