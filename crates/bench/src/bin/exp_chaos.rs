@@ -164,8 +164,9 @@ fn local_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     delta
 }
 
-/// Cross link (plus a new site every 2nd time): stales the site layer and
-/// forces a full rebuild publish — maximum wire fan-out under faults.
+/// Cross link (plus a new site every 2nd time): stales the site layer, so
+/// every shard is refreshed or rebuilt from a shipped segment — maximum
+/// wire fan-out under faults.
 fn global_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     let n_sites = graph.n_sites();
     let mut delta = GraphDelta::for_graph(graph);

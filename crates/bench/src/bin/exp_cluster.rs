@@ -112,8 +112,9 @@ fn local_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     delta
 }
 
-/// Cross link (plus a new site every 2nd time): stales the site layer and
-/// forces a full rebuild publish — the worst-case wire fan-out.
+/// Cross link (plus a new site every 2nd time): stales the site layer, so
+/// the publish rebuilds only the new site's shard and refreshes the rest —
+/// still a segment to every shard, the worst-case wire fan-out.
 fn global_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     let n_sites = graph.n_sites();
     let mut delta = GraphDelta::for_graph(graph);
@@ -149,9 +150,10 @@ fn global_delta(graph: &DocGraph, step: usize) -> GraphDelta {
 }
 
 /// Whole-site retirement plus a page removal elsewhere: SiteRank reruns
-/// over the survivors (`Staleness::Resized`), so the publish *rebuilds*
-/// the named shards and *refreshes* every other one — re-merging intact
-/// per-site orders under the rescaled scores, over the wire.
+/// over the survivors (`Staleness::Resized`, as for any rerun), so the
+/// publish *rebuilds* the shards of the removed and shrunk sites and
+/// *refreshes* every other one — re-merging intact per-site orders under
+/// the rescaled scores, over the wire.
 fn removal_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     let n_sites = graph.n_sites();
     let mut delta = GraphDelta::for_graph(graph);

@@ -13,8 +13,9 @@
 //!   verified against the published snapshot of the epoch it claims (a
 //!   torn read fails immediately);
 //! * **locality** — a publish rebuilds exactly the shards covering the
-//!   delta's changed/grown site sets (serve telemetry counters), re-pins
-//!   the rest, and site-layer-staling deltas rebuild everything;
+//!   delta's changed/grown/appended site sets (serve telemetry counters)
+//!   and re-pins the rest — or, when the delta stales the site layer,
+//!   refreshes the rest (per-site orders kept, shard top list re-merged);
 //! * **availability** — a prober thread issues queries *during* every
 //!   swap; each one must answer (old epoch or new — never an error, never
 //!   a mixed-epoch response).
@@ -100,7 +101,8 @@ fn local_delta(graph: &DocGraph, step: usize) -> GraphDelta {
 }
 
 /// A site-layer-staling delta: cross links (and every 2nd time a whole new
-/// site), forcing a SiteRank recompute and therefore a full shard rebuild.
+/// site), forcing a SiteRank recompute — every shard refreshes, and only
+/// the new site's shard rebuilds.
 fn global_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     let n_sites = graph.n_sites();
     let mut delta = GraphDelta::for_graph(graph);
@@ -127,20 +129,25 @@ fn global_delta(graph: &DocGraph, step: usize) -> GraphDelta {
     delta
 }
 
-/// The shards a publish must rebuild for this induced delta.
-fn expected_rebuilds(map: &ShardMap, applied: &AppliedDelta) -> usize {
-    if applied.cross_links_changed || applied.added_sites > 0 {
-        map.n_shards()
-    } else {
-        map.shards_of_sites(
+/// The shards a publish must rebuild for this induced delta (those of the
+/// changed, grown and appended sites), and whether the rest refresh (the
+/// SiteRank reran, rescaling every site) or re-pin.
+fn expected_rebuilds(map: &ShardMap, applied: &AppliedDelta, n_sites: usize) -> (usize, bool) {
+    let appended = n_sites - applied.added_sites..n_sites;
+    let rebuilt = map
+        .shards_of_sites(
             applied
                 .changed_sites
                 .iter()
                 .chain(applied.grown_sites.iter())
-                .copied(),
+                .copied()
+                .chain(appended),
         )
-        .len()
-    }
+        .len();
+    (
+        rebuilt,
+        applied.cross_links_changed || applied.added_sites > 0,
+    )
 }
 
 /// Verifies one reader response against the published ground truth of the
@@ -404,17 +411,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (probe_old, probe_new) = prober.join().expect("prober panicked (torn response?)");
 
         // (b) Locality: exactly the shards of the delta's site sets were
-        // rebuilt; the rest re-pinned.
-        let want_rebuilt = expected_rebuilds(&map, &applied);
+        // rebuilt; the rest refreshed (SiteRank reran) or re-pinned.
+        let (want_rebuilt, refresh) = expected_rebuilds(&map, &applied, mutated.n_sites());
         assert_eq!(
             report.shards_rebuilt, want_rebuilt,
             "step {step}: rebuilt {} shards, induced delta demands {want_rebuilt}",
             report.shards_rebuilt
         );
+        let (want_refreshed, want_repinned) = if refresh {
+            (n_shards - want_rebuilt, 0)
+        } else {
+            (0, n_shards - want_rebuilt)
+        };
         assert_eq!(
-            report.shards_repinned,
-            n_shards - want_rebuilt,
-            "step {step}: re-pin accounting is off"
+            (report.shards_refreshed, report.shards_repinned),
+            (want_refreshed, want_repinned),
+            "step {step}: refresh/re-pin accounting is off"
         );
         if kind == "local" {
             assert!(

@@ -498,37 +498,32 @@ impl RankEngine {
             GraphFingerprint::of(&updated.graph),
             "composed fingerprint diverged from a from-scratch hash"
         );
-        // Shard invalidation set. Three regimes:
-        //  * no SiteRank rerun — only the named sites' documents moved
-        //    (bit-identical elsewhere): `Sites`, shrunk sites included;
-        //  * SiteRank reran because of a removal — the survivors' per-site
-        //    orders are intact but every score was rescaled by the
-        //    redistribution: `Resized` names what must rebuild (membership
-        //    or local-order changes, appended slots included) and what was
-        //    tombstoned, so a serving tier refreshes the rest instead of
-        //    rebuilding the world;
-        //  * SiteRank reran on a growth-only delta — `Full`, as before.
+        // Shard invalidation set: the sites whose local vectors were
+        // recomputed. Every other site kept `π_s`, so its scores
+        // `σ_s · π_s(d)` are bit-identical (`Sites`) unless the SiteRank
+        // reran. Then all are rescaled by one `σ_s > 0`, and IEEE
+        // multiplication by a positive factor is monotone, so the site's
+        // serving order survives unless two distinct local scores round to
+        // one product (the serve tier's refresh debug-asserts they never
+        // do): `Resized`, so unnamed shards refresh instead of rebuild.
         let removal =
             !updated.applied.removed_docs.is_empty() || !updated.applied.removed_sites.is_empty();
         let mut sites = updated.applied.changed_sites.clone();
         sites.extend_from_slice(&updated.applied.grown_sites);
         sites.extend_from_slice(&updated.applied.shrunk_sites);
         let staleness = if updated.stats.site_rank_recomputed {
-            if removal {
-                let old_sites = updated.graph.n_sites() - updated.applied.added_sites;
-                // Only live appended slots: a slot appended dead (a
-                // cancelled same-delta addition) has no content to rebuild.
-                sites.extend(
-                    (old_sites..updated.graph.n_sites())
-                        .filter(|&s| updated.graph.is_live_site(SiteId(s))),
-                );
-                sites.sort_unstable();
-                Staleness::Resized {
-                    sites,
-                    removed_sites: updated.applied.removed_sites.clone(),
-                }
-            } else {
-                Staleness::Full
+            let old_sites = updated.graph.n_sites() - updated.applied.added_sites;
+            // A slot appended dead (a cancelled same-delta addition) has no
+            // content, but it is tombstoned at this epoch all the same.
+            let (live, dead): (Vec<usize>, Vec<usize>) = (old_sites..updated.graph.n_sites())
+                .partition(|&s| updated.graph.is_live_site(SiteId(s)));
+            sites.extend(live);
+            sites.sort_unstable();
+            let mut removed_sites = updated.applied.removed_sites.clone();
+            removed_sites.extend(dead);
+            Staleness::Resized {
+                sites,
+                removed_sites,
             }
         } else {
             sites.sort_unstable();

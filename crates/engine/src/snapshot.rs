@@ -14,11 +14,13 @@
 //!
 //! The staleness contract is strict so re-pinning is sound: a site **not**
 //! named by [`Staleness::Sites`] kept the scores of all its documents (and
-//! its member list) *bit-identical* to the previous epoch. The incremental
-//! layer guarantees this — untouched sites reuse their local vectors and
-//! the SiteRank weight they are scaled by; any update that recomputes the
-//! SiteRank (cross-site link changes, appended sites, self-loop site
-//! graphs) reports [`Staleness::Full`] instead.
+//! its member list) *bit-identical* to the previous epoch — untouched
+//! sites reuse their local vectors and the SiteRank weight they are scaled
+//! by. An update that recomputes the SiteRank reports
+//! [`Staleness::Resized`]: an unnamed site keeps its local vector, so its
+//! scores are rescaled by one positive weight and its order survives.
+//! Only a from-scratch [`RankEngine::rank`](crate::RankEngine::rank)
+//! reports [`Staleness::Full`].
 
 use std::sync::Arc;
 
@@ -27,31 +29,31 @@ use lmm_graph::{DocId, SiteId};
 /// What changed between a snapshot and its predecessor (epoch − 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Staleness {
-    /// Everything may have moved (first computation, full recompute, or
-    /// any growth-only update that reran the SiteRank — a SiteRank change
-    /// rescales every document of every site).
+    /// Everything may have moved: a from-scratch computation (the first
+    /// ranking, or a re-rank after the cache was invalidated or the graph
+    /// was replaced), which gives no per-site accounting.
     Full,
     /// Only the named sites' documents changed (sorted, deduplicated);
     /// every other site's scores and membership are bit-identical to the
     /// previous epoch. An empty list means the ranking is unchanged (e.g.
     /// a no-op delta) even though the epoch advanced.
     Sites(Vec<usize>),
-    /// Sites were removed (or pages removed) and the SiteRank was
-    /// redistributed over the survivors. The named `sites` (sorted) and
-    /// `removed_sites` changed **membership or within-site order** and
-    /// must be rebuilt. Every *other* live site kept its member list and
-    /// its within-site serving order (its local vector is untouched), but
-    /// its absolute scores were rescaled by the redistributed SiteRank —
-    /// so per-site orderings survive a cheap refresh while any cached
-    /// absolute score or cross-site interleaving must be re-derived from
-    /// this snapshot.
+    /// The SiteRank was recomputed (cross-site link counts changed, sites
+    /// were appended or removed, or a self-loop site graph saw an
+    /// intra-site change). The named `sites` (sorted) and `removed_sites`
+    /// changed **membership or within-site order** and must be rebuilt.
+    /// Every *other* live site kept its member list and its within-site
+    /// serving order (its local vector is untouched), but its absolute
+    /// scores were rescaled by its new SiteRank weight — so per-site
+    /// orderings survive a cheap refresh while any cached absolute score
+    /// or cross-site interleaving must be re-derived from this snapshot.
     Resized {
         /// Live sites whose membership or local ordering changed — grown,
         /// shrunk, changed, and appended live sites (sorted,
-        /// deduplicated; slots appended dead by a cancelled same-delta
-        /// addition have no content and are not named).
+        /// deduplicated).
         sites: Vec<usize>,
-        /// Sites tombstoned by this epoch (sorted); their documents are
+        /// Sites tombstoned by this epoch (sorted), slots appended dead by
+        /// a cancelled same-delta addition included; their documents are
         /// gone and point lookups for them must fail typed.
         removed_sites: Vec<usize>,
     },

@@ -147,26 +147,34 @@ fn engine_delta_stream_stays_a_cache_hit_and_localizes_staleness() {
         engine.apply_delta(&delta).unwrap();
         let snap = engine.snapshot().unwrap();
         assert_eq!(snap.epoch(), engine.epoch());
+        // Growth-only churn: the recomputed sites are the changed and
+        // grown ones, plus every appended (live) site.
+        let mut expected: Vec<usize> = applied
+            .changed_sites
+            .iter()
+            .chain(applied.grown_sites.iter())
+            .copied()
+            .chain(current.n_sites()..mutated.n_sites())
+            .collect();
+        expected.sort_unstable();
+        let site_rank_reran = applied.cross_links_changed || applied.added_sites > 0;
         match snap.staleness() {
             Staleness::Full => {
-                // Only a SiteRank recompute justifies a full invalidation.
-                assert!(
-                    applied.cross_links_changed || applied.added_sites > 0,
-                    "step {step}: full staleness without a site-layer cause"
-                );
+                panic!("step {step}: only a from-scratch rank may report Full");
             }
             Staleness::Sites(sites) => {
-                let mut expected: Vec<usize> = applied
-                    .changed_sites
-                    .iter()
-                    .chain(applied.grown_sites.iter())
-                    .copied()
-                    .collect();
-                expected.sort_unstable();
+                assert!(!site_rank_reran, "step {step}: SiteRank reran, got Sites");
                 assert_eq!(sites, &expected, "step {step}: staleness set mismatch");
             }
-            Staleness::Resized { .. } => {
-                panic!("step {step}: growth-only churn must never report Resized");
+            Staleness::Resized {
+                sites,
+                removed_sites,
+            } => {
+                // A SiteRank rerun rescales every site; only the
+                // recomputed ones lose their within-site order.
+                assert!(site_rank_reran, "step {step}: Resized without a rerun");
+                assert_eq!(sites, &expected, "step {step}: staleness set mismatch");
+                assert!(removed_sites.is_empty(), "step {step}: nothing was removed");
             }
         }
         // The composed fingerprint must make this a cache hit.

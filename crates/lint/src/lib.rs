@@ -20,6 +20,7 @@
 //! | `lock_free` | [`rules::locks`] | the declared serve read-path functions (every `serve/router.rs` read) exist and contain no blocking synchronization at all — no `.lock()`/`.read()`/`.write()`, no `Mutex`/`RwLock` |
 //! | `relaxed` | [`rules::atomics`] | `Ordering::Relaxed` only on allowlisted counter names; epochs, flags, and shutdown bits need a stronger ordering or a reasoned annotation |
 //! | `nondet` | [`rules::det`] | the deterministic kernels (`core`, `linalg`, `rank`, `graph::delta`) never touch `Instant::now`/`SystemTime`/`RandomState` |
+//! | `safety` | [`rules::safety`] | every `unsafe` in scanned code sits under a `// SAFETY:` comment (on its line, or directly above a run of consecutive `unsafe` lines) |
 //!
 //! Every rule exempts `#[cfg(test)]` regions, and every rule honors
 //! `// lint: allow(<key>, "reason")` on the offending line or on the
@@ -109,6 +110,7 @@ pub fn check_file(
     if rel == cfg.wire_file {
         out.extend(rules::wire::check(file, rel, golden, cfg.wire_golden));
     }
+    out.extend(rules::safety::check(file, rel));
     out
 }
 

@@ -5,8 +5,9 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The rule key (`panic`, `wire_tags`, `lock_order`, `relaxed`,
-    /// `nondet`) — also the key an annotation must use to allow it.
+    /// The rule key (`panic`, `wire_tags`, `lock_order`, `lock_free`,
+    /// `relaxed`, `nondet`, `safety`) — also the key an annotation must
+    /// use to allow it.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,

@@ -6,6 +6,7 @@ pub mod atomics;
 pub mod det;
 pub mod locks;
 pub mod panics;
+pub mod safety;
 pub mod wire;
 
 /// Yields every occurrence of `token` in `masked` that starts at an

@@ -125,6 +125,22 @@ fn nondet_negative_is_clean() {
 }
 
 #[test]
+fn safety_positive_flags_every_unargued_unsafe() {
+    let v = rules::safety::check(&fixture("safety_bad.rs"), "safety_bad.rs");
+    // No comment; a non-SAFETY comment; a code line between comment and
+    // `unsafe`; the second half of a run a code line broke.
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, vec![5, 9, 15, 22], "{v:#?}");
+    assert!(v.iter().all(|v| v.rule == "safety"));
+}
+
+#[test]
+fn safety_negative_is_clean() {
+    let v = rules::safety::check(&fixture("safety_ok.rs"), "safety_ok.rs");
+    assert!(v.is_empty(), "{v:#?}");
+}
+
+#[test]
 fn wire_positive_flags_duplicates_and_asymmetry() {
     let file = fixture("wire_bad.rs");
     let golden = rules::wire::render_golden(&rules::wire::encode_tags(&file));

@@ -109,16 +109,20 @@ impl Ranking {
         self.scores
     }
 
+    /// Serving order of two items: descending score, ties broken by index
+    /// — a strict total order, so every sort under it is deterministic.
+    fn cmp_items(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        self.scores[b]
+            .partial_cmp(&self.scores[a])
+            .expect("ranking scores are finite")
+            .then_with(|| a.cmp(&b))
+    }
+
     /// Item indices sorted by descending score, ties broken by index.
     #[must_use]
     pub fn order(&self) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.scores[b]
-                .partial_cmp(&self.scores[a])
-                .expect("ranking scores are finite")
-                .then_with(|| a.cmp(&b))
-        });
+        idx.sort_by(|&a, &b| self.cmp_items(a, b));
         idx
     }
 
@@ -144,12 +148,20 @@ impl Ranking {
         self.positions()[item]
     }
 
-    /// The `k` top-ranked item indices (all items when `k >= len`).
+    /// The `k` top-ranked item indices (all items when `k >= len`) —
+    /// exactly `order()[..k]`, found by selection in O(n + k log k)
+    /// instead of sorting all `n`.
     #[must_use]
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let mut order = self.order();
-        order.truncate(k);
-        order
+        let mut idx: Vec<usize> = (0..self.scores.len()).collect();
+        if k < idx.len() {
+            if k > 0 {
+                idx.select_nth_unstable_by(k - 1, |&a, &b| self.cmp_items(a, b));
+            }
+            idx.truncate(k);
+        }
+        idx.sort_unstable_by(|&a, &b| self.cmp_items(a, b));
+        idx
     }
 
     /// Entropy (nats) of the score distribution — a dispersion diagnostic
@@ -229,6 +241,22 @@ mod tests {
         let r = Ranking::from_scores(vec![0.1, 0.4, 0.2, 0.3]).unwrap();
         assert_eq!(r.top_k(2), vec![1, 3]);
         assert_eq!(r.top_k(10).len(), 4);
+    }
+
+    #[test]
+    fn top_k_selection_equals_the_sorted_prefix_under_heavy_ties() {
+        for n in [1usize, 2, 7, 64] {
+            // Only three distinct scores, scattered: most comparisons tie
+            // on score and fall through to the index.
+            let weights = (0..n).map(|i| ((i * 7 + 3) % 3 + 1) as f64).collect();
+            let r = Ranking::from_weights(weights).unwrap();
+            let order = r.order();
+            for k in [0, 1, n / 2, n - 1, n, n + 5] {
+                assert_eq!(r.top_k(k), order[..k.min(n)], "n = {n}, k = {k}");
+            }
+        }
+        let uniform = Ranking::uniform(9).unwrap();
+        assert_eq!(uniform.top_k(4), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub enum SwapGrade {
     /// The snapshot's staleness set names one of the shard's sites: the
     /// store is rebuilt from the snapshot.
     Rebuild,
-    /// A removal rescaled every site's absolute scores
-    /// ([`Staleness::Resized`]): per-site orders are reused, the shard top
-    /// list re-merges under the new scores.
+    /// A SiteRank rerun rescaled every site's absolute scores
+    /// ([`Staleness::Resized`] not naming the shard): per-site orders are
+    /// reused, the shard top list re-merges under the new scores.
     Refresh,
     /// Bit-identical data ([`Staleness::Sites`] not naming the shard): the
     /// existing store is re-pinned against the new epoch.
@@ -137,8 +137,8 @@ pub struct PublishReport {
     pub shards_rebuilt: usize,
     /// Shard stores re-pinned (fresh shards: new epoch, same data).
     pub shards_repinned: usize,
-    /// Shard stores refreshed (removal publishes: per-site orders reused,
-    /// shard top list re-merged under the redistributed scores).
+    /// Shard stores refreshed (publishes after a SiteRank rerun: per-site
+    /// orders reused, shard top list re-merged under the rescaled scores).
     pub shards_refreshed: usize,
     /// `true` when the snapshot was already being served and nothing was
     /// swapped.
@@ -259,9 +259,9 @@ impl ShardedServer {
     /// Swaps in a fresh snapshot without ever blocking readers: shards
     /// whose sites the snapshot's [`Staleness`] set names rebuild their
     /// stores; every other shard re-pins its existing store `Arc` against
-    /// the new epoch — or, after a removal ([`Staleness::Resized`]),
+    /// the new epoch — or, after a SiteRank rerun ([`Staleness::Resized`]),
     /// **refreshes**: the per-site orders are reused and only the shard
-    /// top list re-merges under the redistributed scores. A snapshot that
+    /// top list re-merges under the rescaled scores. A snapshot that
     /// skipped epochs (the publisher missed one) conservatively rebuilds
     /// everything, since its staleness set only describes the last step.
     ///

@@ -11,9 +11,9 @@
 //! * [`refresh`](ShardState::refresh) — reuse the per-site orderings,
 //!   re-merge the shard-level top list under the new snapshot's scores.
 //!   Sound whenever every covered site kept its member list and
-//!   within-site order (the [`Staleness::Resized`] contract after a
-//!   removal's SiteRank redistribution: per-site orders survive, absolute
-//!   scores and cross-site interleavings do not);
+//!   within-site order (the [`Staleness::Resized`] contract after any
+//!   SiteRank rerun: per-site orders survive, absolute scores and
+//!   cross-site interleavings do not);
 //! * [`repin`](ShardState::repin) — share the data `Arc` outright, for
 //!   snapshots whose unnamed sites are bit-identical
 //!   ([`Staleness::Sites`]).
@@ -205,12 +205,22 @@ impl ShardState {
     /// order, which is what [`Staleness::Resized`] guarantees for sites it
     /// does not name. O(sites + k log sites) instead of a full re-sort.
     ///
+    /// Debug builds check that guarantee: every reused order must still
+    /// be strictly in serving order under the new scores.
+    ///
     /// [`Staleness::Resized`]: lmm_engine::Staleness::Resized
     #[must_use]
     pub fn refresh(&self, snapshot: &RankSnapshot, heap_k: usize) -> Self {
         debug_assert!(snapshot.epoch() >= self.snapshot.epoch());
         let scores = snapshot.scores();
         let orders = &self.data.site_order;
+        debug_assert!(
+            orders.iter().all(|order| order.windows(2).all(|w| {
+                let entry = |d: DocId| (d, scores[d.index()]);
+                serve_cmp(&entry(w[0]), &entry(w[1])) == Ordering::Less
+            })),
+            "a reused site order is out of serving order under the new scores"
+        );
         let mut heads: BinaryHeap<MergeHead> = BinaryHeap::with_capacity(orders.len());
         for (site_idx, order) in orders.iter().enumerate() {
             if let Some(&d) = order.first() {

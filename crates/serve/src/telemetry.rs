@@ -131,8 +131,9 @@ pub struct ServeStats {
     /// Shard stores re-pinned by publishes (fresh shards: new epoch, same
     /// data `Arc`).
     pub shards_repinned: AtomicU64,
-    /// Shard stores refreshed by removal publishes (per-site orders
-    /// reused, shard top list re-merged under redistributed scores).
+    /// Shard stores refreshed by publishes after a SiteRank rerun
+    /// (per-site orders reused, shard top list re-merged under the
+    /// rescaled scores).
     pub shards_refreshed: AtomicU64,
     /// Point lookups rejected because they named a tombstoned document or
     /// site.

@@ -1,0 +1,261 @@
+//! Refresh ≡ rebuild over a seeded delta stream.
+//!
+//! A SiteRank rerun rescales every site by its new weight but leaves the
+//! local vectors of unnamed sites untouched, so the publisher *refreshes*
+//! their shards — reusing the per-site orders — instead of re-sorting
+//! them. This test checks that claim instead of arguing it: 240 seeded
+//! local, global (cross link; cross link + new site, at times beside a
+//! cancelled same-delta site addition) and removal deltas run
+//! `RankEngine::apply_delta` → `ShardedServer::publish`, and after
+//! every publish every shard's top list and every site's full order equal
+//! a from-scratch `ShardState::build` of the same snapshot, entry for
+//! entry, while the rebuilt shards are exactly those the staleness names.
+
+use lmm_engine::{BackendSpec, RankEngine, RankSnapshot, Staleness};
+use lmm_graph::delta::GraphDelta;
+use lmm_graph::generator::CampusWebConfig;
+use lmm_graph::sharding::ShardMap;
+use lmm_graph::{DocGraph, SiteId};
+use lmm_serve::{
+    publish_grades, shard_site_range, ServeConfig, ServeError, ShardState, ShardedServer, SiteTopK,
+    SwapGrade,
+};
+
+const STEPS: usize = 240;
+const N_SHARDS: usize = 4;
+/// Smaller than every shard, so refreshed top lists are real merges.
+const HEAP_K: usize = 16;
+
+/// Deterministic xorshift64* for the delta stream.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, m: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % m
+    }
+
+    /// A uniformly drawn live site with at least `min_size` pages.
+    fn site(&mut self, graph: &DocGraph, min_size: usize) -> SiteId {
+        let live: Vec<SiteId> = (0..graph.n_sites())
+            .map(SiteId)
+            .filter(|&s| graph.is_live_site(s) && graph.site_size(s) >= min_size)
+            .collect();
+        live[self.below(live.len())]
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Local,
+    CrossLink,
+    NewSite,
+    Removal,
+}
+
+fn delta(graph: &DocGraph, step: usize, rng: &mut XorShift) -> (GraphDelta, Kind) {
+    let mut delta = GraphDelta::for_graph(graph);
+    let kind = match rng.below(10) {
+        0..=3 => Kind::Local,
+        4..=5 => Kind::CrossLink,
+        6..=7 => Kind::NewSite,
+        _ => Kind::Removal,
+    };
+    // An intra-site rewire: local deltas always carry one, global deltas
+    // every third step, so a SiteRank rerun also names a changed site.
+    if kind == Kind::Local || (kind != Kind::Removal && step.is_multiple_of(3)) {
+        let docs = graph.docs_of_site(rng.site(graph, 3));
+        delta.remove_link(docs[0], docs[1]).unwrap();
+        delta.add_link(docs[1], docs[2]).unwrap();
+        delta.add_link(docs[2], docs[0]).unwrap();
+    }
+    match kind {
+        Kind::Local => {
+            // Every other time with a page of growth.
+            let docs = graph.docs_of_site(rng.site(graph, 1));
+            if step.is_multiple_of(2) {
+                let p = delta
+                    .add_page(graph.site_of(docs[0]), &format!("http://grow-{step}.page/"))
+                    .unwrap();
+                delta.add_link(docs[0], p).unwrap();
+                delta.add_link(p, docs[0]).unwrap();
+            }
+        }
+        Kind::CrossLink | Kind::NewSite => {
+            let a = rng.site(graph, 1);
+            let mut b = rng.site(graph, 1);
+            while b == a {
+                b = rng.site(graph, 1);
+            }
+            let (a, b) = (graph.docs_of_site(a)[0], graph.docs_of_site(b)[0]);
+            delta.add_link(a, b).unwrap();
+            if kind == Kind::NewSite {
+                let s = delta.add_site(&format!("stream-{step}.example"));
+                let pages: Vec<_> = (0..3)
+                    .map(|i| {
+                        delta
+                            .add_page(s, &format!("http://stream-{step}.example/{i}"))
+                            .unwrap()
+                    })
+                    .collect();
+                for w in pages.windows(2) {
+                    delta.add_link(w[0], w[1]).unwrap();
+                }
+                delta.add_link(pages[2], pages[0]).unwrap();
+                delta.add_link(a, pages[0]).unwrap();
+                delta.add_link(pages[0], a).unwrap();
+            } else if step.is_multiple_of(5) {
+                // A cancelled same-delta addition: a slot appended dead,
+                // with no live site beside it to rebuild the last shard.
+                let gone = delta.add_site(&format!("gone-{step}.example"));
+                delta
+                    .add_page(gone, &format!("http://gone-{step}.example/"))
+                    .unwrap();
+                delta.remove_site(gone).unwrap();
+            }
+        }
+        Kind::Removal => {
+            // Retire a whole site when enough remain, else shrink one.
+            if graph.n_live_sites() > 10 && step.is_multiple_of(2) {
+                delta.remove_site(rng.site(graph, 1)).unwrap();
+            } else {
+                let docs = graph.docs_of_site(rng.site(graph, 4));
+                delta.remove_page(docs[docs.len() - 1]).unwrap();
+            }
+        }
+    }
+    (delta, kind)
+}
+
+/// The staleness set's rebuild names: recomputed sites plus removed ones.
+fn named_sites(snapshot: &RankSnapshot) -> Vec<usize> {
+    match snapshot.staleness() {
+        Staleness::Sites(sites) => sites.clone(),
+        Staleness::Resized {
+            sites,
+            removed_sites,
+        } => sites.iter().chain(removed_sites).copied().collect(),
+        Staleness::Full => panic!("apply_delta must never report Full"),
+    }
+}
+
+#[test]
+fn refreshed_shards_equal_rebuilt_shards_over_a_delta_stream() {
+    let mut cfg = CampusWebConfig::small();
+    cfg.total_docs = 600;
+    cfg.n_sites = 12;
+    cfg.spam_farms.clear();
+    let mut graph = cfg.generate().unwrap();
+    let mut engine = RankEngine::builder()
+        .backend(BackendSpec::Incremental)
+        .damping(0.85)
+        .tolerance(1e-10)
+        .build()
+        .unwrap();
+    engine.rank(&graph).unwrap();
+    let map = ShardMap::uniform(graph.n_sites(), N_SHARDS).unwrap();
+    let first = engine.snapshot().unwrap();
+    let server = ShardedServer::start(map.clone(), &first, ServeConfig { heap_k: HEAP_K }).unwrap();
+    // The shard stores a publish derives, mirrored the way a cluster node
+    // keeps them: graded by the same `publish_grades`, never rebuilt
+    // unless graded so.
+    let mut shards: Vec<ShardState> = (0..N_SHARDS)
+        .map(|s| ShardState::build(&first, shard_site_range(&map, s, first.n_sites()), HEAP_K))
+        .collect();
+
+    let mut rng = XorShift(0x5eed_2024);
+    let mut refreshed_by_kind = [0usize; 4];
+    let mut reruns_naming_sites = 0usize;
+    let mut dead_slots = 0usize;
+    for step in 0..STEPS {
+        let (delta, kind) = delta(&graph, step, &mut rng);
+        let (mutated, _) = graph.apply(&delta).unwrap();
+        dead_slots += (graph.n_sites()..mutated.n_sites())
+            .filter(|&s| !mutated.is_live_site(SiteId(s)))
+            .count();
+        engine.apply_delta(&delta).unwrap();
+        let snapshot = engine.snapshot().unwrap();
+        if matches!(snapshot.staleness(), Staleness::Resized { sites, .. } if !sites.is_empty()) {
+            reruns_naming_sites += 1;
+        }
+
+        let grades = publish_grades(&map, server.epoch(), &snapshot);
+        let report = server.publish(&snapshot).unwrap();
+        let rebuilt: Vec<usize> = (0..N_SHARDS)
+            .filter(|&s| grades[s] == SwapGrade::Rebuild)
+            .collect();
+        assert_eq!(
+            rebuilt,
+            map.shards_of_sites(named_sites(&snapshot)),
+            "step {step} ({kind:?}): rebuilt shards differ from the named ones"
+        );
+        let count = |g| grades.iter().filter(|&&x| x == g).count();
+        assert_eq!(
+            (
+                report.shards_rebuilt,
+                report.shards_refreshed,
+                report.shards_repinned
+            ),
+            (
+                count(SwapGrade::Rebuild),
+                count(SwapGrade::Refresh),
+                count(SwapGrade::Repin)
+            ),
+            "step {step} ({kind:?})"
+        );
+        refreshed_by_kind[kind as usize] += report.shards_refreshed;
+
+        for (s, (state, grade)) in shards.iter_mut().zip(&grades).enumerate() {
+            let range = shard_site_range(&map, s, snapshot.n_sites());
+            *state = match grade {
+                SwapGrade::Rebuild => ShardState::build(&snapshot, range.clone(), HEAP_K),
+                SwapGrade::Refresh => state.refresh(&snapshot, HEAP_K),
+                SwapGrade::Repin => state.repin(&snapshot),
+            };
+            let fresh = ShardState::build(&snapshot, range.clone(), HEAP_K);
+            assert_eq!(
+                state.top_k(HEAP_K),
+                fresh.top_k(HEAP_K),
+                "step {step} ({kind:?}): shard {s} top list ({grade:?}) differs from a rebuild"
+            );
+            for site in range.start..range.end.min(snapshot.n_sites()) {
+                let want = fresh.site_top_k(SiteId(site), usize::MAX);
+                assert_eq!(
+                    state.site_top_k(SiteId(site), usize::MAX),
+                    want,
+                    "step {step} ({kind:?}): site {site} order ({grade:?}) differs from a rebuild"
+                );
+                let served = server.top_k_for_site(SiteId(site), usize::MAX);
+                match want {
+                    SiteTopK::Entries(entries) => {
+                        assert_eq!(served.unwrap(), (snapshot.epoch(), entries), "site {site}");
+                    }
+                    SiteTopK::Tombstoned => assert!(
+                        matches!(served, Err(ServeError::TombstonedSite { .. })),
+                        "step {step}: site {site} answered {served:?}"
+                    ),
+                    SiteTopK::NotCovered => panic!("step {step}: site {site} not covered"),
+                }
+            }
+        }
+        assert_eq!(
+            server.top_k(HEAP_K).unwrap(),
+            (snapshot.epoch(), engine.top_k(HEAP_K).unwrap()),
+            "step {step} ({kind:?}): served top-k differs from the engine's"
+        );
+        graph = mutated;
+    }
+    // Both global kinds reached the refresh path, not only removals;
+    // SiteRank reruns also rebuilt the sites they recomputed, and slots
+    // appended dead were among the checked sites.
+    for kind in [Kind::CrossLink, Kind::NewSite, Kind::Removal] {
+        assert!(
+            refreshed_by_kind[kind as usize] > 0,
+            "{kind:?} never refreshed"
+        );
+    }
+    assert!(reruns_naming_sites > 0);
+    assert!(dead_slots > 0);
+}
