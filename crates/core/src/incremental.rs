@@ -131,6 +131,11 @@ pub struct UpdateStats {
 /// shrink (removal tombstones, it never renumbers), and tombstones are
 /// permanent — a dead slot never comes back to life.
 ///
+/// A site whose member list and link block `new` shares with `old` (see
+/// [`DocGraph::shares_site`] — every site a [`DocGraph::apply`] left alone)
+/// is unchanged without being compared; the others are compared subgraph by
+/// subgraph.
+///
 /// # Errors
 /// Returns [`LmmError::InvalidModel`] when the new graph lost id slots or
 /// resurrected a tombstoned one (re-discovery of the web, not a recrawl),
@@ -189,7 +194,8 @@ pub fn diff_sites(old: &DocGraph, new: &DocGraph) -> Result<SiteDelta> {
             shrunk_sites.push(s);
         } else if gained {
             grown_sites.push(s);
-        } else if old.site_subgraph(site) != new.site_subgraph(site) {
+        } else if !old.shares_site(new, site) && old.site_subgraph(site) != new.site_subgraph(site)
+        {
             changed_sites.push(s);
         }
     }

@@ -609,16 +609,20 @@ impl DocGraph {
     /// graph. The induced summary falls out of the same pass — the per-row
     /// diffs between old and new edge sets — so no-op mutations (removing
     /// an absent link, re-adding an existing one, net-zero cross rewires)
-    /// never mark a layer stale and never copy a block.
+    /// never mark a layer stale and never copy a block. The same diffs,
+    /// summed per ordered site pair, patch the SiteLink count row of every
+    /// rebuilt block, so the site layer is maintained rather than recounted.
     ///
     /// Cost: O(ops · log + Σ size of the rebuilt site blocks + sites) for
     /// growth and rewire deltas — `sites` is the clone of the two per-site
     /// pointer tables — plus a `memcpy` of the site-assignment table and
-    /// the tombstone lists, plus one read-only O(links) scan of the blocks
-    /// when the delta removes pages or sites (to find the in-links of the
-    /// dead). It never touches the flat [`adjacency`](DocGraph::adjacency)
-    /// view: the mutated graph starts without one, and the first caller
-    /// that asks for it pays the O(docs + links) materialization.
+    /// the tombstone lists. A delta that removes pages or sites also reads
+    /// the SiteLink rows (O(sites + SiteLinks)) and then the blocks of just
+    /// the sites whose row names a site that loses a document — the only
+    /// blocks that can hold an in-link of the dead. It never touches the
+    /// flat [`adjacency`](DocGraph::adjacency) view: the mutated graph
+    /// starts without one, and the first caller that asks for it pays the
+    /// O(docs + links) materialization.
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidDelta`] when the delta was built
@@ -785,8 +789,8 @@ impl DocGraph {
         // order preserved within a row — a removal only erases links present
         // *at that point*, so add-then-remove deletes and remove-then-add
         // restores, like sequential edits — plus every newly dead row, plus
-        // (one read-only scan, only when something dies) every row holding
-        // a link to the newly dead.
+        // (a read-only scan, only when something dies) every row holding a
+        // link to the newly dead.
         let mut touched: BTreeMap<usize, Vec<(usize, bool)>> = BTreeMap::new();
         for op in &delta.link_ops {
             let (from, to, is_add) = match *op {
@@ -802,7 +806,20 @@ impl DocGraph {
             touched.entry(d).or_default();
         }
         if !dead_new.is_empty() {
+            // Only a site whose SiteLink row names the site of a newly dead
+            // base document can link to it, so only those blocks are read.
+            // Appended documents that die are linked by this delta's own
+            // ops alone, which are in `touched` already.
+            let dead_in: BTreeSet<usize> = dead_new
+                .iter()
+                .filter(|&&d| d < n_base_docs)
+                .map(|&d| self.site_of(DocId(d)).index())
+                .collect();
             for s in 0..n_base_sites {
+                let row = self.site_link_row(SiteId(s));
+                if !row.iter().any(|(t, _)| dead_in.contains(t)) {
+                    continue;
+                }
                 for (doc, row) in self.site_out_links(SiteId(s)) {
                     if row.iter().any(|c| dead_new.contains(c)) {
                         touched.entry(doc.index()).or_default();
@@ -813,14 +830,15 @@ impl DocGraph {
 
         let n_docs = delta.result_docs();
         let mut changed: BTreeSet<usize> = BTreeSet::new();
-        // Net cross-link count change per ordered site pair: the SiteRank
-        // depends on the *counts*, so a rewire that removes one s->t link
-        // and adds another leaves it fresh — exactly like comparing the
-        // derived SiteGraphs, at O(ops) instead of O(E).
-        let mut cross_deltas: HashMap<(usize, usize), i64> = HashMap::new();
+        // Net link count change per ordered site pair, intra pairs
+        // included: it patches the SiteLink rows of the relinked sites, and
+        // since the SiteRank depends on the cross *counts* only, a rewire
+        // that removes one s->t link and adds another leaves it fresh —
+        // exactly like comparing the derived SiteGraphs, at O(ops).
+        let mut pair_deltas: BTreeMap<(usize, usize), isize> = BTreeMap::new();
         let mut links_added: Vec<(DocId, DocId)> = Vec::new();
         let mut links_removed: Vec<(DocId, DocId)> = Vec::new();
-        let mut record_change = |src: usize, dst: usize, sign: i64| {
+        let mut record_change = |src: usize, dst: usize, sign: isize| {
             if sign > 0 {
                 links_added.push((DocId(src), DocId(dst)));
             } else {
@@ -828,13 +846,10 @@ impl DocGraph {
             }
             let s = delta.site_of_ref(self, DocId(src)).index();
             let t = delta.site_of_ref(self, DocId(dst)).index();
-            if s == t {
-                if s < n_base_sites && !cold.contains(&s) {
-                    changed.insert(s);
-                }
-            } else {
-                *cross_deltas.entry((s, t)).or_insert(0) += sign;
+            if s == t && s < n_base_sites && !cold.contains(&s) {
+                changed.insert(s);
             }
+            *pair_deltas.entry((s, t)).or_insert(0) += sign;
         };
 
         // A target is dead when tombstoned by this delta or already dead in
@@ -958,7 +973,19 @@ impl DocGraph {
                     members.push(d);
                     block.push_row(patched_row(d).unwrap_or(&[]));
                 }
+                let base_row = if s < n_base_sites {
+                    self.site_link_row(SiteId(s))
+                } else {
+                    &[]
+                };
+                let nets = pair_deltas.range((s, 0)..(s + 1, 0));
+                block.site_row = patch_site_row(base_row, nets.map(|(&(_, t), &n)| (t, n)));
             }
+            debug_assert_eq!(
+                block.site_row,
+                block.count_site_row(&site_of),
+                "patched SiteLink row of site {s} disagrees with its links"
+            );
             if regroup.contains(&s) {
                 site_members[s] = Arc::new(members);
             }
@@ -1003,7 +1030,7 @@ impl DocGraph {
             .count();
         let cross_links_changed = live_added > 0
             || !removed_sites.is_empty()
-            || cross_deltas.values().any(|&net| net != 0);
+            || pair_deltas.iter().any(|(&(s, t), &net)| s != t && net != 0);
         let applied = AppliedDelta {
             changed_sites: changed.into_iter().collect(),
             grown_sites: grown.into_iter().collect(),
@@ -1019,6 +1046,31 @@ impl DocGraph {
         };
         Ok((mutated, applied))
     }
+}
+
+/// Adds net per-target link changes (ascending by target site) to a
+/// SiteLink count row, dropping the counts that reach zero.
+fn patch_site_row(
+    base: &[(usize, usize)],
+    nets: impl Iterator<Item = (usize, isize)>,
+) -> Vec<(usize, usize)> {
+    let mut row = base.to_vec();
+    for (t, net) in nets {
+        match row.binary_search_by_key(&t, |&(site, _)| site) {
+            Ok(i) => {
+                row[i].1 = row[i]
+                    .1
+                    .checked_add_signed(net)
+                    .expect("a delta never removes more links than a site pair holds");
+            }
+            Err(i) => {
+                let links = usize::try_from(net).expect("a new site pair only gains links");
+                row.insert(i, (t, links));
+            }
+        }
+    }
+    row.retain(|&(_, links)| links > 0);
+    row
 }
 
 #[cfg(test)]

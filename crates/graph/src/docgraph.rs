@@ -123,11 +123,20 @@ impl<T: PartialEq> PartialEq for CowColumn<T> {
 /// member as ascending global document ids; a block is immutable once built,
 /// so [`DocGraph::apply`] shares the blocks of sites a delta does not touch
 /// by `Arc`.
+///
+/// The block also carries its site's **SiteLink count row**: the ascending
+/// `(target site, links)` pairs over all of its out-links, the intra-site
+/// count included and zero counts never stored — the paper's SiteLink
+/// multiplicities (Section 3.1), which is all the site layer reads.
+/// [`DocGraphBuilder::build`] counts it while it fills the block,
+/// [`DocGraph::compact_ids`] renumbers it, and `apply` patches it from the
+/// per-site-pair net change of the delta instead of recounting.
 #[derive(Debug, PartialEq)]
 pub(crate) struct LinkBlock {
     /// Row starts; `row_ptr.len() == rows + 1`, first entry 0.
     row_ptr: Vec<usize>,
     cols: Vec<usize>,
+    pub(crate) site_row: Vec<(usize, usize)>,
 }
 
 impl LinkBlock {
@@ -137,21 +146,40 @@ impl LinkBlock {
         Self {
             row_ptr,
             cols: Vec::with_capacity(links),
+            site_row: Vec::new(),
         }
     }
 
-    fn from_rows<'a>(rows: impl ExactSizeIterator<Item = &'a [usize]> + Clone) -> Self {
+    fn from_rows<'a>(
+        rows: impl ExactSizeIterator<Item = &'a [usize]> + Clone,
+        site_of: &[SiteId],
+    ) -> Self {
         let links = rows.clone().map(<[usize]>::len).sum();
         let mut block = Self::with_capacity(rows.len(), links);
         for row in rows {
             block.push_row(row);
         }
+        block.site_row = block.count_site_row(site_of);
         block
     }
 
     pub(crate) fn push_row(&mut self, cols: &[usize]) {
         self.cols.extend_from_slice(cols);
         self.row_ptr.push(self.cols.len());
+    }
+
+    /// Counts the SiteLink row from the block's links, O(links · log).
+    pub(crate) fn count_site_row(&self, site_of: &[SiteId]) -> Vec<(usize, usize)> {
+        let mut targets: Vec<usize> = self.cols.iter().map(|&c| site_of[c].index()).collect();
+        targets.sort_unstable();
+        let mut row: Vec<(usize, usize)> = Vec::new();
+        for t in targets {
+            match row.last_mut() {
+                Some((site, links)) if *site == t => *links += 1,
+                _ => row.push((t, 1)),
+            }
+        }
+        row
     }
 
     fn row(&self, i: usize) -> &[usize] {
@@ -175,7 +203,11 @@ impl LinkBlock {
 /// lists. [`out_links`](Self::out_links), [`site_out_links`](Self::site_out_links)
 /// and [`links`](Self::links) read the blocks directly;
 /// [`adjacency`](Self::adjacency) is a derived whole-graph view for the
-/// consumers that need one matrix.
+/// consumers that need one matrix. Each block also keeps its site's
+/// SiteLink counts, maintained by [`apply`](Self::apply), so the site layer
+/// ([`crate::sitegraph::SiteGraph::from_doc_graph`],
+/// [`cross_site_links`](Self::cross_site_links)) costs O(sites +
+/// SiteLinks), never a walk over the links.
 ///
 /// Build one with [`DocGraphBuilder`] or generate one with
 /// [`crate::generator`].
@@ -200,7 +232,8 @@ pub struct DocGraph {
     pub(crate) site_members: Vec<Arc<Vec<DocId>>>,
     /// Out-link rows of each site, parallel to `site_members`: row `i` of
     /// block `s` belongs to `site_members[s][i]`. Tombstoned documents are
-    /// in no member list, hence in no block.
+    /// in no member list, hence in no block. Block `s` also holds site
+    /// `s`'s SiteLink count row.
     pub(crate) site_links: Vec<Arc<LinkBlock>>,
     pub(crate) n_links: usize,
     /// Tombstoned document ids, ascending (usually empty).
@@ -488,15 +521,39 @@ impl DocGraph {
         }
     }
 
-    /// Counts the links that cross site boundaries.
+    /// Counts the links that cross site boundaries: a sum over the SiteLink
+    /// count rows, O(sites + SiteLinks).
     #[must_use]
     pub fn cross_site_links(&self) -> usize {
         let mut crossing = 0;
         for (s, block) in self.site_links.iter().enumerate() {
-            let leaves = |dst: &&usize| self.site_of[**dst].index() != s;
-            crossing += block.cols.iter().filter(leaves).count();
+            let leaves = block.site_row.iter().filter(|&&(t, _)| t != s);
+            crossing += leaves.map(|&(_, links)| links).sum::<usize>();
         }
         crossing
+    }
+
+    /// A site's SiteLink count row: ascending `(target site, links)` pairs
+    /// over its out-links, intra-site count included, no zeros.
+    pub(crate) fn site_link_row(&self, site: SiteId) -> &[(usize, usize)] {
+        &self.site_links[site.index()].site_row
+    }
+
+    /// `true` when `other` holds the very allocations of this graph's
+    /// member list and link block for `site` — what [`apply`](Self::apply)
+    /// hands on for every site a delta leaves alone. Shared state is equal
+    /// state, so a caller comparing the two graphs site by site may skip
+    /// such a site; `false` (including for an id out of either graph's
+    /// range) says nothing either way.
+    #[must_use]
+    pub fn shares_site(&self, other: &DocGraph, site: SiteId) -> bool {
+        let s = site.index();
+        match (self.site_links.get(s), other.site_links.get(s)) {
+            (Some(a), Some(b)) => {
+                Arc::ptr_eq(a, b) && Arc::ptr_eq(&self.site_members[s], &other.site_members[s])
+            }
+            _ => false,
+        }
     }
 
     /// Iterates over all `(from, to)` document links, ascending by source
@@ -584,6 +641,16 @@ impl DocGraph {
                 );
                 block.push_row(&remapped);
             }
+            // A live row names only live sites, and survivors keep their
+            // order, so the counts carry over renumbered and still sorted.
+            block.site_row = self
+                .site_link_row(SiteId(s))
+                .iter()
+                .map(|&(t, links)| {
+                    let t = site_map[t].expect("live rows name only live sites");
+                    (t.index(), links)
+                })
+                .collect();
             site_members.push(Arc::new(members));
             site_links.push(Arc::new(block));
         }
@@ -763,7 +830,7 @@ impl DocGraphBuilder {
             coo.push(from.index(), to.index(), 1.0);
         }
         // Sorted rows with duplicate links collapsed, then dealt out to
-        // their sites.
+        // their sites, each block counting its SiteLink row as it fills.
         let rows = coo.to_csr();
         let mut site_members = vec![Vec::new(); self.site_names.len()];
         for (doc, site) in self.site_of.iter().enumerate() {
@@ -773,7 +840,7 @@ impl DocGraphBuilder {
             .iter()
             .map(|members| {
                 let rows = members.iter().map(|d| rows.row(d.index()).0);
-                Arc::new(LinkBlock::from_rows(rows))
+                Arc::new(LinkBlock::from_rows(rows, &self.site_of))
             })
             .collect();
         DocGraph {

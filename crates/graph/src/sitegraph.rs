@@ -9,10 +9,18 @@
 //! Unlike BlockRank's block graph, these weights depend only on the link
 //! counts, never on a prior local-rank computation, so SiteRank and the
 //! local DocRanks can be computed **in parallel** (Section 3.2).
+//!
+//! Because the site layer is a function of those counts alone, the
+//! [`DocGraph`] keeps them: every site's link block carries its SiteLink
+//! count row, counted once when the graph is built and patched by
+//! [`DocGraph::apply`] from the per-site-pair net change of each delta
+//! (the aggregated graph kept as counts between groups, as in Ishii–Tempo's
+//! web aggregation). Deriving a [`SiteGraph`] reads those rows — O(sites +
+//! SiteLinks), independent of the number of document links.
 
 use crate::docgraph::DocGraph;
 use crate::ids::SiteId;
-use lmm_linalg::{CooMatrix, CsrMatrix, LinalgError, StochasticMatrix};
+use lmm_linalg::{CsrMatrix, LinalgError, StochasticMatrix};
 
 /// How SiteLink multiplicities map to edge weights.
 ///
@@ -68,28 +76,37 @@ pub struct SiteGraph {
 
 impl SiteGraph {
     /// Derives the SiteGraph from a DocGraph (Section 3.2, step 2).
+    ///
+    /// The SiteLink counts come from the per-site count rows the DocGraph
+    /// maintains (see the module docs), so this costs O(sites + SiteLinks)
+    /// and never reads a document link. Each weight is a function of one
+    /// integer count, so the matrix is the same, bit for bit, as summing
+    /// one `1.0` per document link would give.
     #[must_use]
     pub fn from_doc_graph(doc_graph: &DocGraph, options: &SiteGraphOptions) -> Self {
         let ns = doc_graph.n_sites();
-        let mut coo = CooMatrix::new(ns, ns);
-        let site_of = doc_graph.site_assignments();
-        // Counts are order-free, so the links are read block by block.
+        let weight = |links: usize| {
+            let count = links as f64;
+            match options.weighting {
+                SiteLinkWeighting::LinkCount => count,
+                SiteLinkWeighting::Uniform => 1.0,
+                SiteLinkWeighting::LogCount => (1.0 + count).ln(),
+            }
+        };
+        let mut row_ptr = Vec::with_capacity(ns + 1);
+        row_ptr.push(0);
+        let (mut cols, mut values) = (Vec::new(), Vec::new());
         for s in 0..ns {
-            for (_, row) in doc_graph.site_out_links(SiteId(s)) {
-                for &dst in row {
-                    let t = site_of[dst].index();
-                    if s != t || options.include_self_loops {
-                        coo.push(s, t, 1.0);
-                    }
+            for &(t, links) in doc_graph.site_link_row(SiteId(s)) {
+                if s != t || options.include_self_loops {
+                    cols.push(t);
+                    values.push(weight(links));
                 }
             }
+            row_ptr.push(cols.len());
         }
-        let counts = coo.to_csr();
-        let weights = match options.weighting {
-            SiteLinkWeighting::LinkCount => counts,
-            SiteLinkWeighting::Uniform => counts.map_values(|_| 1.0),
-            SiteLinkWeighting::LogCount => counts.map_values(|c| (1.0 + c).ln()),
-        };
+        let weights = CsrMatrix::from_raw_parts(ns, ns, row_ptr, cols, values)
+            .expect("count rows are ascending, in range and zero-free");
         Self {
             weights,
             options: *options,

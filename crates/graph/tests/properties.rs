@@ -4,9 +4,9 @@
 
 use lmm_graph::docgraph::DocGraphBuilder;
 use lmm_graph::generator::{random_web, CampusWebConfig, ZipfSampler};
-use lmm_graph::sitegraph::{SiteGraph, SiteGraphOptions, SiteLinkWeighting};
-use lmm_graph::{DocId, SiteId};
-use lmm_linalg::CooMatrix;
+use lmm_graph::sitegraph::{ranking_site_graph, SiteGraph, SiteGraphOptions, SiteLinkWeighting};
+use lmm_graph::{DocGraph, DocId, GraphDelta, SiteId};
+use lmm_linalg::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,6 +60,123 @@ fn churny_delta(
             .add_page(site, &format!("http://compact-{round}.page/"))
             .unwrap();
         d.add_link(g.docs_of_site(site)[0], p).unwrap();
+    }
+    d
+}
+
+/// The SiteGraph by its definition, walking every document link: one
+/// `1.0` per link summed per ordered site pair, then weighted. The oracle
+/// for the SiteLink count rows the graph maintains.
+fn walked_site_graph(g: &DocGraph, options: &SiteGraphOptions) -> CsrMatrix {
+    let ns = g.n_sites();
+    let mut coo = CooMatrix::new(ns, ns);
+    let site_of = g.site_assignments();
+    for s in 0..ns {
+        for (_, row) in g.site_out_links(SiteId(s)) {
+            for &dst in row {
+                let t = site_of[dst].index();
+                if s != t || options.include_self_loops {
+                    coo.push(s, t, 1.0);
+                }
+            }
+        }
+    }
+    let counts = coo.to_csr();
+    match options.weighting {
+        SiteLinkWeighting::LinkCount => counts,
+        SiteLinkWeighting::Uniform => counts.map_values(|_| 1.0),
+        SiteLinkWeighting::LogCount => counts.map_values(|c| (1.0 + c).ln()),
+    }
+}
+
+/// Asserts `ranking_site_graph` equals the link walk bit for bit under every
+/// weighting, with self-loops on and off, and that the cross-link count
+/// summed from the rows is the walked one.
+fn assert_site_layer_matches_walk(g: &DocGraph, context: &str) {
+    let bits = |m: &CsrMatrix| -> (usize, usize, Vec<(usize, usize, u64)>) {
+        let entries = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+        (m.nrows(), m.ncols(), entries)
+    };
+    for weighting in [
+        SiteLinkWeighting::LinkCount,
+        SiteLinkWeighting::Uniform,
+        SiteLinkWeighting::LogCount,
+    ] {
+        for include_self_loops in [false, true] {
+            let options = SiteGraphOptions {
+                include_self_loops,
+                weighting,
+            };
+            assert_eq!(
+                bits(ranking_site_graph(g, &options).weights()),
+                bits(&walked_site_graph(g, &options)),
+                "{context}: {options:?}"
+            );
+        }
+    }
+    let crossing = g.links().filter(|(a, b)| g.site_of(*a) != g.site_of(*b));
+    assert_eq!(g.cross_site_links(), crossing.count(), "{context}");
+}
+
+fn pick<T: Copy>(items: &[T], step: &mut impl FnMut(usize) -> usize) -> T {
+    items[step(items.len())]
+}
+
+/// One delta of a stream that mixes every structural mutation: intra- and
+/// cross-site link additions and removals (a removal usually names a
+/// present link, so counts really fall), then by round a grown page, a
+/// removed page, a new site, a removed site, or a site and a page each
+/// added and removed within the same delta.
+fn mixed_delta(g: &DocGraph, step: &mut impl FnMut(usize) -> usize, round: usize) -> GraphDelta {
+    let mut d = GraphDelta::for_graph(g);
+    let sites: Vec<SiteId> = g.live_sites().collect();
+    for k in 0..6 {
+        let s = pick(&sites, step);
+        let from = pick(g.docs_of_site(s), step);
+        let t = if k % 2 == 0 { s } else { pick(&sites, step) };
+        let to = pick(g.docs_of_site(t), step);
+        let present = g.out_links(from);
+        if step(2) == 0 {
+            d.add_link(from, to).unwrap();
+        } else if present.is_empty() {
+            d.remove_link(from, to).unwrap();
+        } else {
+            d.remove_link(from, DocId(pick(present, step))).unwrap();
+        }
+    }
+    let s = pick(&sites, step);
+    let member = pick(g.docs_of_site(s), step);
+    let elsewhere = {
+        let t = pick(&sites, step);
+        pick(g.docs_of_site(t), step)
+    };
+    match round % 5 {
+        0 => {
+            let p = d.add_page(s, &format!("http://grown-{round}/")).unwrap();
+            d.add_link(member, p).unwrap();
+            d.add_link(p, elsewhere).unwrap();
+        }
+        1 if g.site_size(s) >= 2 => d.remove_page(member).unwrap(),
+        2 => {
+            let t = d.add_site(&format!("new-{round}.example"));
+            let p0 = d.add_page(t, &format!("http://new-{round}/")).unwrap();
+            let p1 = d.add_page(t, &format!("http://new-{round}/1")).unwrap();
+            for (from, to) in [(p0, p1), (p1, p0), (p1, elsewhere), (member, p0)] {
+                d.add_link(from, to).unwrap();
+            }
+        }
+        3 if sites.len() > 4 => d.remove_site(s).unwrap(),
+        4 => {
+            let t = d.add_site(&format!("doomed-{round}.example"));
+            let q = d.add_page(t, &format!("http://doomed-{round}/")).unwrap();
+            d.add_link(q, member).unwrap();
+            d.add_link(elsewhere, q).unwrap();
+            d.remove_site(t).unwrap();
+            let p = d.add_page(s, &format!("http://brief-{round}/")).unwrap();
+            d.add_link(member, p).unwrap();
+            d.remove_page(p).unwrap();
+        }
+        _ => {}
     }
     d
 }
@@ -216,6 +333,32 @@ proptest! {
                 prop_assert_eq!(row, g.out_links(doc));
             }
         }
+    }
+
+    /// The SiteLink counts `apply` maintains never drift from the links:
+    /// through a stream of every kind of mutation, the site layer equals a
+    /// walk over all links after each delta, after `compact_ids`, and after
+    /// a snapshot round trip of the compacted graph.
+    #[test]
+    fn maintained_site_counts_match_a_link_walk(seed in any::<u64>()) {
+        let mut g = small_campus(seed, 8, 300);
+        let mut step = xorshift(seed);
+        assert_site_layer_matches_walk(&g, "built");
+        for round in 0..40 {
+            g = g.apply(&mixed_delta(&g, &mut step, round)).unwrap().0;
+            assert_site_layer_matches_walk(&g, &format!("round {round}"));
+            if round % 10 == 9 {
+                let dense = g.compact_ids().0;
+                assert_site_layer_matches_walk(&dense, &format!("round {round}, compacted"));
+                let mut buf = Vec::new();
+                lmm_graph::io::write_snapshot(&dense, &mut buf).unwrap();
+                // (The reread graph interns sites in document order, so its
+                // site ids may differ from `dense`'s; its counts are its own.)
+                let read = lmm_graph::io::read_snapshot(buf.as_slice()).unwrap();
+                assert_site_layer_matches_walk(&read, &format!("round {round}, reread"));
+            }
+        }
+        prop_assert!(g.has_tombstones() && g.n_sites() > 8);
     }
 
     /// Zipf samples stay in range and low indices dominate on average.
