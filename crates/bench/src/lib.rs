@@ -1,8 +1,6 @@
-//! Experiment harness shared by the `exp_*` binaries and the Criterion
-//! benchmarks.
+//! Experiment harness shared by the `exp_*` binaries.
 //!
-//! Every table and figure of the paper maps to one binary (see DESIGN.md's
-//! experiment index):
+//! Every table and figure of the paper maps to one binary:
 //!
 //! | binary | experiment | paper artifact |
 //! |--------|------------|----------------|

@@ -41,8 +41,9 @@
 //!
 //! Scores cross the wire as IEEE-754 bit patterns, so a cluster answer
 //! is **bitwise identical** to the in-process tier's at the same epoch —
-//! `exp_cluster` in `lmm-bench` asserts exactly that, across live churn
-//! and a mid-run node kill.
+//! `tests/cluster_loopback.rs` asserts exactly that across live churn and
+//! a mid-run node kill, and `tests/chaos.rs` again under a seeded fault
+//! schedule with node kills and rejoins.
 //!
 //! [`SnapshotSegment`]: lmm_engine::SnapshotSegment
 

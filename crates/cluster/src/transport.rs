@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::retry::splitmix64;
 use crate::wire::{decode_message, encode_frame, Message, WireError, MAX_PAYLOAD};
 
 /// Transport-level failures, distinct from protocol-level [`WireError`]s
@@ -155,12 +156,12 @@ impl FaultPlan {
         let phase = if self.partition_period == 0 {
             0
         } else {
-            splitmix(lane ^ 0x0FF5_0FF5_0FF5_0FF5) % self.partition_period
+            (splitmix64(lane ^ 0x0FF5_0FF5_0FF5_0FF5) | 1) % self.partition_period
         };
         FaultInjector {
             plan: *self,
-            state: Mutex::new(splitmix(lane)),
-            recv_state: Mutex::new(splitmix(lane ^ 0xD1E5_E10F_ACE5_0FF5)),
+            state: Mutex::new(splitmix64(lane) | 1),
+            recv_state: Mutex::new(splitmix64(lane ^ 0xD1E5_E10F_ACE5_0FF5) | 1),
             frames: AtomicU64::new(phase),
         }
     }
@@ -182,14 +183,6 @@ pub struct FaultInjector {
     state: Mutex<u64>,
     recv_state: Mutex<u64>,
     frames: AtomicU64,
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) | 1
 }
 
 impl FaultInjector {

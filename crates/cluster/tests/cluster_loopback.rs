@@ -20,7 +20,7 @@ use lmm_graph::delta::GraphDelta;
 use lmm_graph::generator::CampusWebConfig;
 use lmm_graph::sharding::ShardMap;
 use lmm_graph::{DocGraph, DocId, SiteId};
-use lmm_serve::{ServeConfig, ShardQuery, ShardedServer, SwapGrade};
+use lmm_serve::{ServeConfig, ServeError, ShardQuery, ShardedServer, SwapGrade};
 
 fn campus(docs: usize, sites: usize) -> DocGraph {
     let mut cfg = CampusWebConfig::small();
@@ -203,9 +203,17 @@ fn cluster_matches_in_process_tier_across_churn() {
     // Re-publishing the identical rank epoch is an acknowledged no-op.
     assert!(controller.publish(&snapshot).unwrap().noop);
 
-    // Churn: publish to both tiers, compare after every flip.
+    // Churn: publish to both tiers, compare after every flip. The last
+    // step also retires a whole site and shrinks another, so removals
+    // cross the wire too.
+    let retired = SiteId(graph.n_sites() - 1);
     for step in 0..4 {
-        let delta = delta_for_step(&graph, step);
+        let mut delta = delta_for_step(&graph, step);
+        if step == 3 {
+            delta.remove_site(retired).unwrap();
+            let shrunk = graph.docs_of_site(SiteId(retired.index() - 1));
+            delta.remove_page(shrunk[shrunk.len() - 1]).unwrap();
+        }
         let (mutated, _) = graph.apply(&delta).unwrap();
         engine.apply_delta(&delta).unwrap();
         graph = mutated;
@@ -216,6 +224,14 @@ fn cluster_matches_in_process_tier_across_churn() {
         server.publish(&snapshot).unwrap();
         assert_parity(&client, &server, &snapshot, graph.n_docs(), graph.n_sites());
     }
+    assert!(matches!(
+        server.top_k_for_site(retired, 5),
+        Err(ServeError::TombstonedSite { .. })
+    ));
+    assert!(matches!(
+        client.top_k_for_site(retired, 5),
+        Err(ClusterError::Serve(ServeError::TombstonedSite { .. }))
+    ));
 
     // Trait object surface: the cluster client is a ShardQuery tier too.
     let tier: &dyn ShardQuery<Error = ClusterError> = &client;

@@ -14,7 +14,7 @@
 //! add the terms of added links and appended documents, subtract the terms
 //! of removed links. [`GraphFingerprint::compose`] is *exact* — it equals
 //! [`GraphFingerprint::of`] on the mutated graph bit for bit (a regression
-//! test replays `exp_churn`'s mutation stream to keep that true).
+//! test replays a growth-and-removal mutation stream to keep that true).
 //!
 //! The structural counts are compared exactly; the hash covers content, so
 //! a stale cache hit needs a 64-bit collision between same-shape graphs —
@@ -35,8 +35,11 @@ const P1: u64 = 0x8cb9_2ba7_2f3d_8dd7;
 const P2: u64 = 0xff51_afd7_ed55_8ccd;
 const P3: u64 = 0x2545_f491_4f6c_dd1d;
 
-/// SplitMix64 finalizer: a well-mixed bijection on 64-bit words.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer: a well-mixed bijection on 64-bit words. The one
+/// copy in the workspace; `lmm-cluster`'s retry jitter and fault streams
+/// are built on it.
+#[must_use]
+pub fn finalizer(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -47,12 +50,12 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Hash term of one document's site assignment.
 fn assign_term(doc: usize, site: usize) -> u64 {
-    splitmix64(ASSIGN_TAG ^ (doc as u64).wrapping_mul(P1) ^ (site as u64).wrapping_mul(P2))
+    finalizer(ASSIGN_TAG ^ (doc as u64).wrapping_mul(P1) ^ (site as u64).wrapping_mul(P2))
 }
 
 /// Hash term of one weighted edge.
 fn edge_term(src: usize, dst: usize, weight_bits: u64) -> u64 {
-    splitmix64(
+    finalizer(
         EDGE_TAG
             ^ (src as u64).wrapping_mul(P1)
             ^ (dst as u64).wrapping_mul(P2)

@@ -1,5 +1,5 @@
 //! Regression: the delta-composed [`GraphFingerprint`] must equal a
-//! from-scratch hash after **every** step of an `exp_churn`-shaped
+//! from-scratch hash after **every** step of a mixed churn
 //! mutation stream — the composition being exact is what lets
 //! `RankEngine::apply_delta` refresh its cache key in O(delta).
 
@@ -18,7 +18,7 @@ fn campus() -> DocGraph {
     cfg.generate().unwrap()
 }
 
-/// The same mixed churn shape `exp_churn` drives: every step rewires one
+/// A mixed churn shape: every step rewires one
 /// site internally; every 2nd grows a site; every 3rd adds a cross link;
 /// every 4th appends a whole new site.
 fn churn_delta(graph: &DocGraph, step: usize) -> GraphDelta {

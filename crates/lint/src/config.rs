@@ -43,7 +43,7 @@ pub struct LintConfig {
     /// follow product policy; `target/` is build output).
     pub skip_prefixes: &'static [&'static str],
     /// Path substrings excluded from every rule: integration-test and
-    /// bench-harness trees are test code even without `#[cfg(test)]`.
+    /// example trees are test code even without `#[cfg(test)]`.
     pub skip_contains: &'static [&'static str],
     /// Hot-path files: unannotated `unwrap`/`expect`/`panic!`-family
     /// macros are violations here (tests exempt).
@@ -60,11 +60,8 @@ pub struct LintConfig {
     /// Identifier suffixes allowed to use `Ordering::Relaxed` (the
     /// telemetry counter naming convention).
     pub relaxed_suffixes: &'static [&'static str],
-    /// Path prefixes exempt from the atomic-ordering audit: bench
-    /// drivers measure, they do not serve.
-    pub relaxed_exempt_prefixes: &'static [&'static str],
     /// Path prefixes inside the determinism fence: wall-clock time and
-    /// randomized hashing are banned (benches assert bitwise
+    /// randomized hashing are banned (tests assert bitwise
     /// reproducibility of these kernels).
     pub det_prefixes: &'static [&'static str],
     /// Tokens banned inside the fence.
@@ -81,7 +78,7 @@ pub fn workspace() -> LintConfig {
     LintConfig {
         scan_roots: &["crates", "src"],
         skip_prefixes: &["crates/shims/", "target/", "crates/lint/tests/fixtures/"],
-        skip_contains: &["/tests/", "/benches/", "/examples/"],
+        skip_contains: &["/tests/", "/examples/"],
         hot_path: &[
             "crates/serve/src/router.rs",
             "crates/serve/src/shard.rs",
@@ -185,7 +182,6 @@ pub fn workspace() -> LintConfig {
             "_expired",
             "_heartbeats",
         ],
-        relaxed_exempt_prefixes: &["crates/bench/"],
         det_prefixes: &[
             "crates/core/src/",
             "crates/linalg/src/",

@@ -97,13 +97,7 @@ pub fn check_file(
     if let Some(policy) = cfg.lock_free.iter().find(|p| p.file == rel) {
         out.extend(rules::locks::check_lock_free(file, rel, policy));
     }
-    if !cfg
-        .relaxed_exempt_prefixes
-        .iter()
-        .any(|p| rel.starts_with(p))
-    {
-        out.extend(rules::atomics::check(file, rel, cfg));
-    }
+    out.extend(rules::atomics::check(file, rel, cfg));
     if cfg.det_prefixes.iter().any(|p| rel.starts_with(p)) {
         out.extend(rules::det::check(file, rel, cfg));
     }

@@ -1,7 +1,7 @@
 //! Rule `nondet`: determinism fence.
 //!
 //! The ranking kernels (`core`, `linalg`, `rank`, `graph::delta`) claim
-//! bitwise-identical output at any thread count, and the benches assert
+//! bitwise-identical output at any thread count, and the tests assert
 //! it. Wall-clock reads (`Instant::now`, `SystemTime`) and randomized
 //! hashing (`RandomState`, the `HashMap::new` default) inside those
 //! crates either leak into results or into iteration order. Any use must

@@ -5,10 +5,9 @@
 //! the remote `lmm-cluster` client (shards on TCP nodes) answer the same
 //! five queries under the same epoch-consistency contract — every
 //! response carries exactly one epoch, and every value in it was read
-//! from that epoch's published snapshot. Harnesses that verify responses
-//! (the `exp_serve` / `exp_cluster` benches, the concurrency tests) are
-//! written against this trait, so the wire tier is held to bitwise parity
-//! with the local one.
+//! from that epoch's published snapshot. Both tiers implement this
+//! trait, and the cluster's loopback and chaos tests hold the wire tier to
+//! bitwise parity with the local one.
 
 use std::cmp::Ordering;
 
