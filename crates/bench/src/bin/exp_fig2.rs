@@ -10,8 +10,8 @@ use lmm_bench::{experiment_engine, section};
 use lmm_core::approaches::LmmParams;
 use lmm_core::global::phase_gatekeeper_distributions;
 use lmm_core::model::GlobalState;
+use lmm_core::verify_partition_theorem;
 use lmm_core::worked_example as we;
-use lmm_core::{verify_partition_theorem, LmmError};
 use lmm_linalg::{power::stationary_distribution, PowerOptions};
 use lmm_rank::pagerank::PageRank;
 
@@ -32,7 +32,7 @@ fn print_vs(name: &str, ours: &[f64], paper: &[f64]) {
     println!("  (max diff {max_diff:.1e})");
 }
 
-fn main() -> Result<(), LmmError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = we::paper_model()?;
     let alpha = we::PAPER_ALPHA;
     let opts = PowerOptions::default();
@@ -97,7 +97,7 @@ fn main() -> Result<(), LmmError> {
     cfg.total_docs = 500;
     cfg.n_sites = 10;
     cfg.spam_farms.clear();
-    let graph = cfg.generate().map_err(lmm_core::LmmError::Graph)?;
+    let graph = cfg.generate()?;
     let engine_check = (|| -> Result<(), lmm_engine::EngineError> {
         let mut a2 = experiment_engine(lmm_engine::BackendSpec::CentralizedStationary)?;
         a2.rank(&graph)?;

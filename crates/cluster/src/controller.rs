@@ -89,7 +89,7 @@ pub struct ControllerConfig {
     /// Read/write/connect timeout on every controller connection.
     pub io_timeout: Duration,
     /// Evict-and-reassign automatically from the monitor thread. Tests
-    /// that want to drive failover by hand can turn this off.
+    /// that need placements to hold through missed beats turn this off.
     pub auto_failover: bool,
     /// Retry discipline shared by publish machinery: per-node stage and
     /// commit calls retry transient transport faults (with a tight
@@ -426,17 +426,6 @@ impl ClusterController {
             }
         }
         self.inner.publish_locked(snapshot)
-    }
-
-    /// Evicts dead placements and republishes the pinned snapshot under a
-    /// bumped cluster epoch. Called automatically by the monitor when
-    /// `auto_failover` is on; public so tests and operators can force it.
-    ///
-    /// # Errors
-    /// [`ClusterError::NoNodes`] when no survivors remain;
-    /// [`ClusterError::NotPublished`] before any publish.
-    pub fn failover(&self) -> Result<ClusterPublishReport> {
-        self.inner.failover()
     }
 
     /// Gathers cluster-wide statistics, asking every node for its

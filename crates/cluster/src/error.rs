@@ -159,12 +159,6 @@ impl StdError for ClusterError {
     }
 }
 
-impl From<WireError> for ClusterError {
-    fn from(e: WireError) -> Self {
-        ClusterError::Wire(e)
-    }
-}
-
 impl From<ServeError> for ClusterError {
     fn from(e: ServeError) -> Self {
         ClusterError::Serve(e)

@@ -69,8 +69,8 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// A policy that never retries — for callers that want exactly one
     /// attempt but share the code path.
-    #[must_use]
-    pub fn none() -> Self {
+    #[cfg(test)]
+    fn none() -> Self {
         Self {
             max_attempts: 0,
             ..Self::default()
@@ -83,7 +83,7 @@ impl RetryPolicy {
     /// jittered step is deterministic in `[raw/2, raw]` so concurrent
     /// retriers with distinct salts spread out instead of stampeding.
     #[must_use]
-    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
+    fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = attempt.min(20); // past 2^20 the cap has long since won
         let raw = self
             .base
@@ -124,7 +124,7 @@ impl RetrySchedule {
     /// The next backoff delay, or `None` when the budget is exhausted —
     /// either `max_attempts` delays were already granted or sleeping the
     /// next step would cross the per-op deadline.
-    pub fn next_delay(&mut self) -> Option<Duration> {
+    fn next_delay(&mut self) -> Option<Duration> {
         if self.attempt >= self.policy.max_attempts {
             return None;
         }

@@ -46,27 +46,6 @@ impl RankApproach {
         RankApproach::LayeredWithPageRankSite,
         RankApproach::Layered,
     ];
-
-    /// Whether the approach requires materializing/iterating the global
-    /// chain (`true`) or composes per-layer vectors (`false`).
-    #[must_use]
-    pub fn is_centralized(self) -> bool {
-        matches!(
-            self,
-            RankApproach::PageRankOnGlobal | RankApproach::StationaryOfGlobal
-        )
-    }
-
-    /// The paper's approach number (1–4).
-    #[must_use]
-    pub fn number(self) -> usize {
-        match self {
-            RankApproach::PageRankOnGlobal => 1,
-            RankApproach::StationaryOfGlobal => 2,
-            RankApproach::LayeredWithPageRankSite => 3,
-            RankApproach::Layered => 4,
-        }
-    }
 }
 
 impl std::fmt::Display for RankApproach {
@@ -496,9 +475,6 @@ mod tests {
 
     #[test]
     fn approach_metadata() {
-        assert!(RankApproach::PageRankOnGlobal.is_centralized());
-        assert!(!RankApproach::Layered.is_centralized());
-        assert_eq!(RankApproach::Layered.number(), 4);
         assert!(RankApproach::Layered.to_string().contains("Layered"));
     }
 

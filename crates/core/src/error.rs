@@ -3,7 +3,6 @@
 use std::error::Error as StdError;
 use std::fmt;
 
-use lmm_graph::GraphError;
 use lmm_linalg::LinalgError;
 use lmm_rank::RankError;
 
@@ -38,8 +37,6 @@ pub enum LmmError {
     Linalg(LinalgError),
     /// Underlying ranking failure (PageRank / gatekeeper).
     Rank(RankError),
-    /// Underlying graph failure (DocGraph / SiteGraph pipeline).
-    Graph(GraphError),
 }
 
 impl fmt::Display for LmmError {
@@ -59,7 +56,6 @@ impl fmt::Display for LmmError {
             }
             LmmError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             LmmError::Rank(e) => write!(f, "ranking error: {e}"),
-            LmmError::Graph(e) => write!(f, "graph error: {e}"),
         }
     }
 }
@@ -69,7 +65,6 @@ impl StdError for LmmError {
         match self {
             LmmError::Linalg(e) => Some(e),
             LmmError::Rank(e) => Some(e),
-            LmmError::Graph(e) => Some(e),
             _ => None,
         }
     }
@@ -84,12 +79,6 @@ impl From<LinalgError> for LmmError {
 impl From<RankError> for LmmError {
     fn from(e: RankError) -> Self {
         LmmError::Rank(e)
-    }
-}
-
-impl From<GraphError> for LmmError {
-    fn from(e: GraphError) -> Self {
-        LmmError::Graph(e)
     }
 }
 

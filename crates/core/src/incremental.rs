@@ -30,11 +30,10 @@
 //! shrinkage, resurrection, and re-partitions), and [`SiteDelta::from`]
 //! converts the [`lmm_graph::delta::AppliedDelta`] summary that
 //! [`lmm_graph::DocGraph::apply`] reports — the zero-diff path used by the
-//! engine's `apply_delta`. [`remap_result`] carries a layered result
-//! across an explicit [`DocGraph::compact_ids`] densification, so
-//! surviving sites warm-start straight through the
-//! [`IdRemap`]. The tests verify every pipeline
-//! reproduces a from-scratch recomputation.
+//! engine's `apply_delta`. The tests verify every pipeline reproduces a
+//! from-scratch recomputation, and carry results across an explicit
+//! [`DocGraph::compact_ids`] densification to check that removals leave
+//! no drift.
 
 use std::sync::Arc;
 
@@ -46,6 +45,7 @@ use crate::siterank::{
 use lmm_graph::delta::AppliedDelta;
 use lmm_graph::docgraph::DocGraph;
 use lmm_graph::ids::SiteId;
+#[cfg(test)]
 use lmm_graph::remap::IdRemap;
 use lmm_linalg::{power_method_pool, vec_ops, StationaryOperator, StochasticMatrix};
 use lmm_par::ThreadPool;
@@ -711,7 +711,8 @@ pub fn refresh(
 /// Returns [`LmmError::InvalidModel`] when the remap's old shape does not
 /// match `previous`, or when a dropped slot still carried rank mass (the
 /// remap belongs to a different graph state).
-pub fn remap_result(previous: &LayeredDocRank, remap: &IdRemap) -> Result<LayeredDocRank> {
+#[cfg(test)]
+fn remap_result(previous: &LayeredDocRank, remap: &IdRemap) -> Result<LayeredDocRank> {
     if previous.site_rank.len() != remap.n_old_sites()
         || previous.global.len() != remap.n_old_docs()
     {

@@ -185,12 +185,6 @@ impl LayeredMarkovModel {
         &self.y
     }
 
-    /// The phase-layer initial distribution `v_Y`.
-    #[must_use]
-    pub fn phase_initial(&self) -> &[f64] {
-        &self.vy
-    }
-
     /// The phases in index order.
     #[must_use]
     pub fn phases(&self) -> &[PhaseModel] {
@@ -320,7 +314,6 @@ mod tests {
     #[test]
     fn default_initial_distributions_are_uniform() {
         let m = tiny_model();
-        assert_eq!(m.phase_initial(), &[0.5, 0.5]);
         assert_eq!(m.phase(1).unwrap().initial(), &[1.0 / 3.0; 3]);
     }
 

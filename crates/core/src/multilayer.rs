@@ -145,12 +145,6 @@ pub enum TopLevelMethod {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalModel {
     root: HierarchyNode,
-    power: PowerOptions,
-    /// Worker threads for the fan-out over the root's children (`0` = one
-    /// per available core). Each child's local ranking is computed
-    /// serially in its own slot, so the composed ranking is identical for
-    /// every value.
-    threads: usize,
 }
 
 impl HierarchicalModel {
@@ -160,27 +154,7 @@ impl HierarchicalModel {
     /// Returns [`LmmError::InvalidModel`] for structural inconsistencies.
     pub fn new(root: HierarchyNode) -> Result<Self> {
         root.validate()?;
-        Ok(Self {
-            root,
-            power: PowerOptions::with_tol(1e-12),
-            threads: 0,
-        })
-    }
-
-    /// Overrides the power-method options used by every layer.
-    #[must_use]
-    pub fn with_power_options(mut self, power: PowerOptions) -> Self {
-        self.power = power;
-        self
-    }
-
-    /// Sets the worker-thread count for the per-child fan-out (`0` = one
-    /// per available core, the default; the ranking is identical for
-    /// every value).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+        Ok(Self { root })
     }
 
     /// The hierarchy root.
@@ -213,9 +187,13 @@ impl HierarchicalModel {
             (HierarchyNode::Leaf { transition }, _) => {
                 // A flat chain: its "ranking" is the gatekeeper distribution
                 // itself.
-                return Ok(
-                    gatekeeper_distribution(transition, alpha, None, &self.power)?.distribution,
-                );
+                return Ok(gatekeeper_distribution(
+                    transition,
+                    alpha,
+                    None,
+                    &PowerOptions::default(),
+                )?
+                .distribution);
             }
             (HierarchyNode::Internal { transition, .. }, TopLevelMethod::Stationary) => {
                 let report = structure::analyze(transition.matrix())?;
@@ -225,23 +203,25 @@ impl HierarchicalModel {
                         period: report.period.unwrap_or(0),
                     });
                 }
-                stationary_distribution(transition.matrix(), &self.power)?.0
+                stationary_distribution(transition.matrix(), &PowerOptions::default())?.0
             }
             (HierarchyNode::Internal { transition, .. }, TopLevelMethod::PageRank) => {
-                let mut pr = PageRank::new();
-                pr.damping(alpha)
-                    .tol(self.power.tol)
-                    .max_iters(self.power.max_iters);
-                pr.run(transition)?.ranking.into_scores()
+                PageRank::new()
+                    .damping(alpha)
+                    .run(transition)?
+                    .ranking
+                    .into_scores()
             }
         };
         let HierarchyNode::Internal { children, .. } = &self.root else {
             unreachable!("leaf case returned above")
         };
         // The children's local rankings are independent — fan them across
-        // the pool and concatenate in child order.
-        let pool = lmm_par::ThreadPool::shared(self.threads);
-        let locals = pool.par_map(children, |_, child| local_rank(child, alpha, &self.power));
+        // one worker per core and concatenate in child order. Each child is
+        // ranked serially in its own slot, so the composition is identical
+        // for every core count.
+        let pool = lmm_par::ThreadPool::shared(0);
+        let locals = pool.par_map(children, |_, child| local_rank(child, alpha));
         let mut scores = Vec::with_capacity(self.total_states());
         for (local, &w) in locals.into_iter().zip(&weights) {
             let local = local?;
@@ -253,21 +233,22 @@ impl HierarchicalModel {
 
 /// Local ranking of a non-root subtree: gatekeeper (PageRank) weighting at
 /// every internal level, gatekeeper distributions at the leaves.
-fn local_rank(node: &HierarchyNode, alpha: f64, power: &PowerOptions) -> Result<Ranking> {
+fn local_rank(node: &HierarchyNode, alpha: f64) -> Result<Ranking> {
     match node {
         HierarchyNode::Leaf { transition } => {
-            Ok(gatekeeper_distribution(transition, alpha, None, power)?.distribution)
+            Ok(
+                gatekeeper_distribution(transition, alpha, None, &PowerOptions::default())?
+                    .distribution,
+            )
         }
         HierarchyNode::Internal {
             transition,
             children,
         } => {
-            let mut pr = PageRank::new();
-            pr.damping(alpha).tol(power.tol).max_iters(power.max_iters);
-            let weights = pr.run(transition)?.ranking;
+            let weights = PageRank::new().damping(alpha).run(transition)?.ranking;
             let mut scores = Vec::with_capacity(node.total_states());
             for (child, &w) in children.iter().zip(weights.scores()) {
-                let local = local_rank(child, alpha, power)?;
+                let local = local_rank(child, alpha)?;
                 scores.extend(local.scores().iter().map(|&p| w * p));
             }
             Ok(Ranking::from_scores(scores)?)
@@ -291,8 +272,6 @@ pub fn from_two_layer(model: &LayeredMarkovModel) -> HierarchicalModel {
             transition: model.phase_matrix().clone(),
             children,
         },
-        power: PowerOptions::with_tol(1e-12),
-        threads: 0,
     }
 }
 

@@ -136,22 +136,6 @@ pub fn uniform(n: usize) -> Result<Vec<f64>> {
     Ok(vec_ops::uniform(n))
 }
 
-/// A distribution fully concentrated on one index (maximal
-/// personalization).
-///
-/// # Errors
-/// Returns [`LmmError::InvalidModel`] when `index >= n`.
-pub fn concentrated(n: usize, index: usize) -> Result<Vec<f64>> {
-    if index >= n {
-        return Err(LmmError::InvalidModel {
-            reason: format!("index {index} out of range for {n} items"),
-        });
-    }
-    let mut v = vec![0.0; n];
-    v[index] = 1.0;
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +197,5 @@ mod tests {
     fn helpers() {
         assert_eq!(uniform(2).unwrap(), vec![0.5, 0.5]);
         assert!(uniform(0).is_err());
-        assert_eq!(concentrated(3, 1).unwrap(), vec![0.0, 1.0, 0.0]);
-        assert!(concentrated(3, 3).is_err());
     }
 }

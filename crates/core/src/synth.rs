@@ -19,7 +19,7 @@ use lmm_linalg::{CooMatrix, DenseMatrix, StochasticMatrix};
 /// # Panics
 /// Panics if `n == 0`.
 #[must_use]
-pub fn random_positive_stochastic(n: usize, rng: &mut StdRng) -> StochasticMatrix {
+fn random_positive_stochastic(n: usize, rng: &mut StdRng) -> StochasticMatrix {
     assert!(n > 0, "matrix must be non-empty");
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
@@ -40,7 +40,7 @@ pub fn random_positive_stochastic(n: usize, rng: &mut StdRng) -> StochasticMatri
 /// # Panics
 /// Panics if `n == 0`.
 #[must_use]
-pub fn random_sparse_stochastic(n: usize, out_degree: usize, rng: &mut StdRng) -> StochasticMatrix {
+fn random_sparse_stochastic(n: usize, out_degree: usize, rng: &mut StdRng) -> StochasticMatrix {
     assert!(n > 0, "matrix must be non-empty");
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {

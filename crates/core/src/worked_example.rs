@@ -12,10 +12,10 @@ use crate::model::{LayeredMarkovModel, PhaseModel};
 use lmm_linalg::{DenseMatrix, StochasticMatrix};
 
 /// The phase transition matrix `Y` (3 phases).
-pub const Y: [[f64; 3]; 3] = [[0.1, 0.3, 0.6], [0.2, 0.4, 0.4], [0.3, 0.5, 0.2]];
+const Y: [[f64; 3]; 3] = [[0.1, 0.3, 0.6], [0.2, 0.4, 0.4], [0.3, 0.5, 0.2]];
 
 /// Sub-state transition matrix `U1` of phase I (4 sub-states).
-pub const U1: [[f64; 4]; 4] = [
+const U1: [[f64; 4]; 4] = [
     [0.3, 0.3, 0.2, 0.2],
     [0.5, 0.1, 0.1, 0.3],
     [0.1, 0.2, 0.6, 0.1],
@@ -23,10 +23,10 @@ pub const U1: [[f64; 4]; 4] = [
 ];
 
 /// Sub-state transition matrix `U2` of phase II (3 sub-states).
-pub const U2: [[f64; 3]; 3] = [[0.2, 0.1, 0.7], [0.1, 0.8, 0.1], [0.05, 0.05, 0.9]];
+const U2: [[f64; 3]; 3] = [[0.2, 0.1, 0.7], [0.1, 0.8, 0.1], [0.05, 0.05, 0.9]];
 
 /// Sub-state transition matrix `U3` of phase III (5 sub-states).
-pub const U3: [[f64; 5]; 5] = [
+const U3: [[f64; 5]; 5] = [
     [0.6, 0.02, 0.2, 0.1, 0.08],
     [0.05, 0.2, 0.5, 0.05, 0.2],
     [0.4, 0.1, 0.2, 0.1, 0.2],

@@ -15,17 +15,6 @@ use crate::docgraph::{DocGraph, DocGraphBuilder};
 use crate::error::{GraphError, Result};
 use crate::ids::DocId;
 
-/// Frontier discipline of the crawler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CrawlStrategy {
-    /// Breadth-first (the typical polite-crawler order; what the paper's
-    /// crawl approximates).
-    #[default]
-    BreadthFirst,
-    /// Depth-first (explores deep paths early; used as a contrast case).
-    DepthFirst,
-}
-
 /// Crawl parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawlConfig {
@@ -33,8 +22,6 @@ pub struct CrawlConfig {
     pub seeds: Vec<DocId>,
     /// Stop after visiting this many pages.
     pub max_pages: usize,
-    /// Frontier discipline.
-    pub strategy: CrawlStrategy,
 }
 
 impl CrawlConfig {
@@ -44,7 +31,6 @@ impl CrawlConfig {
         Self {
             seeds: vec![seed],
             max_pages,
-            strategy: CrawlStrategy::BreadthFirst,
         }
     }
 }
@@ -70,7 +56,8 @@ impl CrawlResult {
     }
 }
 
-/// Simulates a crawl of `source`, following links from the seeds until
+/// Simulates a breadth-first crawl of `source` (the polite-crawler order
+/// the paper's crawl approximates), following links from the seeds until
 /// `max_pages` pages have been fetched (or the frontier empties).
 ///
 /// # Errors
@@ -107,10 +94,7 @@ pub fn crawl(source: &DocGraph, config: &CrawlConfig) -> Result<CrawlResult> {
     // `visited_mark` doubles as the "enqueued" marker, so the budget counts
     // fetched pages exactly once.
     while visited.len() < config.max_pages {
-        let Some(doc) = (match config.strategy {
-            CrawlStrategy::BreadthFirst => frontier.pop_front(),
-            CrawlStrategy::DepthFirst => frontier.pop_back(),
-        }) else {
+        let Some(doc) = frontier.pop_front() else {
             break;
         };
         visited.push(doc);
@@ -221,21 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn dfs_differs_from_bfs() {
-        let g = campus();
-        let bfs = crawl(&g, &CrawlConfig::from_seed(DocId(0), 120)).unwrap();
-        let dfs = crawl(
-            &g,
-            &CrawlConfig {
-                strategy: CrawlStrategy::DepthFirst,
-                ..CrawlConfig::from_seed(DocId(0), 120)
-            },
-        )
-        .unwrap();
-        assert_ne!(bfs.visited, dfs.visited);
-    }
-
-    #[test]
     fn multiple_seeds_union() {
         let g = campus();
         let far_seed = g.docs_of_site(SiteId(9))[0];
@@ -244,7 +213,6 @@ mod tests {
             &CrawlConfig {
                 seeds: vec![DocId(0), far_seed],
                 max_pages: 10,
-                strategy: CrawlStrategy::BreadthFirst,
             },
         )
         .unwrap();
@@ -260,7 +228,6 @@ mod tests {
             &CrawlConfig {
                 seeds: vec![],
                 max_pages: 5,
-                strategy: CrawlStrategy::BreadthFirst
             }
         )
         .is_err());

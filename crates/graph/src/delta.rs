@@ -1,4 +1,4 @@
-//! Structural graph deltas: validated, composable mutations of a
+//! Structural graph deltas: validated mutations of a
 //! [`DocGraph`] — growth **and** shrinkage.
 //!
 //! The paper's Section 1.2 motivates the layered decomposition with the
@@ -28,12 +28,8 @@
 //! member list. Densifying the id space is the *explicit*
 //! [`DocGraph::compact_ids`] maintenance step, which returns the old→new
 //! [`IdRemap`](crate::remap::IdRemap).
-//!
-//! Deltas **compose**: [`GraphDelta::merge`] appends a delta built against
-//! the shape this delta produces, and applying the merged delta equals
-//! applying the two in sequence.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use crate::docgraph::{DocGraph, LinkBlock, PageKind};
@@ -56,8 +52,7 @@ struct NewPage {
     kind: PageKind,
 }
 
-/// A validated, composable set of structural mutations against one base
-/// graph shape.
+/// A validated set of structural mutations against one base graph shape.
 ///
 /// Create one with [`GraphDelta::for_graph`]; ids handed out by
 /// [`add_site`](GraphDelta::add_site) / [`add_page`](GraphDelta::add_page)
@@ -110,9 +105,8 @@ impl GraphDelta {
     }
 
     /// Starts an empty delta against an explicit `(n_docs, n_sites)` base
-    /// shape (useful when the base graph lives elsewhere, e.g. on a peer).
-    #[must_use]
-    pub fn for_shape(base_docs: usize, base_sites: usize) -> Self {
+    /// shape.
+    fn for_shape(base_docs: usize, base_sites: usize) -> Self {
         Self {
             base_docs,
             base_sites,
@@ -124,22 +118,14 @@ impl GraphDelta {
         }
     }
 
-    /// The base shape this delta must be applied to.
-    #[must_use]
-    pub fn base_shape(&self) -> (usize, usize) {
-        (self.base_docs, self.base_sites)
-    }
-
     /// Document slots in the graph this delta produces (tombstoned slots
     /// included — removal never shrinks the id space).
-    #[must_use]
-    pub fn result_docs(&self) -> usize {
+    fn result_docs(&self) -> usize {
         self.base_docs + self.new_pages.len()
     }
 
     /// Site slots in the graph this delta produces.
-    #[must_use]
-    pub fn result_sites(&self) -> usize {
+    fn result_sites(&self) -> usize {
         self.base_sites + self.new_sites.len()
     }
 
@@ -165,34 +151,6 @@ impl GraphDelta {
         self.new_sites.len()
     }
 
-    /// Number of explicitly removed pages (pages of removed sites are
-    /// implicit and not counted here).
-    #[must_use]
-    pub fn n_removed_pages(&self) -> usize {
-        self.removed_pages.len()
-    }
-
-    /// Number of removed sites.
-    #[must_use]
-    pub fn n_removed_sites(&self) -> usize {
-        self.removed_sites.len()
-    }
-
-    /// Number of recorded link additions.
-    #[must_use]
-    pub fn n_added_links(&self) -> usize {
-        self.link_ops
-            .iter()
-            .filter(|op| matches!(op, LinkOp::Add(..)))
-            .count()
-    }
-
-    /// Number of recorded link removals.
-    #[must_use]
-    pub fn n_removed_links(&self) -> usize {
-        self.link_ops.len() - self.n_added_links()
-    }
-
     /// Declares a new site, returning the id it will have after `apply`.
     /// The site must receive at least one page before the delta is applied.
     pub fn add_site(&mut self, name: &str) -> SiteId {
@@ -214,7 +172,7 @@ impl GraphDelta {
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidDelta`] for an unknown site.
-    pub fn add_page_with_kind(&mut self, site: SiteId, url: &str, kind: PageKind) -> Result<DocId> {
+    fn add_page_with_kind(&mut self, site: SiteId, url: &str, kind: PageKind) -> Result<DocId> {
         if site.index() >= self.result_sites() {
             return Err(GraphError::InvalidDelta {
                 reason: format!(
@@ -315,194 +273,6 @@ impl GraphDelta {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Collapses churn:
-    ///
-    /// * for every `(from, to)` pair only the **last** recorded link op
-    ///   survives (link ops have set semantics, so a pair's final presence
-    ///   depends only on its last op);
-    /// * link ops touching a removed page are dropped (the dead row/column
-    ///   makes them no-ops);
-    /// * **add-then-remove pairs cancel to nothing**: a page (or whole
-    ///   site) that this delta both adds and removes is dropped from the
-    ///   delta entirely, and later additions are renumbered down to fill
-    ///   the gap.
-    ///
-    /// For deltas without cancelled additions this is exact bit for bit:
-    /// `apply(compact())` equals `apply(self)`, induced summary included.
-    /// When additions are cancelled, the compacted delta produces a graph
-    /// without the short-lived dead slots, so equivalence holds *up to
-    /// densification*: `apply(self).0.compact_ids().0 ==
-    /// apply(compact()).0.compact_ids().0`, and every ranking-relevant
-    /// summary set over pre-existing sites is identical.
-    #[must_use]
-    pub fn compact(&self) -> GraphDelta {
-        // Cancelled additions: pages/sites this delta both adds and removes
-        // (pages of cancelled sites are implicitly cancelled).
-        let cancelled_sites: BTreeSet<usize> = self
-            .removed_sites
-            .iter()
-            .copied()
-            .filter(|&s| s >= self.base_sites)
-            .collect();
-        let mut cancelled_pages: BTreeSet<usize> = self
-            .removed_pages
-            .iter()
-            .copied()
-            .filter(|&d| d >= self.base_docs)
-            .collect();
-        for (k, page) in self.new_pages.iter().enumerate() {
-            if cancelled_sites.contains(&page.site.index()) {
-                cancelled_pages.insert(self.base_docs + k);
-            }
-        }
-
-        // Renumber surviving additions down past the cancelled ones.
-        let mut page_map: HashMap<usize, usize> = HashMap::new();
-        let mut next_doc = self.base_docs;
-        let mut new_pages = Vec::with_capacity(self.new_pages.len());
-        let mut kept_pages: Vec<&NewPage> = Vec::new();
-        for (k, page) in self.new_pages.iter().enumerate() {
-            let old = self.base_docs + k;
-            if cancelled_pages.contains(&old) {
-                continue;
-            }
-            page_map.insert(old, next_doc);
-            next_doc += 1;
-            kept_pages.push(page);
-        }
-        let mut site_map: HashMap<usize, usize> = HashMap::new();
-        let mut next_site = self.base_sites;
-        let mut new_sites = Vec::with_capacity(self.new_sites.len());
-        for (k, name) in self.new_sites.iter().enumerate() {
-            let old = self.base_sites + k;
-            if cancelled_sites.contains(&old) {
-                continue;
-            }
-            site_map.insert(old, next_site);
-            next_site += 1;
-            new_sites.push(name.clone());
-        }
-        let map_doc = |d: DocId| -> DocId {
-            if d.index() < self.base_docs {
-                d
-            } else {
-                DocId(page_map[&d.index()])
-            }
-        };
-        for page in kept_pages {
-            let site = if page.site.index() < self.base_sites {
-                page.site
-            } else {
-                SiteId(site_map[&page.site.index()])
-            };
-            new_pages.push(NewPage {
-                site,
-                url: page.url.clone(),
-                kind: page.kind,
-            });
-        }
-
-        // Drop ops on removed pages (no-ops on dead rows/columns), then keep
-        // only the last op per pair — earlier ops are superseded.
-        let dead_endpoint = |d: DocId| {
-            cancelled_pages.contains(&d.index()) || self.removed_pages.contains(&d.index())
-        };
-        let kept_ops: Vec<LinkOp> = self
-            .link_ops
-            .iter()
-            .filter(|op| {
-                let (LinkOp::Add(from, to) | LinkOp::Remove(from, to)) = **op;
-                !dead_endpoint(from) && !dead_endpoint(to)
-            })
-            .map(|op| match *op {
-                LinkOp::Add(from, to) => LinkOp::Add(map_doc(from), map_doc(to)),
-                LinkOp::Remove(from, to) => LinkOp::Remove(map_doc(from), map_doc(to)),
-            })
-            .collect();
-        let mut last: HashMap<(DocId, DocId), usize> = HashMap::new();
-        for (i, op) in kept_ops.iter().enumerate() {
-            let (LinkOp::Add(from, to) | LinkOp::Remove(from, to)) = *op;
-            last.insert((from, to), i);
-        }
-        let link_ops = kept_ops
-            .iter()
-            .enumerate()
-            .filter(|(i, op)| {
-                let (LinkOp::Add(from, to) | LinkOp::Remove(from, to)) = **op;
-                last[&(from, to)] == *i
-            })
-            .map(|(_, op)| *op)
-            .collect();
-
-        GraphDelta {
-            base_docs: self.base_docs,
-            base_sites: self.base_sites,
-            new_sites,
-            new_pages,
-            link_ops,
-            removed_pages: self
-                .removed_pages
-                .iter()
-                .copied()
-                .filter(|&d| d < self.base_docs)
-                .collect(),
-            removed_sites: self
-                .removed_sites
-                .iter()
-                .copied()
-                .filter(|&s| s < self.base_sites)
-                .collect(),
-        }
-    }
-
-    /// Appends `next` — a delta built against the shape *this* delta
-    /// produces — so that applying the merged delta equals applying the two
-    /// in sequence.
-    ///
-    /// # Errors
-    /// Returns [`GraphError::InvalidDelta`] when `next`'s base shape does
-    /// not match this delta's resulting shape, or when `next` removes a
-    /// page or site this delta already removed (the sequential application
-    /// would reject the double removal).
-    pub fn merge(&mut self, next: GraphDelta) -> Result<()> {
-        if next.base_docs != self.result_docs() || next.base_sites != self.result_sites() {
-            return Err(GraphError::InvalidDelta {
-                reason: format!(
-                    "cannot merge: next delta expects base {}x{} (docs x sites), \
-                     this delta produces {}x{}",
-                    next.base_docs,
-                    next.base_sites,
-                    self.result_docs(),
-                    self.result_sites()
-                ),
-            });
-        }
-        if let Some(&d) = next
-            .removed_pages
-            .iter()
-            .find(|d| self.removed_pages.contains(d))
-        {
-            return Err(GraphError::InvalidDelta {
-                reason: format!("cannot merge: page {d} is removed by both deltas"),
-            });
-        }
-        if let Some(&s) = next
-            .removed_sites
-            .iter()
-            .find(|s| self.removed_sites.contains(s))
-        {
-            return Err(GraphError::InvalidDelta {
-                reason: format!("cannot merge: site {s} is removed by both deltas"),
-            });
-        }
-        self.new_sites.extend(next.new_sites);
-        self.new_pages.extend(next.new_pages);
-        self.link_ops.extend(next.link_ops);
-        self.removed_pages.extend(next.removed_pages);
-        self.removed_sites.extend(next.removed_sites);
         Ok(())
     }
 
@@ -678,9 +448,9 @@ impl DocGraph {
                         reason: format!("page {d} is already tombstoned"),
                     });
                 }
-                // Strict so merge ≡ sequential: removing a base page whose
-                // whole site this delta also removes would succeed merged
-                // but fail replayed (the site removal tombstones it first).
+                // Strict so one delta ≡ the same edits in sequence: removing
+                // a base page whose whole site this delta also removes would
+                // fail replayed (the site removal tombstones it first).
                 let s = self.site_of(DocId(d)).index();
                 if delta.removed_sites.contains(&s) {
                     return Err(GraphError::InvalidDelta {
@@ -1199,42 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential_application() {
-        let g = base();
-        let mut d1 = GraphDelta::for_graph(&g);
-        let p = d1.add_page(SiteId(1), "http://b.org/2").unwrap();
-        d1.add_link(DocId(3), p).unwrap();
-        let (mid, _) = g.apply(&d1).unwrap();
-
-        let mut d2 = GraphDelta::for_graph(&mid);
-        let s = d2.add_site("c.org");
-        let c0 = d2.add_page(s, "http://c.org/").unwrap();
-        d2.add_link(p, c0).unwrap();
-        d2.add_link(c0, DocId(0)).unwrap();
-        d2.remove_link(DocId(3), p).unwrap();
-        let (seq, _) = mid.apply(&d2).unwrap();
-
-        let mut merged = d1.clone();
-        merged.merge(d2).unwrap();
-        let (one_shot, _) = g.apply(&merged).unwrap();
-        assert_eq!(seq, one_shot);
-    }
-
-    #[test]
-    fn merge_rejects_shape_mismatch() {
-        let g = base();
-        let mut d1 = GraphDelta::for_graph(&g);
-        d1.add_page(SiteId(0), "http://a.org/x").unwrap();
-        // d2 built against the *base* shape, not d1's result shape.
-        let d2 = GraphDelta::for_graph(&g);
-        let mut merged = d1;
-        assert!(matches!(
-            merged.merge(d2),
-            Err(GraphError::InvalidDelta { .. })
-        ));
-    }
-
-    #[test]
     fn apply_rejects_wrong_base_shape() {
         let g = base();
         let mut d = GraphDelta::for_graph(&g);
@@ -1281,8 +1015,6 @@ mod tests {
         // A link to a page added by the delta itself is fine.
         let p = d.add_page(SiteId(0), "http://a.org/x").unwrap();
         d.add_link(DocId(0), p).unwrap();
-        assert_eq!(d.n_added_links(), 1);
-        assert_eq!(d.n_removed_links(), 0);
         assert_eq!(d.n_new_pages(), 1);
         assert_eq!(d.n_new_sites(), 0);
     }
@@ -1328,50 +1060,6 @@ mod tests {
         assert!(applied.is_empty(), "ranking-relevant summary is empty");
         assert_eq!(applied.links_added, vec![(DocId(1), DocId(4))]);
         assert_eq!(applied.links_removed, vec![(DocId(2), DocId(3))]);
-    }
-
-    #[test]
-    fn compact_collapses_per_pair_churn() {
-        let g = base();
-        let mut d = GraphDelta::for_graph(&g);
-        // Churn one pair five times (net: removed), flip another back and
-        // forth (net: added), and keep an untouched single op.
-        for _ in 0..2 {
-            d.add_link(DocId(0), DocId(1)).unwrap();
-            d.remove_link(DocId(0), DocId(1)).unwrap();
-        }
-        d.remove_link(DocId(0), DocId(1)).unwrap();
-        d.remove_link(DocId(1), DocId(2)).unwrap();
-        d.add_link(DocId(1), DocId(2)).unwrap();
-        d.add_link(DocId(4), DocId(2)).unwrap();
-        let compacted = d.compact();
-        assert_eq!(compacted.link_ops.len(), 3, "one op per touched pair");
-        let (seq, seq_applied) = g.apply(&d).unwrap();
-        let (one, one_applied) = g.apply(&compacted).unwrap();
-        assert_eq!(seq, one);
-        assert_eq!(seq_applied, one_applied);
-        // Pages/sites/ids are untouched by compaction.
-        assert_eq!(compacted.base_shape(), d.base_shape());
-        assert_eq!(compacted.n_new_pages(), d.n_new_pages());
-    }
-
-    #[test]
-    fn compact_preserves_ids_of_added_pages() {
-        let g = base();
-        let mut d = GraphDelta::for_graph(&g);
-        let p = d.add_page(SiteId(0), "http://a.org/p").unwrap();
-        d.add_link(DocId(0), p).unwrap();
-        d.remove_link(DocId(0), p).unwrap();
-        d.add_link(DocId(0), p).unwrap();
-        let s = d.add_site("c.org");
-        let c = d.add_page(s, "http://c.org/").unwrap();
-        d.add_link(p, c).unwrap();
-        let compacted = d.compact();
-        let (seq, _) = g.apply(&d).unwrap();
-        let (one, _) = g.apply(&compacted).unwrap();
-        assert_eq!(seq, one);
-        assert_eq!(one.url(p), "http://a.org/p");
-        assert_eq!(one.site_of(c), s);
     }
 
     #[test]
@@ -1523,11 +1211,6 @@ mod tests {
         assert_eq!(i.docs_of_site(SiteId(0)), &[DocId(0), DocId(2), p]);
         assert!(!i.is_live_doc(DocId(1)));
         assert_eq!(applied.grown_sites, vec![0]);
-        // Merge must equal the sequential application.
-        let mut merged = d1.clone();
-        merged.merge(d2).unwrap();
-        let (one_shot, _) = g.apply(&merged).unwrap();
-        assert_eq!(i, one_shot);
     }
 
     #[test]
@@ -1542,57 +1225,6 @@ mod tests {
         assert_eq!(h.out_degree(DocId(1)), 0);
         // Neither op produced a link_added entry.
         assert!(applied.links_added.is_empty());
-    }
-
-    #[test]
-    fn compact_cancels_add_then_remove_page_pairs() {
-        let g = base();
-        let mut d = GraphDelta::for_graph(&g);
-        let doomed = d.add_page(SiteId(0), "http://a.org/doomed").unwrap();
-        d.add_link(DocId(0), doomed).unwrap();
-        let kept = d.add_page(SiteId(0), "http://a.org/kept").unwrap();
-        d.add_link(DocId(0), kept).unwrap();
-        d.remove_page(doomed).unwrap();
-        let compacted = d.compact();
-        // The cancelled page (and its link) is gone; `kept` renumbered down.
-        assert_eq!(compacted.n_new_pages(), 1);
-        assert!(compacted.removed_pages.is_empty());
-        let (seq, seq_applied) = g.apply(&d).unwrap();
-        let (one, one_applied) = g.apply(&compacted).unwrap();
-        // Equivalent up to densification of the short-lived dead slot.
-        assert_ne!(seq.n_docs(), one.n_docs());
-        assert_eq!(seq.compact_ids().0, one.compact_ids().0);
-        assert_eq!(seq_applied.grown_sites, one_applied.grown_sites);
-        assert_eq!(seq_applied.changed_sites, one_applied.changed_sites);
-        assert_eq!(seq_applied.shrunk_sites, one_applied.shrunk_sites);
-        assert_eq!(
-            seq_applied.cross_links_changed,
-            one_applied.cross_links_changed
-        );
-    }
-
-    #[test]
-    fn compact_cancels_add_then_remove_site() {
-        let g = base();
-        let mut d = GraphDelta::for_graph(&g);
-        let s = d.add_site("doomed.org");
-        let q = d.add_page(s, "http://doomed.org/").unwrap();
-        d.add_link(DocId(0), q).unwrap();
-        let keep = d.add_site("kept.org");
-        let k0 = d.add_page(keep, "http://kept.org/").unwrap();
-        d.add_link(k0, DocId(0)).unwrap();
-        d.remove_site(s).unwrap();
-        let compacted = d.compact();
-        assert_eq!(compacted.n_new_sites(), 1);
-        assert_eq!(compacted.n_new_pages(), 1);
-        assert!(compacted.removed_sites.is_empty());
-        let (seq, _) = g.apply(&d).unwrap();
-        let (one, _) = g.apply(&compacted).unwrap();
-        assert_eq!(seq.compact_ids().0, one.compact_ids().0);
-        // The cancelled site occupies a dead slot in the uncompacted replay.
-        assert_eq!(seq.n_sites(), 4);
-        assert_eq!(seq.n_live_sites(), 3);
-        assert_eq!(one.n_sites(), 3);
     }
 
     #[test]

@@ -751,6 +751,7 @@ impl DocGraphBuilder {
     ///
     /// # Errors
     /// Returns [`GraphError::InvalidConfig`] when the URL has no host.
+    // lint: allow(dead_pub, "paper §3.1: a site is the pages of one host; entry for real crawls")
     pub fn add_url(&mut self, url: &str) -> Result<DocId> {
         let host = crate::url::host_of(url).ok_or_else(|| GraphError::InvalidConfig {
             reason: format!("url {url:?} has no host"),

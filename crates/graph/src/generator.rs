@@ -297,13 +297,6 @@ impl CampusWebConfig {
         self
     }
 
-    /// Returns `self` with a different seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -627,7 +620,7 @@ mod tests {
         let g1 = cfg.generate().unwrap();
         let g2 = cfg.generate().unwrap();
         assert_eq!(g1, g2);
-        let g3 = cfg.clone().with_seed(43).generate().unwrap();
+        let g3 = CampusWebConfig { seed: 43, ..cfg }.generate().unwrap();
         assert_ne!(g1, g3);
     }
 

@@ -49,20 +49,6 @@ pub fn host_of(url: &str) -> Option<String> {
     }
 }
 
-/// Returns `true` when `url` looks like a dynamically generated page
-/// (contains a query string) — the paper notes its crawl deliberately
-/// includes such pages.
-#[must_use]
-pub fn is_dynamic(url: &str) -> bool {
-    url.contains('?')
-}
-
-/// Builds a canonical synthetic URL for generated graphs.
-#[must_use]
-pub fn synthetic_url(host: &str, path: &str) -> String {
-    format!("http://{host}/{}", path.trim_start_matches('/'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,17 +87,5 @@ mod tests {
         assert_eq!(host_of("http://"), None);
         assert_eq!(host_of(""), None);
         assert_eq!(host_of("http:///path"), None);
-    }
-
-    #[test]
-    fn dynamic_detection() {
-        assert!(is_dynamic("http://x/y?a=b"));
-        assert!(!is_dynamic("http://x/y.html"));
-    }
-
-    #[test]
-    fn synthetic_urls() {
-        assert_eq!(synthetic_url("h.o", "/a/b"), "http://h.o/a/b");
-        assert_eq!(synthetic_url("h.o", "a/b"), "http://h.o/a/b");
     }
 }

@@ -277,39 +277,6 @@ proptest! {
         prop_assert_eq!(out_sum, g.n_links());
     }
 
-    /// Compacting a merged delta log preserves both the mutated graph and
-    /// the induced summary, while collapsing per-pair churn to one op.
-    #[test]
-    fn compact_log_equals_sequential_apply(seed in any::<u64>(), rounds in 2usize..6) {
-        let g = small_campus(seed, 6, 200);
-        let mut step = xorshift(seed);
-        // Build a churny log: several deltas, each with repeated add/remove
-        // flips on a small pool of doc pairs plus occasional growth.
-        let mut current = g.clone();
-        let mut log: Option<lmm_graph::GraphDelta> = None;
-        for round in 0..rounds {
-            let d = churny_delta(&current, &mut step, round);
-            let (next, _) = current.apply(&d).unwrap();
-            current = next;
-            log = Some(match log {
-                None => d,
-                Some(mut merged) => {
-                    merged.merge(d).unwrap();
-                    merged
-                }
-            });
-        }
-        let log = log.expect("at least two rounds");
-        let compacted = log.compact();
-        prop_assert!(compacted.n_added_links() + compacted.n_removed_links()
-            <= log.n_added_links() + log.n_removed_links());
-        let (seq, seq_applied) = g.apply(&log).unwrap();
-        let (one, one_applied) = g.apply(&compacted).unwrap();
-        prop_assert_eq!(&current, &seq, "merge must equal sequential apply");
-        prop_assert_eq!(&seq, &one, "compaction changed the mutated graph");
-        prop_assert_eq!(seq_applied, one_applied, "compaction changed the summary");
-    }
-
     /// A graph patched block by block is the graph a builder makes from
     /// scratch out of the same links, and its derived flat view is the
     /// matrix those links assemble to.

@@ -1,12 +1,11 @@
 //! Compressed sparse row matrices — the compute-oriented sparse format.
 //!
 //! [`CsrMatrix`] is immutable once built (construct via
-//! [`CooMatrix`] or [`CsrMatrix::from_raw_parts`]) and
+//! [`CooMatrix`](crate::coo::CooMatrix) or [`CsrMatrix::from_raw_parts`]) and
 //! provides the matrix-vector kernels that dominate ranking computations:
 //! `y = M x` and the transpose product `y = Mᵀ x` used by
 //! stationary-distribution iterations.
 
-use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 
@@ -306,8 +305,7 @@ impl CsrMatrix {
 
     /// Returns a copy with every stored value transformed by `f`.
     ///
-    /// Entries mapped to exactly `0.0` remain stored; use
-    /// [`CsrMatrix::prune_zeros`] to drop them.
+    /// Entries mapped to exactly `0.0` remain stored.
     #[must_use]
     pub fn map_values<F: FnMut(f64) -> f64>(&self, mut f: F) -> CsrMatrix {
         let mut out = self.clone();
@@ -315,18 +313,6 @@ impl CsrMatrix {
             *v = f(*v);
         }
         out
-    }
-
-    /// Returns a copy without entries whose value is exactly `0.0`.
-    #[must_use]
-    pub fn prune_zeros(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
-        for (r, c, v) in self.iter() {
-            if v != 0.0 {
-                coo.push(r, c, v);
-            }
-        }
-        coo.to_csr()
     }
 
     /// Divides every row by its sum, leaving all-zero rows untouched, and
@@ -364,6 +350,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::CooMatrix;
 
     fn sample() -> CsrMatrix {
         // [ 1 0 2 ]
@@ -442,10 +429,6 @@ mod tests {
     fn map_values_and_prune() {
         let m = sample().map_values(|v| if v > 2.0 { 0.0 } else { v });
         assert_eq!(m.nnz(), 4); // zeros kept
-        let p = m.prune_zeros();
-        assert_eq!(p.nnz(), 2);
-        assert_eq!(p.get(2, 0), 0.0);
-        assert_eq!(p.get(0, 2), 2.0);
     }
 
     #[test]

@@ -186,35 +186,6 @@ impl DenseMatrix {
         Ok(y)
     }
 
-    /// Matrix-matrix product `self * other`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when the inner dimensions
-    /// disagree.
-    pub fn matmul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "DenseMatrix::matmul",
-                expected: self.cols,
-                found: other.rows,
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, other.cols)?;
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let v = self.get(i, k);
-                if v == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    let cur = out.get(i, j);
-                    out.set(i, j, cur + v * other.get(k, j));
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Returns the transpose.
     #[must_use]
     pub fn transpose(&self) -> DenseMatrix {
@@ -361,24 +332,6 @@ mod tests {
         let m = sample();
         assert!(m.apply(&[1.0]).is_err());
         assert!(m.apply_transpose(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = sample();
-        let id = DenseMatrix::identity(3).unwrap();
-        assert_eq!(m.matmul(&id).unwrap(), m);
-    }
-
-    #[test]
-    fn matmul_known() {
-        let a = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = DenseMatrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(
-            c,
-            DenseMatrix::from_rows(&[vec![2.0, 1.0], vec![4.0, 3.0]]).unwrap()
-        );
     }
 
     #[test]

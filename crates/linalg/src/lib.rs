@@ -9,11 +9,11 @@
 //!   compressed-sparse-row form, sized for web-scale link matrices;
 //! * [`StochasticMatrix`] — a validated row-stochastic transition matrix with
 //!   explicit bookkeeping of dangling (all-zero) rows;
-//! * [`power_method`] — a power-iteration engine over the [`LinearOperator`]
-//!   abstraction, so both explicit CSR matrices and implicit factored
-//!   operators (such as the Layered Markov Model's global transition) share
-//!   one convergence loop ([`power_method_pool`] runs the same loop with
-//!   all `O(n)` vector passes on an `lmm-par` thread pool);
+//! * [`power_method_pool`] — a power-iteration engine over the
+//!   [`LinearOperator`] abstraction, so both explicit CSR matrices and
+//!   implicit factored operators (such as the Layered Markov Model's global
+//!   transition) share one convergence loop, with all `O(n)` vector passes
+//!   on an `lmm-par` thread pool;
 //! * [`StationaryOperator`] — the pull-mode `y = Mᵀx` kernel: `Mᵀ` is
 //!   materialized once and each step is a parallel row-wise gather with
 //!   bit-identical results at any thread count;
@@ -56,9 +56,6 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};
 pub use operator::StationaryOperator;
-pub use power::{
-    power_method, power_method_pool, Acceleration, ConvergenceReport, LinearOperator, PowerOptions,
-    TransposeOperator,
-};
+pub use power::{power_method_pool, ConvergenceReport, LinearOperator, PowerOptions};
 pub use stochastic::{DanglingPolicy, StochasticMatrix};
-pub use structure::{is_primitive, period, strongly_connected_components, StructureReport};
+pub use structure::{is_primitive, period, StructureReport};

@@ -74,7 +74,7 @@ impl StationaryOperator {
     /// # Errors
     /// Returns [`LinalgError::NotSquare`] for a non-square matrix —
     /// stationary operators act on square chains.
-    pub fn from_transpose(mt: CsrMatrix, pool: Arc<ThreadPool>) -> Result<Self> {
+    fn from_transpose(mt: CsrMatrix, pool: Arc<ThreadPool>) -> Result<Self> {
         if !mt.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: mt.nrows(),
@@ -90,8 +90,8 @@ impl StationaryOperator {
     }
 
     /// The pre-materialized transpose `Mᵀ`.
-    #[must_use]
-    pub fn transpose_matrix(&self) -> &CsrMatrix {
+    #[cfg(test)]
+    fn transpose_matrix(&self) -> &CsrMatrix {
         &self.mt
     }
 

@@ -3,7 +3,7 @@
 //!
 //! The engine is generic over [`LinearOperator`], the abstraction of "one
 //! rank-iteration step" `y ← op(x)`. Explicit CSR matrices participate via
-//! [`TransposeOperator`] (which computes `y = Mᵀ x`); the Layered Markov
+//! their transpose product `y = Mᵀ x`; the Layered Markov
 //! Model supplies an implicit factored operator that never materializes the
 //! global transition matrix.
 
@@ -36,7 +36,7 @@ pub trait LinearOperator {
 /// [`LinearOperator`] — the iteration map whose fixed point is the
 /// stationary distribution.
 #[derive(Debug, Clone, Copy)]
-pub struct TransposeOperator<'a>(pub &'a CsrMatrix);
+struct TransposeOperator<'a>(&'a CsrMatrix);
 
 impl LinearOperator for TransposeOperator<'_> {
     fn dim(&self) -> usize {
@@ -58,60 +58,17 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
     }
 }
 
-/// Convergence norm used for the power-method stopping rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResidualNorm {
-    /// L1 distance between successive iterates (the PageRank convention).
-    #[default]
-    L1,
-    /// L∞ distance between successive iterates.
-    LInf,
-}
-
-/// Convergence acceleration applied on top of the plain power iteration.
+/// Options controlling the power iteration: the plain power method with
+/// an L1 residual, as the paper ranks every layer.
 ///
-/// Aitken Δ² extrapolation is the scheme from the PageRank-acceleration
-/// literature the LMM paper cites as the "speed up centralized PageRank"
-/// alternative (Kamvar, Haveliwala, Manning & Golub): periodically estimate
-/// the fixed point from three successive iterates, component-wise:
-///
-/// ```text
-/// x*_i = x_i(k−2) − (Δx_i)² / (Δ²x_i)
-/// ```
-///
-/// The extrapolated vector is clamped to be non-negative and renormalized,
-/// so the iteration stays inside the probability simplex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Acceleration {
-    /// Plain power iteration.
-    #[default]
-    None,
-    /// Aitken Δ² extrapolation every `period` iterations (sensible values
-    /// are 5–20). The formula needs three consecutive *plain* iterates, so
-    /// the effective period is clamped to at least 3; overly frequent
-    /// extrapolation amplifies noise before the iterate settles into its
-    /// dominant geometric decay.
-    Aitken {
-        /// Iterations between extrapolation steps (clamped to >= 3).
-        period: usize,
-    },
-}
-
-/// Options controlling the power iteration.
+/// An exhausted budget is always an error, so an `Ok` from
+/// [`power_method_pool`] is always converged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerOptions {
-    /// Stop when the residual drops below this tolerance.
+    /// Stop when the L1 residual drops below this tolerance.
     pub tol: f64,
     /// Abort (with [`LinalgError::NotConverged`]) after this many iterations.
     pub max_iters: usize,
-    /// Norm used for the residual.
-    pub norm: ResidualNorm,
-    /// When `true` (the default), a failure to converge is an error; when
-    /// `false` the best iterate so far is returned with
-    /// `ConvergenceReport::converged == false`.
-    pub require_convergence: bool,
-    /// Convergence acceleration scheme.
-    pub acceleration: Acceleration,
 }
 
 impl Default for PowerOptions {
@@ -119,9 +76,6 @@ impl Default for PowerOptions {
         Self {
             tol: 1e-12,
             max_iters: 10_000,
-            norm: ResidualNorm::L1,
-            require_convergence: true,
-            acceleration: Acceleration::None,
         }
     }
 }
@@ -142,25 +96,13 @@ impl PowerOptions {
         self.max_iters = max_iters;
         self
     }
-
-    /// Returns `self` with `require_convergence` disabled: the best iterate
-    /// is returned instead of an error when the budget is exhausted.
-    #[must_use]
-    pub fn best_effort(mut self) -> Self {
-        self.require_convergence = false;
-        self
-    }
-
-    /// Returns `self` with Aitken Δ² extrapolation every `period`
-    /// iterations.
-    #[must_use]
-    pub fn aitken(mut self, period: usize) -> Self {
-        self.acceleration = Acceleration::Aitken { period };
-        self
-    }
 }
 
 /// Outcome statistics of a power iteration.
+///
+/// The power method returns a report only with a converged iterate (an
+/// exhausted budget is [`LinalgError::NotConverged`]), so `converged` is
+/// `true` on every report it returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceReport {
     /// Number of iterations performed.
@@ -187,46 +129,28 @@ impl std::fmt::Display for ConvergenceReport {
     }
 }
 
-/// Runs the power method `x ← normalize(op(x))` from `x0` until the residual
-/// between successive iterates drops below `opts.tol`.
+/// Runs the power method `x ← normalize(op(x))` from `x0` until the L1
+/// residual between successive iterates drops below `opts.tol`, with
+/// every `O(n)` vector pass (normalization, residual) executed on `pool`.
 ///
 /// The iterate is L1-renormalized every step, so substochastic operators
 /// (mass-leaking chains) converge to their normalized dominant eigenvector.
 ///
-/// Normalization and residual sums use the fixed
-/// [`vec_ops::PAR_CHUNK`]-gridded chunked kernels (shared with
-/// [`power_method_pool`], so serial and pooled runs agree bit-for-bit).
-/// For operators larger than one chunk the summation grouping differs
-/// from a plain left-to-right fold in the last bits — converged results
-/// agree to the tolerance, but exact golden score vectors recorded from
-/// pre-chunked versions of this routine may differ in trailing ulps.
+/// The operator is responsible for its own parallelism (see
+/// [`StationaryOperator`]); this function parallelizes the glue around it.
+/// All vector arithmetic uses the fixed [`vec_ops::PAR_CHUNK`]-gridded
+/// chunked kernels of [`vec_ops`], so the trajectory — and the returned
+/// vector — is **bit-identical for every pool size**, including the
+/// serial pool. For operators larger than one chunk the summation grouping
+/// differs from a plain left-to-right fold in the last bits — converged
+/// results agree to the tolerance, but exact golden score vectors recorded
+/// from pre-chunked versions of this routine may differ in trailing ulps.
 ///
 /// # Errors
 /// * [`LinalgError::DimensionMismatch`] if `x0.len() != op.dim()`;
 /// * [`LinalgError::NotDistribution`] if `x0` cannot be normalized or the
 ///   operator annihilates the iterate;
-/// * [`LinalgError::NotConverged`] if the budget is exhausted while
-///   `opts.require_convergence` is set.
-pub fn power_method<O: LinearOperator>(
-    op: O,
-    x0: &[f64],
-    opts: &PowerOptions,
-) -> Result<(Vec<f64>, ConvergenceReport)> {
-    power_method_pool(op, x0, opts, &ThreadPool::serial())
-}
-
-/// [`power_method`] with every `O(n)` vector pass (normalization,
-/// residual, Aitken extrapolation) executed on `pool`.
-///
-/// The operator is responsible for its own parallelism (see
-/// [`StationaryOperator`]); this function parallelizes the glue around it.
-/// All vector arithmetic uses the fixed-grid chunked kernels of
-/// [`vec_ops`], so the trajectory — and the returned vector — is
-/// **bit-identical for every pool size**, including the serial pool (which
-/// is exactly what [`power_method`] passes).
-///
-/// # Errors
-/// See [`power_method`].
+/// * [`LinalgError::NotConverged`] if the budget is exhausted.
 pub fn power_method_pool<O: LinearOperator>(
     op: O,
     x0: &[f64],
@@ -248,30 +172,10 @@ pub fn power_method_pool<O: LinearOperator>(
     vec_ops::normalize_l1_par(pool, &mut x)?;
     let mut y = vec![0.0; n];
     let mut residual = f64::INFINITY;
-    // Trailing iterates for Aitken extrapolation (x_{k-2} and x_{k-1}).
-    let mut history: Option<(Vec<f64>, Vec<f64>)> = match opts.acceleration {
-        Acceleration::Aitken { .. } => Some((vec![0.0; n], vec![0.0; n])),
-        Acceleration::None => None,
-    };
     for iter in 1..=opts.max_iters {
         op.apply_to(&x, &mut y)?;
         vec_ops::normalize_l1_par(pool, &mut y)?;
-        if let (Acceleration::Aitken { period }, Some((prev2, prev1))) =
-            (opts.acceleration, &mut history)
-        {
-            // Three consecutive plain iterates are required, so never
-            // extrapolate more often than every third step.
-            let period = period.max(3);
-            if iter >= 3 && iter % period == 0 {
-                aitken_extrapolate(prev2, prev1, &mut y, pool);
-            }
-            std::mem::swap(prev2, prev1);
-            prev1.copy_from_slice(&y);
-        }
-        residual = match opts.norm {
-            ResidualNorm::L1 => vec_ops::l1_diff_par(pool, &x, &y),
-            ResidualNorm::LInf => vec_ops::linf_diff_par(pool, &x, &y),
-        };
+        residual = vec_ops::l1_diff_par(pool, &x, &y);
         std::mem::swap(&mut x, &mut y);
         if residual < opts.tol {
             return Ok((
@@ -284,52 +188,19 @@ pub fn power_method_pool<O: LinearOperator>(
             ));
         }
     }
-    let report = ConvergenceReport {
+    Err(LinalgError::NotConverged {
         iterations: opts.max_iters,
         residual,
-        converged: false,
-    };
-    if opts.require_convergence {
-        Err(LinalgError::NotConverged {
-            iterations: report.iterations,
-            residual: report.residual,
-        })
-    } else {
-        Ok((x, report))
-    }
+    })
 }
 
-/// Component-wise Aitken Δ² applied to the newest iterate `x_k` using the
-/// two trailing iterates; the result replaces `x_k` in place, clamped to be
-/// non-negative and L1-renormalized. Components whose second difference is
-/// numerically zero (already converged to their geometric limit) are left
-/// untouched. The extrapolation is elementwise and the renormalization
-/// chunk-gridded, so the outcome is pool-size independent.
-fn aitken_extrapolate(x_km2: &[f64], x_km1: &[f64], x_k: &mut [f64], pool: &ThreadPool) {
-    const SECOND_DIFF_FLOOR: f64 = 1e-300;
-    let mut star = vec![0.0; x_k.len()];
-    pool.par_chunks_mut(&mut star, vec_ops::PAR_CHUNK, |offset, chunk| {
-        for (i, out) in chunk.iter_mut().enumerate() {
-            let (a, b, c) = (x_km2[offset + i], x_km1[offset + i], x_k[offset + i]);
-            let d1 = b - a;
-            let d2 = c - 2.0 * b + a;
-            *out = if d2.abs() > SECOND_DIFF_FLOOR {
-                let s = a - d1 * d1 / d2;
-                if s.is_finite() {
-                    s.max(0.0)
-                } else {
-                    c
-                }
-            } else {
-                c
-            };
-        }
-    });
-    // Commit only if the extrapolated vector can be renormalized back onto
-    // the simplex; otherwise keep the plain iterate.
-    if vec_ops::normalize_l1_par(pool, &mut star).is_ok() {
-        x_k.copy_from_slice(&star);
-    }
+/// [`power_method_pool`] on the serial pool.
+fn power_method<O: LinearOperator>(
+    op: O,
+    x0: &[f64],
+    opts: &PowerOptions,
+) -> Result<(Vec<f64>, ConvergenceReport)> {
+    power_method_pool(op, x0, opts, &ThreadPool::serial())
 }
 
 /// Computes the stationary distribution of a row-stochastic matrix by power
@@ -341,7 +212,7 @@ fn aitken_extrapolate(x_km2: &[f64], x_km1: &[f64], x_k: &mut [f64], pool: &Thre
 /// [`LinalgError::NotConverged`] here).
 ///
 /// # Errors
-/// See [`power_method`]; additionally [`LinalgError::NotSquare`] for a
+/// See [`power_method_pool`]; additionally [`LinalgError::NotSquare`] for a
 /// non-square matrix.
 pub fn stationary_distribution(
     m: &CsrMatrix,
@@ -369,7 +240,7 @@ pub fn stationary_distribution(
 /// [`vec_ops::PAR_CHUNK`].
 ///
 /// # Errors
-/// See [`power_method`]; additionally [`LinalgError::NotSquare`] for a
+/// See [`power_method_pool`]; additionally [`LinalgError::NotSquare`] for a
 /// non-square matrix.
 pub fn stationary_distribution_pool(
     m: &CsrMatrix,
@@ -449,19 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn best_effort_returns_report() {
-        let m = csr_from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let opts = PowerOptions {
-            max_iters: 50,
-            require_convergence: false,
-            ..PowerOptions::default()
-        };
-        let (_, rep) = power_method(TransposeOperator(&m), &[0.9, 0.1], &opts).unwrap();
-        assert!(!rep.converged);
-        assert_eq!(rep.iterations, 50);
-    }
-
-    #[test]
     fn substochastic_operator_converges_after_renormalization() {
         // Leaky chain: row sums 0.5; normalized iterate still converges.
         let m = csr_from_rows(&[vec![0.25, 0.25], vec![0.25, 0.25]]);
@@ -488,18 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn linf_norm_stopping() {
-        let m = csr_from_rows(&[vec![0.9, 0.1], vec![0.5, 0.5]]);
-        let opts = PowerOptions {
-            norm: ResidualNorm::LInf,
-            ..PowerOptions::default()
-        };
-        let (pi, rep) = stationary_distribution(&m, &opts).unwrap();
-        assert!(rep.converged);
-        assert!((pi[0] - 5.0 / 6.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn report_display() {
         let rep = ConvergenceReport {
             iterations: 12,
@@ -513,78 +359,8 @@ mod tests {
 
     #[test]
     fn options_builders() {
-        let o = PowerOptions::with_tol(1e-6)
-            .max_iters(5)
-            .best_effort()
-            .aitken(10);
+        let o = PowerOptions::with_tol(1e-6).max_iters(5);
         assert_eq!(o.tol, 1e-6);
         assert_eq!(o.max_iters, 5);
-        assert!(!o.require_convergence);
-        assert_eq!(o.acceleration, Acceleration::Aitken { period: 10 });
-    }
-
-    /// A slowly mixing chain: two near-disconnected 2-cliques with weak,
-    /// asymmetric coupling eps (A leaks to B twice as fast as B to A), so
-    /// the clique-mass balance converges at rate ≈ (1 − 3·eps) and plain
-    /// power iteration crawls.
-    fn slow_chain(eps: f64) -> CsrMatrix {
-        csr_from_rows(&[
-            vec![0.7 - 2.0 * eps, 0.3, eps, eps],
-            vec![0.6, 0.4 - 2.0 * eps, eps, eps],
-            vec![eps / 2.0, eps / 2.0, 0.5 - eps, 0.5],
-            vec![eps / 2.0, eps / 2.0, 0.3, 0.7 - eps],
-        ])
-    }
-
-    #[test]
-    fn aitken_reaches_same_fixed_point() {
-        let m = slow_chain(0.01);
-        let plain = stationary_distribution(&m, &PowerOptions::default())
-            .unwrap()
-            .0;
-        let accel = stationary_distribution(&m, &PowerOptions::default().aitken(5))
-            .unwrap()
-            .0;
-        assert!(vec_ops::l1_diff(&plain, &accel) < 1e-9);
-    }
-
-    #[test]
-    fn aitken_converges_faster_on_slow_chains() {
-        let m = slow_chain(0.001);
-        let opts = PowerOptions::with_tol(1e-12).max_iters(100_000);
-        let (_, plain) = stationary_distribution(&m, &opts).unwrap();
-        let (_, accel) = stationary_distribution(&m, &opts.clone().aitken(5)).unwrap();
-        assert!(
-            accel.iterations < plain.iterations,
-            "aitken {} vs plain {}",
-            accel.iterations,
-            plain.iterations
-        );
-    }
-
-    #[test]
-    fn aitken_handles_converged_components() {
-        // A chain that converges almost immediately: extrapolation must not
-        // divide by the (zero) second difference.
-        let m = csr_from_rows(&[vec![0.5, 0.5], vec![0.5, 0.5]]);
-        let (pi, rep) = stationary_distribution(&m, &PowerOptions::default().aitken(1)).unwrap();
-        assert!(rep.converged);
-        assert!((pi[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aitken_period_is_clamped_to_three() {
-        // Periods 0..=2 would extrapolate from already-extrapolated
-        // iterates; they are clamped and must still converge correctly.
-        let m = slow_chain(0.01);
-        let reference = stationary_distribution(&m, &PowerOptions::default())
-            .unwrap()
-            .0;
-        for period in [0, 1, 2] {
-            let (pi, rep) =
-                stationary_distribution(&m, &PowerOptions::default().aitken(period)).unwrap();
-            assert!(rep.converged, "period {period}");
-            assert!(vec_ops::l1_diff(&pi, &reference) < 1e-9, "period {period}");
-        }
     }
 }

@@ -75,12 +75,12 @@ impl StochasticMatrix {
     }
 
     /// Wraps an already row-stochastic matrix, verifying that each row sums
-    /// to 1 within `tol` or is entirely zero (dangling).
+    /// to 1 within [`DEFAULT_TOL`] or is entirely zero (dangling).
     ///
     /// # Errors
     /// Returns [`LinalgError::NotSquare`], [`LinalgError::NotStochastic`] or
     /// [`LinalgError::InvalidProbability`] accordingly.
-    pub fn from_stochastic(matrix: CsrMatrix, tol: f64) -> Result<Self> {
+    pub fn new(matrix: CsrMatrix) -> Result<Self> {
         if !matrix.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: matrix.nrows(),
@@ -99,20 +99,11 @@ impl StochasticMatrix {
             }
             if vals.is_empty() || sum == 0.0 {
                 dangling.push(r);
-            } else if (sum - 1.0).abs() > tol {
+            } else if (sum - 1.0).abs() > DEFAULT_TOL {
                 return Err(LinalgError::NotStochastic { row: r, sum });
             }
         }
         Ok(Self { matrix, dangling })
-    }
-
-    /// Wraps a matrix checked with the default tolerance
-    /// ([`DEFAULT_TOL`]).
-    ///
-    /// # Errors
-    /// See [`StochasticMatrix::from_stochastic`].
-    pub fn new(matrix: CsrMatrix) -> Result<Self> {
-        Self::from_stochastic(matrix, DEFAULT_TOL)
     }
 
     /// The underlying row-stochastic CSR matrix (dangling rows are all-zero).
@@ -154,7 +145,8 @@ impl StochasticMatrix {
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] on wrong buffer sizes.
-    pub fn rank_step_into(
+    #[cfg(test)]
+    fn rank_step_into(
         &self,
         x: &[f64],
         v: &[f64],
@@ -166,8 +158,8 @@ impl StochasticMatrix {
     }
 
     /// Adds the dangling-mass redistribution of one rank step to an
-    /// already-computed `y = Mᵀ x` — the second half of
-    /// [`StochasticMatrix::rank_step_into`], exposed separately so callers
+    /// already-computed `y = Mᵀ x` — the second half of one rank step,
+    /// exposed separately so callers
     /// that compute the transpose product through a different kernel (the
     /// parallel pull-mode gather) can reuse the identical dangling
     /// arithmetic.
@@ -199,7 +191,7 @@ impl StochasticMatrix {
             DanglingPolicy::Teleport => {
                 if v.len() != self.n() {
                     return Err(LinalgError::DimensionMismatch {
-                        operation: "StochasticMatrix::rank_step_into teleport vector",
+                        operation: "StochasticMatrix::redistribute_dangling teleport vector",
                         expected: self.n(),
                         found: v.len(),
                     });

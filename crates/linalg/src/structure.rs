@@ -12,7 +12,7 @@ use crate::error::{LinalgError, Result};
 /// Strongly-connected-component decomposition of a square sparse matrix's
 /// positive sparsity pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SccDecomposition {
+struct SccDecomposition {
     /// Component id of each node; ids are in reverse topological order of the
     /// condensation (Tarjan numbering).
     pub component_of: Vec<usize>,
@@ -22,8 +22,8 @@ pub struct SccDecomposition {
 
 impl SccDecomposition {
     /// Groups node indices by component id.
-    #[must_use]
-    pub fn components(&self) -> Vec<Vec<usize>> {
+    #[cfg(test)]
+    fn components(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.count];
         for (node, &c) in self.component_of.iter().enumerate() {
             groups[c].push(node);
@@ -38,7 +38,7 @@ impl SccDecomposition {
 ///
 /// # Errors
 /// Returns [`LinalgError::NotSquare`] for a non-square matrix.
-pub fn strongly_connected_components(m: &CsrMatrix) -> Result<SccDecomposition> {
+fn strongly_connected_components(m: &CsrMatrix) -> Result<SccDecomposition> {
     if !m.is_square() {
         return Err(LinalgError::NotSquare {
             rows: m.nrows(),

@@ -29,18 +29,6 @@ pub fn l1_norm(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// Returns the L2 norm `sqrt(sum(x_i^2))` of `x`.
-#[must_use]
-pub fn l2_norm(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// Returns the L∞ norm `max(|x_i|)` of `x` (0 for an empty slice).
-#[must_use]
-pub fn linf_norm(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |acc, v| acc.max(v.abs()))
-}
-
 /// Returns the L1 distance `sum(|x_i - y_i|)` between two equal-length slices.
 ///
 /// # Panics
@@ -204,40 +192,6 @@ pub fn l1_diff_par(pool: &ThreadPool, x: &[f64], y: &[f64]) -> f64 {
     .unwrap_or(0.0)
 }
 
-/// Pool-parallel [`linf_diff`] (max of chunk maxima — exactly the serial
-/// value, since `max` is order-insensitive).
-///
-/// # Panics
-/// Panics if `x.len() != y.len()`.
-#[must_use]
-pub fn linf_diff_par(pool: &ThreadPool, x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "linf_diff requires equal lengths");
-    pool.par_reduce(
-        x.len(),
-        PAR_CHUNK,
-        |r| {
-            x[r.clone()]
-                .iter()
-                .zip(&y[r])
-                .fold(0.0f64, |acc, (a, b)| acc.max((a - b).abs()))
-        },
-        f64::max,
-    )
-    .unwrap_or(0.0)
-}
-
-/// Pool-parallel [`linf_norm`].
-#[must_use]
-pub fn linf_norm_par(pool: &ThreadPool, x: &[f64]) -> f64 {
-    pool.par_reduce(
-        x.len(),
-        PAR_CHUNK,
-        |r| x[r].iter().fold(0.0f64, |acc, v| acc.max(v.abs())),
-        f64::max,
-    )
-    .unwrap_or(0.0)
-}
-
 /// Pool-parallel [`axpy`] (`y += alpha * x`): elementwise, so bit-identical
 /// to the serial loop at any pool size.
 ///
@@ -254,7 +208,7 @@ pub fn axpy_par(pool: &ThreadPool, alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// Pool-parallel [`scale`] (elementwise; bit-identical at any pool size).
-pub fn scale_par(pool: &ThreadPool, x: &mut [f64], alpha: f64) {
+fn scale_par(pool: &ThreadPool, x: &mut [f64], alpha: f64) {
     pool.par_chunks_mut(x, PAR_CHUNK, |_, chunk| {
         for v in chunk {
             *v *= alpha;
@@ -280,19 +234,6 @@ pub fn normalize_l1_par(pool: &ThreadPool, x: &mut [f64]) -> Result<f64> {
     Ok(sum)
 }
 
-/// Index of the maximal element (first one on ties). `None` when empty.
-#[must_use]
-pub fn argmax(x: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        match best {
-            Some((_, bv)) if bv >= v => {}
-            _ => best = Some((i, v)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,8 +242,6 @@ mod tests {
     fn norms_on_known_vectors() {
         let x = [3.0, -4.0];
         assert_eq!(l1_norm(&x), 7.0);
-        assert_eq!(l2_norm(&x), 5.0);
-        assert_eq!(linf_norm(&x), 4.0);
     }
 
     #[test]
@@ -370,15 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_basics() {
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[1.0]), Some(0));
-        assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some(1));
-        // First index wins ties.
-        assert_eq!(argmax(&[2.0, 2.0]), Some(0));
-    }
-
-    #[test]
     fn scale_in_place() {
         let mut x = vec![1.0, -2.0];
         scale(&mut x, -3.0);
@@ -407,8 +337,6 @@ mod tests {
                 (l1_norm_par(&serial, &x), l1_norm_par(&pool, &x)),
                 (sum_par(&serial, &x), sum_par(&pool, &x)),
                 (l1_diff_par(&serial, &x, &y), l1_diff_par(&pool, &x, &y)),
-                (linf_diff_par(&serial, &x, &y), linf_diff_par(&pool, &x, &y)),
-                (linf_norm_par(&serial, &x), linf_norm_par(&pool, &x)),
             ] {
                 assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
             }
@@ -425,9 +353,6 @@ mod tests {
         let pool = ThreadPool::new(3);
         assert!((l1_norm_par(&pool, &x) - l1_norm(&x)).abs() < 1e-9 * l1_norm(&x));
         assert!((l1_diff_par(&pool, &x, &y) - l1_diff(&x, &y)).abs() < 1e-9 * l1_diff(&x, &y));
-        // Max-based norms are order-insensitive: exactly equal.
-        assert_eq!(linf_norm_par(&pool, &x), linf_norm(&x));
-        assert_eq!(linf_diff_par(&pool, &x, &y), linf_diff(&x, &y));
     }
 
     #[test]

@@ -178,8 +178,6 @@ proptest! {
         prop_assert!((vec_ops::l1_norm_par(&pool, &x) - l1).abs() <= 1e-9 * (1.0 + l1));
         let d1 = vec_ops::l1_diff(&x, &y);
         prop_assert!((vec_ops::l1_diff_par(&pool, &x, &y) - d1).abs() <= 1e-9 * (1.0 + d1));
-        prop_assert_eq!(vec_ops::linf_norm_par(&pool, &x), vec_ops::linf_norm(&x));
-        prop_assert_eq!(vec_ops::linf_diff_par(&pool, &x, &y), vec_ops::linf_diff(&x, &y));
         // Cross-pool-size bit-identity.
         prop_assert_eq!(
             vec_ops::l1_norm_par(&serial_pool, &x).to_bits(),

@@ -1,6 +1,7 @@
 //! The workspace's lint policy: which files are hot-path, which lock
-//! acquisition orders are legal, which atomics may be `Relaxed`, and
-//! where the determinism fence runs.
+//! acquisition orders are legal, which atomics may be `Relaxed`, where
+//! the determinism fence runs, and which files count as callers of a
+//! `pub` item.
 //!
 //! Everything here is data. The rule passes in [`crate::rules`] consume
 //! it, so policy changes (a new hot-path module, a new lock) are one-line
@@ -70,6 +71,11 @@ pub struct LintConfig {
     pub wire_file: &'static str,
     /// The committed golden tag registry compared against it.
     pub wire_golden: &'static str,
+    /// Directories whose `.rs` files count as users for `dead_pub`: a
+    /// library `pub` item none of them names is dead. Wider than
+    /// `scan_roots`, since tests, examples and the benchmark harness are
+    /// callers too.
+    pub dead_pub_corpus: &'static [&'static str],
 }
 
 /// The policy for this workspace.
@@ -191,5 +197,6 @@ pub fn workspace() -> LintConfig {
         det_banned: &["Instant::now", "SystemTime", "RandomState"],
         wire_file: "crates/cluster/src/wire.rs",
         wire_golden: "crates/cluster/wire_tags.golden",
+        dead_pub_corpus: &["crates", "src", "tests", "examples", "benchmark/src"],
     }
 }

@@ -92,8 +92,8 @@ impl MaskedFile {
     }
 
     /// The innermost `fn` whose body contains `pos`.
-    #[must_use]
-    pub fn fn_at(&self, pos: usize) -> Option<&FnSpan> {
+    #[cfg(test)]
+    fn fn_at(&self, pos: usize) -> Option<&FnSpan> {
         self.fns
             .iter()
             .filter(|f| f.body.contains(&pos))

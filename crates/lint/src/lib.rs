@@ -21,10 +21,12 @@
 //! | `relaxed` | [`rules::atomics`] | `Ordering::Relaxed` only on allowlisted counter names; epochs, flags, and shutdown bits need a stronger ordering or a reasoned annotation |
 //! | `nondet` | [`rules::det`] | the deterministic kernels (`core`, `linalg`, `rank`, `graph::delta`) never touch `Instant::now`/`SystemTime`/`RandomState` |
 //! | `safety` | [`rules::safety`] | every `unsafe` in scanned code sits under a `// SAFETY:` comment (on its line, or directly above a run of consecutive `unsafe` lines) |
+//! | `dead_pub` | [`rules::dead_pub`] | every `pub` fn/struct/enum/trait/type/const/static of a library file is named by another file of `crates/`, `src/`, `tests/`, `examples/` or `benchmark/src` (a `pub use` is not a use; a type a `pub` signature or field of its own file exposes is API); a stale allow is itself a violation |
 //!
 //! Every rule exempts `#[cfg(test)]` regions, and every rule honors
 //! `// lint: allow(<key>, "reason")` on the offending line or on the
-//! comment block directly above it. The reason string is mandatory — an
+//! comment block directly above it (for `dead_pub`, the block may
+//! include the item's attributes). The reason string is mandatory — an
 //! allow without one does not count.
 //!
 //! # Entry points
@@ -50,14 +52,18 @@ use report::Violation;
 /// returning workspace-relative forward-slash paths, sorted.
 #[must_use]
 pub fn collect_files(root: &Path, cfg: &LintConfig) -> Vec<String> {
+    let mut files = collect_under(root, cfg.scan_roots, cfg);
+    files.retain(|f| !cfg.skip_contains.iter().any(|s| f.contains(s)));
+    files
+}
+
+/// `.rs` files under `dirs`, minus the skipped prefixes, sorted.
+fn collect_under(root: &Path, dirs: &[&str], cfg: &LintConfig) -> Vec<String> {
     let mut files = Vec::new();
-    for scan in cfg.scan_roots {
-        walk(&root.join(scan), root, &mut files);
+    for dir in dirs {
+        walk(&root.join(dir), root, &mut files);
     }
-    files.retain(|f| {
-        !cfg.skip_prefixes.iter().any(|p| f.starts_with(p))
-            && !cfg.skip_contains.iter().any(|s| f.contains(s))
-    });
+    files.retain(|f| !cfg.skip_prefixes.iter().any(|p| f.starts_with(p)));
     files.sort();
     files
 }
@@ -81,7 +87,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
 /// Runs every rule over one already-lexed file. `golden` is the wire
 /// registry contents when `rel` is the wire file.
 #[must_use]
-pub fn check_file(
+fn check_file(
     file: &MaskedFile,
     rel: &str,
     cfg: &LintConfig,
@@ -108,19 +114,25 @@ pub fn check_file(
     out
 }
 
-/// Runs the full pass over the workspace at `root`. Violations come back
-/// sorted by file then line.
+/// Runs the full pass over the workspace at `root`: every per-file rule,
+/// then `dead_pub`, which needs the whole corpus at once. Violations come
+/// back sorted by file then line.
 #[must_use]
 pub fn run_workspace(root: &Path, cfg: &LintConfig) -> Vec<Violation> {
     let golden = std::fs::read_to_string(root.join(cfg.wire_golden)).ok();
+    let lex = |rel: String| {
+        let source = std::fs::read_to_string(root.join(&rel)).ok()?;
+        Some((rel, MaskedFile::new(&source)))
+    };
     let mut out = Vec::new();
-    for rel in collect_files(root, cfg) {
-        let Ok(source) = std::fs::read_to_string(root.join(&rel)) else {
-            continue;
-        };
-        let file = MaskedFile::new(&source);
+    for (rel, file) in collect_files(root, cfg).into_iter().filter_map(lex) {
         out.extend(check_file(&file, &rel, cfg, golden.as_deref()));
     }
+    let corpus: Vec<_> = collect_under(root, cfg.dead_pub_corpus, cfg)
+        .into_iter()
+        .filter_map(lex)
+        .collect();
+    out.extend(rules::dead_pub::check(&corpus));
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }

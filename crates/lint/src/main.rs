@@ -29,7 +29,7 @@ fn main() -> ExitCode {
         println!(
             "lmm-lint: ok — {} files clean across {} rules",
             lmm_lint::collect_files(&root, &cfg).len(),
-            7
+            8
         );
         ExitCode::SUCCESS
     } else {

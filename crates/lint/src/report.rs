@@ -6,8 +6,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The rule key (`panic`, `wire_tags`, `lock_order`, `lock_free`,
-    /// `relaxed`, `nondet`, `safety`) — also the key an annotation must
-    /// use to allow it.
+    /// `relaxed`, `nondet`, `safety`, `dead_pub`) — also the key an
+    /// annotation must use to allow it.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,

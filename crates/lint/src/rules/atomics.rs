@@ -30,8 +30,8 @@ pub fn check(file: &MaskedFile, path: &str, cfg: &LintConfig) -> Vec<Violation> 
         let stmt_start = file.masked[..at]
             .rfind([';', '{', '}'])
             .map_or(0, |p| p + 1);
-        let allowlisted = idents(&file.masked[stmt_start..at]).iter().any(|id| {
-            cfg.relaxed_names.contains(id) || cfg.relaxed_suffixes.iter().any(|s| id.ends_with(s))
+        let allowlisted = idents(&file.masked[stmt_start..at]).any(|id| {
+            cfg.relaxed_names.contains(&id) || cfg.relaxed_suffixes.iter().any(|s| id.ends_with(s))
         });
         if allowlisted {
             continue;

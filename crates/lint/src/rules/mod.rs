@@ -3,6 +3,7 @@
 //! [`crate::config`]) and returns [`Violation`](crate::report::Violation)s.
 
 pub mod atomics;
+pub mod dead_pub;
 pub mod det;
 pub mod locks;
 pub mod panics;
@@ -39,21 +40,22 @@ pub(crate) fn token_positions<'a>(
     })
 }
 
-/// Identifiers appearing in `text`, in order.
-pub(crate) fn idents(text: &str) -> Vec<&str> {
+/// Identifiers appearing in `text`, in order (lazily, so a caller can
+/// stop after the first few).
+pub(crate) fn idents(text: &str) -> impl Iterator<Item = &str> + '_ {
     let bytes = text.as_bytes();
-    let mut out = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_alphabetic() || bytes[i] == b'_' {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
+    std::iter::from_fn(move || {
+        while i < bytes.len() {
+            if bytes[i].is_ascii_alphabetic() || bytes[i] == b'_' {
+                let start = i;
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
+                }
+                return Some(&text[start..i]);
             }
-            out.push(&text[start..i]);
-        } else {
             i += 1;
         }
-    }
-    out
+        None
+    })
 }

@@ -152,7 +152,7 @@ pub fn render_golden(encode: &TagMap) -> String {
 
 /// Parses a golden registry file into a `TagMap`.
 #[must_use]
-pub fn parse_golden(text: &str) -> TagMap {
+fn parse_golden(text: &str) -> TagMap {
     let mut out = Vec::new();
     for line in text.lines() {
         let line = line.trim();

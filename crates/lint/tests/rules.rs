@@ -183,3 +183,63 @@ fn wire_golden_drift_is_a_violation() {
     let v = rules::wire::check(&file, "wire_ok.rs", Some(golden), "wire.golden");
     assert!(!v.is_empty());
 }
+
+/// A two-file corpus: `lib` as a library file, beside the fixture that
+/// uses (and only mentions) its items.
+fn dead_pub_corpus(lib: &str) -> Vec<(String, MaskedFile)> {
+    vec![
+        ("crates/fx/src/lib.rs".to_string(), fixture(lib)),
+        (
+            "crates/fx/tests/user.rs".to_string(),
+            fixture("dead_pub_user.rs"),
+        ),
+    ]
+}
+
+#[test]
+fn dead_pub_positive_flags_items_no_other_file_uses() {
+    let v = rules::dead_pub::check(&dead_pub_corpus("dead_pub_bad.rs"));
+    // Unnamed; only re-exported; only in a comment, doc example and
+    // string; only in the file's own tests.
+    assert_eq!(v.len(), 4, "{v:#?}");
+    assert!(v
+        .iter()
+        .all(|v| v.rule == "dead_pub" && v.file == "crates/fx/src/lib.rs"));
+    for name in [
+        "`pub fn nobody_calls`",
+        "`pub struct OnlyReexported`",
+        "`pub fn only_in_comments`",
+        "`pub fn only_own_tests`",
+    ] {
+        assert!(v.iter().any(|v| v.message.contains(name)), "{name}: {v:#?}");
+    }
+}
+
+#[test]
+fn dead_pub_negative_is_clean() {
+    // Used elsewhere; exposed by a `pub` signature or field (multi-line
+    // and generic ones too); `pub(crate)`; test code; a reasoned allow.
+    let v = rules::dead_pub::check(&dead_pub_corpus("dead_pub_ok.rs"));
+    assert!(v.is_empty(), "{v:#?}");
+}
+
+#[test]
+fn dead_pub_flags_stale_allows() {
+    let v = rules::dead_pub::check(&dead_pub_corpus("dead_pub_stale.rs"));
+    // An allow on an item another file names, and one above no `pub` item.
+    let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+    assert_eq!(lines, vec![4, 10], "{v:#?}");
+    assert!(
+        v.iter().all(|v| v.message.contains("stale allow")),
+        "{v:#?}"
+    );
+}
+
+#[test]
+fn dead_pub_exempts_bins_and_main() {
+    for rel in ["crates/fx/src/bin/tool.rs", "crates/fx/src/main.rs"] {
+        let corpus = vec![(rel.to_string(), fixture("dead_pub_bad.rs"))];
+        let v = rules::dead_pub::check(&corpus);
+        assert!(v.is_empty(), "{rel}: {v:#?}");
+    }
+}

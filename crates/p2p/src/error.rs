@@ -3,7 +3,6 @@
 use std::error::Error as StdError;
 use std::fmt;
 
-use lmm_core::LmmError;
 use lmm_linalg::LinalgError;
 use lmm_rank::RankError;
 
@@ -32,8 +31,6 @@ pub enum P2pError {
         /// Number of peers in the network.
         n_peers: usize,
     },
-    /// Underlying layered-model failure.
-    Lmm(LmmError),
     /// Underlying ranking failure.
     Rank(RankError),
     /// Underlying linear-algebra failure.
@@ -53,7 +50,6 @@ impl fmt::Display for P2pError {
             P2pError::UnknownPeer { peer, n_peers } => {
                 write!(f, "unknown peer {peer} (network has {n_peers} peers)")
             }
-            P2pError::Lmm(e) => write!(f, "layered model error: {e}"),
             P2pError::Rank(e) => write!(f, "ranking error: {e}"),
             P2pError::Linalg(e) => write!(f, "linear algebra error: {e}"),
         }
@@ -63,17 +59,10 @@ impl fmt::Display for P2pError {
 impl StdError for P2pError {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
-            P2pError::Lmm(e) => Some(e),
             P2pError::Rank(e) => Some(e),
             P2pError::Linalg(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<LmmError> for P2pError {
-    fn from(e: LmmError) -> Self {
-        P2pError::Lmm(e)
     }
 }
 

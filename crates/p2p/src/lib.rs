@@ -23,7 +23,7 @@
 //!
 //! The distributed result is numerically identical (up to the convergence
 //! tolerance) to the single-process layered pipeline in
-//! [`lmm_core::siterank`] — that equivalence is asserted in the integration
+//! `lmm_core::siterank` — that equivalence is asserted in the integration
 //! tests, with and without message loss.
 //!
 //! # Example

@@ -5,7 +5,7 @@
 //! real — only the byte counts matter for the traffic tables.
 
 /// Per-message header overhead (source, destination, type tag, length).
-pub const HEADER_BYTES: u64 = 24;
+const HEADER_BYTES: u64 = 24;
 
 /// A peer or coordinator address. The coordinator is a distinguished
 /// address outside the peer index space.

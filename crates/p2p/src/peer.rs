@@ -172,8 +172,8 @@ impl GroupNode {
     ///
     /// # Panics
     /// Panics if the site is not owned by this group.
-    #[must_use]
-    pub fn rank_of(&self, site: usize) -> f64 {
+    #[cfg(test)]
+    fn rank_of(&self, site: usize) -> f64 {
         self.ranks[self.position_of[&site]]
     }
 

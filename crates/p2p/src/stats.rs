@@ -16,7 +16,7 @@ pub struct TrafficStats {
 impl TrafficStats {
     /// Component-wise sum.
     #[must_use]
-    pub fn plus(self, other: TrafficStats) -> TrafficStats {
+    fn plus(self, other: TrafficStats) -> TrafficStats {
         TrafficStats {
             messages: self.messages + other.messages,
             bytes: self.bytes + other.bytes,
@@ -84,12 +84,6 @@ impl RunStats {
     pub fn total_wall(&self) -> Duration {
         self.phases.iter().map(|p| p.wall).sum()
     }
-
-    /// Total synchronous rounds.
-    #[must_use]
-    pub fn total_rounds(&self) -> u32 {
-        self.phases.iter().map(|p| p.rounds).sum()
-    }
 }
 
 impl std::fmt::Display for RunStats {
@@ -149,7 +143,6 @@ mod tests {
         assert_eq!(run.total().messages, 12);
         assert_eq!(run.total().bytes, 150);
         assert_eq!(run.total_wall(), Duration::from_millis(15));
-        assert_eq!(run.total_rounds(), 3);
         let display = run.to_string();
         assert!(display.contains("total"));
         assert!(display.contains("12 msgs"));

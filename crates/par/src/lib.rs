@@ -108,7 +108,7 @@ thread_local! {
 /// Resolves a `threads` knob to a concrete worker count: `0` means one per
 /// available core (falling back to 1 when the parallelism is unknown).
 #[must_use]
-pub fn resolve_threads(threads: usize) -> usize {
+fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {

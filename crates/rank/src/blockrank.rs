@@ -19,7 +19,7 @@ use lmm_linalg::{CooMatrix, CsrMatrix, StochasticMatrix};
 /// Per-block view of a partitioned graph: the intra-block adjacency and the
 /// local→global index mapping.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlockSubgraph {
+struct BlockSubgraph {
     /// Intra-block adjacency (dimensions = block size).
     pub adjacency: CsrMatrix,
     /// `members[local] = global` index mapping, ascending.
@@ -32,7 +32,7 @@ pub struct BlockSubgraph {
 /// Returns [`RankError::InvalidPartition`] when `block_of` has the wrong
 /// length or references a block `>= n_blocks`, and [`RankError::Empty`] when
 /// some block has no members.
-pub fn partition_subgraphs(
+fn partition_subgraphs(
     adjacency: &CsrMatrix,
     block_of: &[usize],
     n_blocks: usize,
@@ -106,7 +106,7 @@ pub struct BlockRankResult {
 /// `block_of`.
 ///
 /// # Errors
-/// Propagates partition errors from [`partition_subgraphs`] and PageRank
+/// Propagates partition errors from `partition_subgraphs` and PageRank
 /// errors from each stage.
 pub fn blockrank(
     adjacency: &CsrMatrix,

@@ -47,7 +47,7 @@ pub struct GatekeeperResult {
 /// * [`RankError::InvalidDamping`] unless `0 < alpha < 1`;
 /// * [`RankError::InvalidPersonalization`] if `v` is not a distribution of
 ///   length `n`.
-pub fn augmented_matrix(u: &StochasticMatrix, alpha: f64, v: &[f64]) -> Result<CsrMatrix> {
+fn augmented_matrix(u: &StochasticMatrix, alpha: f64, v: &[f64]) -> Result<CsrMatrix> {
     let n = u.n();
     if n == 0 {
         return Err(RankError::Empty);
@@ -94,7 +94,7 @@ pub fn augmented_matrix(u: &StochasticMatrix, alpha: f64, v: &[f64]) -> Result<C
 /// `v` defaults to uniform when `None`.
 ///
 /// # Errors
-/// See [`augmented_matrix`]; additionally [`RankError::Linalg`] if the power
+/// See `augmented_matrix`; additionally [`RankError::Linalg`] if the power
 /// method on the augmented chain fails to converge within `opts`.
 ///
 /// # Example

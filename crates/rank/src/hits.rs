@@ -16,17 +16,6 @@ use crate::error::{RankError, Result};
 use crate::ranking::Ranking;
 use lmm_linalg::{vec_ops, ConvergenceReport, CsrMatrix};
 
-/// Normalization used between HITS rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HitsNorm {
-    /// L1 normalization — scores form probability distributions, directly
-    /// comparable with PageRank vectors.
-    #[default]
-    L1,
-    /// L2 normalization — Kleinberg's original formulation.
-    L2,
-}
-
 /// Options for the HITS iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HitsConfig {
@@ -34,8 +23,6 @@ pub struct HitsConfig {
     pub tol: f64,
     /// Iteration budget.
     pub max_iters: usize,
-    /// Normalization flavor.
-    pub norm: HitsNorm,
 }
 
 impl Default for HitsConfig {
@@ -43,7 +30,6 @@ impl Default for HitsConfig {
         Self {
             tol: 1e-12,
             max_iters: 10_000,
-            norm: HitsNorm::L1,
         }
     }
 }
@@ -51,8 +37,8 @@ impl Default for HitsConfig {
 /// Result of a HITS computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HitsResult {
-    /// Authority scores (L1-normalized regardless of the internal norm, so
-    /// they are comparable across configurations).
+    /// Authority scores (L1-normalized, so they are comparable with
+    /// PageRank vectors).
     pub authorities: Ranking,
     /// Hub scores (L1-normalized likewise).
     pub hubs: Ranking,
@@ -97,11 +83,10 @@ pub fn hits(adjacency: &CsrMatrix, config: &HitsConfig) -> Result<HitsResult> {
         return Err(RankError::Empty);
     }
 
-    let normalize = |x: &mut [f64], norm: HitsNorm| -> Result<()> {
-        let s = match norm {
-            HitsNorm::L1 => vec_ops::l1_norm(x),
-            HitsNorm::L2 => vec_ops::l2_norm(x),
-        };
+    // L1 between rounds: scores stay distributions, directly comparable
+    // with PageRank vectors.
+    let normalize = |x: &mut [f64]| -> Result<()> {
+        let s = vec_ops::l1_norm(x);
         if !(s.is_finite() && s > 0.0) {
             return Err(RankError::Linalg(
                 lmm_linalg::LinalgError::NotDistribution { sum: s },
@@ -121,9 +106,9 @@ pub fn hits(adjacency: &CsrMatrix, config: &HitsConfig) -> Result<HitsResult> {
     };
     for iter in 1..=config.max_iters {
         adjacency.apply_transpose_into(&h, &mut a)?;
-        normalize(&mut a, config.norm)?;
+        normalize(&mut a)?;
         adjacency.apply_into(&a, &mut h)?;
-        normalize(&mut h, config.norm)?;
+        normalize(&mut h)?;
         let residual = vec_ops::l1_diff(&a, &a_prev);
         a_prev.copy_from_slice(&a);
         report = ConvergenceReport {
@@ -174,27 +159,6 @@ mod tests {
         for i in 1..5 {
             assert!((r.hubs.score(i) - 0.25).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn l2_norm_same_order_as_l1() {
-        let mut coo = CooMatrix::new(4, 4);
-        coo.push(0, 1, 1.0);
-        coo.push(0, 2, 1.0);
-        coo.push(1, 2, 1.0);
-        coo.push(3, 2, 1.0);
-        coo.push(2, 0, 1.0);
-        let m = coo.to_csr();
-        let l1 = hits(&m, &HitsConfig::default()).unwrap();
-        let l2 = hits(
-            &m,
-            &HitsConfig {
-                norm: HitsNorm::L2,
-                ..HitsConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(l1.authorities.order(), l2.authorities.order());
     }
 
     #[test]

@@ -159,13 +159,6 @@ pub fn labeled_share_at_k(ranking: &Ranking, labels: &[bool], k: usize) -> f64 {
     hits as f64 / k as f64
 }
 
-/// Precision@k against a relevance labeling — alias of
-/// [`labeled_share_at_k`] with retrieval terminology.
-#[must_use]
-pub fn precision_at_k(ranking: &Ranking, relevant: &[bool], k: usize) -> f64 {
-    labeled_share_at_k(ranking, relevant, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +230,6 @@ mod tests {
         let spam = [true, false, true, false];
         assert!((labeled_share_at_k(&a, &spam, 2) - 0.5).abs() < 1e-12);
         assert!((labeled_share_at_k(&a, &spam, 4) - 0.5).abs() < 1e-12);
-        assert_eq!(precision_at_k(&a, &spam, 1), 1.0);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use crate::error::{RankError, Result};
 use crate::ranking::Ranking;
 use lmm_linalg::{
-    power_method_pool, vec_ops, Acceleration, ConvergenceReport, CsrMatrix, DanglingPolicy,
-    DenseMatrix, LinearOperator, PowerOptions, StationaryOperator, StochasticMatrix,
+    power_method_pool, vec_ops, ConvergenceReport, CsrMatrix, DanglingPolicy, LinearOperator,
+    PowerOptions, StationaryOperator, StochasticMatrix,
 };
 use lmm_par::ThreadPool;
 
@@ -34,10 +34,6 @@ pub struct PageRankConfig {
     pub max_iters: usize,
     /// Treatment of dangling (zero out-degree) rows.
     pub dangling: DanglingPolicy,
-    /// Power-method acceleration scheme (see
-    /// [`Acceleration`]); the extrapolation
-    /// methods the LMM paper cites as the centralized speed-up alternative.
-    pub acceleration: Acceleration,
     /// Worker threads for the gather SpMV and `O(n)` vector passes
     /// (`0` = one per available core). Defaults to 1 (serial): inner
     /// solves — e.g. one site's DocRank inside a per-site fan-out — must
@@ -53,7 +49,6 @@ impl Default for PageRankConfig {
             tol: 1e-12,
             max_iters: 10_000,
             dangling: DanglingPolicy::Uniform,
-            acceleration: Acceleration::None,
             threads: 1,
         }
     }
@@ -131,12 +126,6 @@ impl PageRank {
     /// Sets the dangling-row policy.
     pub fn dangling(&mut self, policy: DanglingPolicy) -> &mut Self {
         self.config.dangling = policy;
-        self
-    }
-
-    /// Sets the power-method acceleration scheme.
-    pub fn acceleration(&mut self, acceleration: Acceleration) -> &mut Self {
-        self.config.acceleration = acceleration;
         self
     }
 
@@ -226,8 +215,6 @@ impl PageRank {
         let opts = PowerOptions {
             tol: self.config.tol,
             max_iters: self.config.max_iters,
-            acceleration: self.config.acceleration,
-            ..PowerOptions::default()
         };
         let (scores, report) = power_method_pool(&op, &x0, &opts, &pool)?;
         Ok(PageRankResult {
@@ -290,17 +277,18 @@ impl LinearOperator for GoogleOperator<'_> {
 }
 
 /// Builds the explicit Google matrix `M̂ = f·M + (1−f)·e·vᵀ` densely, with
-/// dangling rows replaced by the policy target first. Intended for tests and
-/// the paper's small worked example — `O(n²)` memory.
+/// dangling rows replaced by the policy target first: the oracle the
+/// factored operator is tested against — `O(n²)` memory.
 ///
 /// # Errors
 /// Same validation as [`PageRank::run`].
-pub fn google_matrix_dense(
+#[cfg(test)]
+fn google_matrix_dense(
     m: &StochasticMatrix,
     damping: f64,
     personalization: Option<&[f64]>,
     policy: DanglingPolicy,
-) -> Result<DenseMatrix> {
+) -> Result<lmm_linalg::DenseMatrix> {
     let n = m.n();
     if n == 0 {
         return Err(RankError::Empty);
@@ -317,7 +305,7 @@ pub fn google_matrix_dense(
             reason: "length differs from the number of states",
         });
     }
-    let mut g = DenseMatrix::zeros(n, n)?;
+    let mut g = lmm_linalg::DenseMatrix::zeros(n, n)?;
     // Start from M with dangling rows patched.
     for (r, c, val) in m.matrix().iter() {
         g.set(r, c, val);

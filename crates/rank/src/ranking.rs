@@ -163,17 +163,6 @@ impl Ranking {
         idx.sort_unstable_by(|&a, &b| self.cmp_items(a, b));
         idx
     }
-
-    /// Entropy (nats) of the score distribution — a dispersion diagnostic
-    /// used by the experiment harness (`0` = all mass on one item).
-    #[must_use]
-    pub fn entropy(&self) -> f64 {
-        self.scores
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.ln())
-            .sum()
-    }
 }
 
 impl AsRef<[f64]> for Ranking {
@@ -257,18 +246,6 @@ mod tests {
         }
         let uniform = Ranking::uniform(9).unwrap();
         assert_eq!(uniform.top_k(4), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn uniform_entropy_is_log_n() {
-        let r = Ranking::uniform(8).unwrap();
-        assert!((r.entropy() - (8f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concentrated_entropy_is_zero() {
-        let r = Ranking::from_scores(vec![1.0, 0.0, 0.0]).unwrap();
-        assert_eq!(r.entropy(), 0.0);
     }
 
     #[test]

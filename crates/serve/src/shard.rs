@@ -2,7 +2,7 @@
 //! document orderings, and score lookups over one pinned [`RankSnapshot`].
 //!
 //! A [`ShardState`] is the unit the hot-swap replaces: it pins one snapshot
-//! epoch and the shard's precomputed [`ShardData`]. Scores are **always
+//! epoch and the shard's precomputed orderings. Scores are **always
 //! read through the pinned snapshot** — the data stores only document
 //! *orderings* — which gives the publisher three swap grades:
 //!
@@ -121,7 +121,7 @@ pub enum SiteTopK {
 /// are always read through the pinned snapshot, so a refresh can re-pair
 /// surviving orders with rescaled scores).
 #[derive(Debug)]
-pub struct ShardData {
+struct ShardData {
     /// The shard's best documents in serving order, at most the configured
     /// heap capacity.
     top: Vec<DocId>,
@@ -275,15 +275,15 @@ impl ShardState {
 
     /// `true` when this state shares its data with `other` (re-pinned, not
     /// rebuilt).
-    #[must_use]
-    pub fn shares_data_with(&self, other: &ShardState) -> bool {
+    #[cfg(test)]
+    fn shares_data_with(&self, other: &ShardState) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// `true` when this state shares its per-site orderings with `other`
     /// (refreshed: new top list, same orders).
-    #[must_use]
-    pub fn shares_orders_with(&self, other: &ShardState) -> bool {
+    #[cfg(test)]
+    fn shares_orders_with(&self, other: &ShardState) -> bool {
         Arc::ptr_eq(&self.data.site_order, &other.data.site_order)
     }
 

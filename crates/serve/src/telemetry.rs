@@ -34,7 +34,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Records one sample of `ns` nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
+    fn record_ns(&self, ns: u64) {
         let idx = if ns == 0 {
             0
         } else {
@@ -78,44 +78,6 @@ impl LatencyHistogramSnapshot {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
-    }
-
-    /// Exclusive upper bound (ns) of bucket `i`.
-    #[must_use]
-    pub fn bucket_upper_ns(i: usize) -> u64 {
-        if i + 1 >= LATENCY_BUCKETS {
-            u64::MAX
-        } else {
-            1u64 << (i + 1)
-        }
-    }
-
-    /// Upper bound (ns) of the bucket containing the `q`-quantile
-    /// (`0.0 < q <= 1.0`) — a conservative percentile: the true value is
-    /// at most this, and at least half of it. `None` when empty.
-    #[must_use]
-    pub fn quantile_upper_ns(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        // ceil(q * total), clamped to [1, total].
-        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(Self::bucket_upper_ns(i));
-            }
-        }
-        Some(Self::bucket_upper_ns(LATENCY_BUCKETS - 1))
-    }
-
-    /// Merges another snapshot into this one (per-bucket sum).
-    pub fn merge(&mut self, other: &LatencyHistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
     }
 }
 
@@ -325,36 +287,6 @@ mod tests {
         assert_eq!(snap.buckets[1], 2);
         assert_eq!(snap.buckets[10], 1);
         assert_eq!(snap.buckets[LATENCY_BUCKETS - 1], 1);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_conservative_upper_bounds() {
-        let h = LatencyHistogram::default();
-        assert_eq!(h.snapshot().quantile_upper_ns(0.99), None);
-        // 99 fast samples at ~1µs, one slow at ~1ms.
-        for _ in 0..99 {
-            h.record_ns(1_000); // bucket 9: [512, 1024)
-        }
-        h.record_ns(1_000_000); // bucket 19
-        let snap = h.snapshot();
-        assert_eq!(snap.quantile_upper_ns(0.5), Some(1024));
-        assert_eq!(snap.quantile_upper_ns(0.99), Some(1024));
-        // The single outlier owns the p999.
-        assert_eq!(snap.quantile_upper_ns(0.999), Some(1 << 20));
-        assert_eq!(snap.quantile_upper_ns(1.0), Some(1 << 20));
-    }
-
-    #[test]
-    fn histogram_merge_sums_buckets() {
-        let a = LatencyHistogram::default();
-        let b = LatencyHistogram::default();
-        a.record_ns(10);
-        b.record_ns(10);
-        b.record_ns(100_000);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.buckets[3], 2); // 10ns -> bucket 3: [8, 16)
     }
 
     #[test]
