@@ -115,7 +115,7 @@ pub fn global_transition_matrix(
 /// One application costs a fold over `x` (`O(N_P)` states), one `Yᵀ`
 /// product (`O(nnz(Y))`) and one scaled scatter (`O(N_P)` states) — versus
 /// `O(nnz(W))` for the explicit matrix. This operator is the computational
-/// heart of the scalability experiment (E6).
+/// heart of `lmm-repro scalability`.
 #[derive(Debug, Clone)]
 pub struct GlobalOperator<'a> {
     model: &'a LayeredMarkovModel,

@@ -4,7 +4,7 @@
 //! produces *exactly* the stationary distribution of the global chain `W`
 //! (Approach 2) whenever `Y` is primitive. [`verify_partition_theorem`]
 //! computes both sides and reports the discrepancy — used by the test
-//! suite (on random models), the experiment harness (E5) and the examples.
+//! suite (on random models), `lmm-repro partition` and the examples.
 
 use crate::approaches::{compute, LmmParams, RankApproach};
 use crate::error::Result;

@@ -3,7 +3,7 @@
 //!
 //! The matrices `Y`, `U1`, `U2`, `U3` are transcribed verbatim; the
 //! `PAPER_*` constants are the rank vectors the paper prints to 4 decimals.
-//! The test suite and experiment E2 validate our computations against them
+//! The test suite and `lmm-repro fig2` validate our computations against them
 //! (with α = f = 0.85, the standard damping, which reproduces every printed
 //! digit).
 
@@ -36,6 +36,11 @@ const U3: [[f64; 5]; 5] = [
 
 /// The mixing factor that reproduces the paper's printed numbers.
 pub const PAPER_ALPHA: f64 = 0.85;
+
+/// How far a computed value may sit from a `PAPER_*` value: the paper
+/// prints 4 decimals, so half a unit in the last place plus a little slack
+/// for its own convergence tolerance.
+pub const PAPER_TOL: f64 = 7e-4;
 
 /// Printed gatekeeper (local PageRank) vector `π_G^1` of phase I.
 pub const PAPER_PI_G1: [f64; 4] = [0.3054, 0.2312, 0.2582, 0.2052];
@@ -114,15 +119,11 @@ mod tests {
     use lmm_linalg::PowerOptions;
     use lmm_rank::pagerank::PageRank;
 
-    /// The paper prints 4 decimals; allow half a unit in the last place plus
-    /// a little slack for their own convergence tolerance.
-    const TOL: f64 = 7e-4;
-
     fn assert_close(actual: &[f64], expected: &[f64], what: &str) {
         assert_eq!(actual.len(), expected.len(), "{what}: length");
         for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
             assert!(
-                (a - e).abs() < TOL,
+                (a - e).abs() < PAPER_TOL,
                 "{what}[{i}]: computed {a:.6}, paper prints {e:.4}"
             );
         }
@@ -200,9 +201,9 @@ mod tests {
         let m = paper_model().unwrap();
         let s23 = GlobalState::new(1, 2); // the paper's (2,3)
         let a4 = m.layered_method(PAPER_ALPHA).unwrap();
-        assert!((a4.score_state(s23) - PAPER_STATE_23_LAYERED).abs() < TOL);
+        assert!((a4.score_state(s23) - PAPER_STATE_23_LAYERED).abs() < PAPER_TOL);
         let a3 = m.layered_with_pagerank_site(PAPER_ALPHA).unwrap();
-        assert!((a3.score_state(s23) - PAPER_STATE_23_APPROACH3).abs() < TOL);
+        assert!((a3.score_state(s23) - PAPER_STATE_23_APPROACH3).abs() < PAPER_TOL);
     }
 
     #[test]
@@ -235,6 +236,6 @@ mod tests {
         let w = crate::global::global_transition_matrix(&m, &dists).unwrap();
         let from = m.state_index(GlobalState::new(2, 4)); // (3,5) -> index 11
         let to = m.state_index(GlobalState::new(1, 2)); // (2,3) -> index 6
-        assert!((w.get(from, to) - 0.3059).abs() < TOL);
+        assert!((w.get(from, to) - 0.3059).abs() < PAPER_TOL);
     }
 }

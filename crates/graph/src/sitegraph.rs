@@ -25,7 +25,7 @@ use lmm_linalg::{CsrMatrix, LinalgError, StochasticMatrix};
 /// How SiteLink multiplicities map to edge weights.
 ///
 /// `LinkCount` is the paper's definition; the others are ablations exercised
-/// by the experiment harness (experiment E10, `exp_ablation`).
+/// by `lmm-repro ablation`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SiteLinkWeighting {
     /// Weight = number of document links between the two sites (the paper).

@@ -18,8 +18,8 @@
 //!   at super-peers, batched inter-group traffic), and
 //!   [`Architecture::Centralized`] (the baseline that ships the whole
 //!   DocGraph to one node);
-//! * [`stats`] — per-phase traffic and wall-clock accounting that the
-//!   experiment harness (E7) turns into tables.
+//! * [`stats`] — per-phase traffic and wall-clock accounting that
+//!   `lmm-repro distributed` turns into tables.
 //!
 //! The distributed result is numerically identical (up to the convergence
 //! tolerance) to the single-process layered pipeline in

@@ -101,3 +101,8 @@ pub mod prelude {
     };
     pub use lmm_serve::{ServeConfig, ServeError, ShardQuery, ShardedServer};
 }
+
+/// Compiles and runs the `rust` blocks of README.md under `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

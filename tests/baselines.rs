@@ -1,5 +1,5 @@
 //! Baseline algorithms (HITS, BlockRank) against the layered method on the
-//! campus web — the comparisons behind experiment E8.
+//! campus web — the comparisons behind `lmm-repro ablation`.
 
 use lmm::core::siterank::{flat_pagerank, layered_doc_rank, LayeredRankConfig};
 use lmm::graph::generator::CampusWebConfig;

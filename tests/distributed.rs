@@ -1,6 +1,7 @@
-//! Cross-crate guarantees of the distributed simulator (experiment E7's
-//! acceptance criteria): every layered architecture computes the same
-//! ranking as the single-process pipeline, with and without failures.
+//! Cross-crate guarantees of the distributed simulator (the acceptance
+//! criteria of `lmm-repro distributed`): every layered architecture
+//! computes the same ranking as the single-process pipeline, with and
+//! without failures.
 
 use lmm::core::siterank::{flat_pagerank, layered_doc_rank, LayeredRankConfig};
 use lmm::graph::generator::CampusWebConfig;

@@ -1,5 +1,5 @@
 //! End-to-end layered DocRank pipeline tests on the synthetic campus web
-//! (experiments E3/E4's acceptance criteria).
+//! (`lmm-repro campus`'s acceptance criteria).
 
 use lmm::core::siterank::{flat_pagerank, layered_doc_rank, LayeredRankConfig};
 use lmm::graph::generator::CampusWebConfig;

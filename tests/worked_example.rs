@@ -1,5 +1,5 @@
 //! End-to-end reproduction of the paper's Section 2.3 worked example
-//! through the facade crate (experiment E2's acceptance test).
+//! through the facade crate (`lmm-repro fig2`'s acceptance test).
 
 use lmm::core::approaches::{LmmParams, RankApproach};
 use lmm::core::model::GlobalState;
