@@ -494,6 +494,11 @@ fn recompute_site_rank(
 /// changed, the SiteRank reruns warm-started from the (padded) previous
 /// vector.
 ///
+/// The result copies only what the delta touched: every reused local
+/// ranking shares its score buffer with `previous`, and when the SiteRank
+/// did not rerun the global vector is `previous.global` with the
+/// recomputed sites patched in, bit-identical to a full recomposition.
+///
 /// # Errors
 /// Returns [`LmmError::InvalidModel`] for a delta that is out of range,
 /// inconsistent with the graphs' shapes, or under-reports growth;
@@ -593,9 +598,11 @@ pub fn incremental_update(
         previous.local_ranks.iter().cloned().map(Some).collect();
     local_ranks.resize(n_sites, None);
     // Dead slots (removed now, or appended dead) hold the empty ranking —
-    // zero weight, zero members, nothing to compute.
+    // zero weight, zero members, nothing to compute. A slot dead before
+    // keeps its placeholder, like every other untouched site.
     for (s, slot) in local_ranks.iter_mut().enumerate() {
-        if !new_graph.is_live_site(SiteId(s)) {
+        let placeholder = slot.as_ref().is_some_and(Ranking::is_empty);
+        if !placeholder && !new_graph.is_live_site(SiteId(s)) {
             *slot = Some(Ranking::empty());
         }
     }
@@ -625,32 +632,32 @@ pub fn incremental_update(
     }
     stats.sites_recomputed = jobs.len();
     stats.sites_reused = new_graph.n_live_sites() - stats.sites_recomputed;
+    let local_ranks = local_ranks
+        .into_iter()
+        .enumerate()
+        .map(|(s, ranks)| {
+            ranks.ok_or_else(|| LmmError::InvalidModel {
+                reason: format!("no local rank computed or reused for site {s}"),
+            })
+        })
+        .collect::<Result<Vec<Ranking>>>()?;
 
-    // Recompose (O(N) — the Partition Theorem's aggregation step), with an
-    // explicit size check so an inconsistent state can never silently
-    // misalign scores.
-    let mut scores = vec![0.0f64; new_graph.n_docs()];
-    for (s, ranks) in local_ranks.iter().enumerate() {
-        let ranks = ranks.as_ref().ok_or_else(|| LmmError::InvalidModel {
-            reason: format!("no local rank computed or reused for site {s}"),
-        })?;
-        let members = new_graph.docs_of_site(SiteId(s));
-        if ranks.len() != members.len() {
-            return Err(LmmError::InvalidModel {
-                reason: format!(
-                    "local rank for site {s} covers {} documents, site has {}",
-                    ranks.len(),
-                    members.len()
-                ),
-            });
-        }
-        let weight = site_rank.score(s);
-        for (local, doc) in members.iter().enumerate() {
-            scores[doc.index()] = weight * ranks.score(local);
-        }
-    }
+    // Recompose. With σ unchanged, every site outside `jobs` keeps its
+    // members, its local vector and its weight, so its scores are the
+    // previous epoch's bit for bit: patch the recomputed sites into the
+    // previous vector. A σ rerun moves every score: full recompose.
+    let scores = if stats.site_rank_recomputed || previous.global.len() > new_graph.n_docs() {
+        recompose_full(new_graph, &site_rank, &local_ranks)?
+    } else {
+        recompose_patch(
+            previous.global.scores(),
+            new_graph,
+            &site_rank,
+            &local_ranks,
+            jobs.iter().map(|&(s, _)| s),
+        )?
+    };
     let global = Ranking::from_scores(scores)?;
-    let local_ranks: Vec<Ranking> = local_ranks.into_iter().flatten().collect();
     Ok((
         LayeredDocRank {
             site_rank,
@@ -662,6 +669,74 @@ pub fn incremental_update(
         },
         stats,
     ))
+}
+
+/// Writes site `s`'s scores `σ_s · π_s(d)` into the global vector, with an
+/// explicit size check so an inconsistent state can never silently
+/// misalign scores.
+fn write_site(
+    scores: &mut [f64],
+    new_graph: &DocGraph,
+    site_rank: &Ranking,
+    local_ranks: &[Ranking],
+    s: usize,
+) -> Result<()> {
+    let ranks = &local_ranks[s];
+    let members = new_graph.docs_of_site(SiteId(s));
+    if ranks.len() != members.len() {
+        return Err(LmmError::InvalidModel {
+            reason: format!(
+                "local rank for site {s} covers {} documents, site has {}",
+                ranks.len(),
+                members.len()
+            ),
+        });
+    }
+    let weight = site_rank.score(s);
+    for (doc, &local) in members.iter().zip(ranks.scores()) {
+        scores[doc.index()] = weight * local;
+    }
+    Ok(())
+}
+
+/// The Partition Theorem's aggregation step over every site, O(N): dead
+/// slots stay zero.
+fn recompose_full(
+    new_graph: &DocGraph,
+    site_rank: &Ranking,
+    local_ranks: &[Ranking],
+) -> Result<Vec<f64>> {
+    let mut scores = vec![0.0f64; new_graph.n_docs()];
+    for s in 0..local_ranks.len() {
+        write_site(&mut scores, new_graph, site_rank, local_ranks, s)?;
+    }
+    Ok(scores)
+}
+
+/// The aggregation step as a patch of `previous` (the last global vector,
+/// composed under the same σ): appended slots start at zero, the
+/// documents a shrunk site lost — dead now, like every tombstoned slot —
+/// are zeroed, and each recomputed site's members are rewritten. Every
+/// written score is the same product the full loop writes, so the result
+/// equals [`recompose_full`] bit for bit (the `patched_recompose_*` test
+/// holds it over a churn stream).
+fn recompose_patch(
+    previous: &[f64],
+    new_graph: &DocGraph,
+    site_rank: &Ranking,
+    local_ranks: &[Ranking],
+    recomputed: impl IntoIterator<Item = usize>,
+) -> Result<Vec<f64>> {
+    let mut scores = Vec::with_capacity(new_graph.n_docs());
+    scores.extend_from_slice(previous);
+    scores.resize(new_graph.n_docs(), 0.0);
+    for &d in new_graph.dead_docs() {
+        scores[d.index()] = 0.0;
+    }
+    for s in recomputed {
+        write_site(&mut scores, new_graph, site_rank, local_ranks, s)?;
+    }
+    Ok(scores)
 }
 
 /// Convenience: diff + update + (in debug builds) equivalence check against
@@ -1130,6 +1205,94 @@ mod tests {
         let scratch = layered_doc_rank(&dense, &cfg).unwrap();
         let carried = remap_result(updated, &remap).unwrap();
         vec_ops::l1_diff(carried.global.scores(), scratch.global.scores())
+    }
+
+    /// The patched recompose against the full loop over a 240-delta
+    /// seeded stream: intra-site rewires, grown sites, shrunk sites whose
+    /// lost page had no cross link (so σ does not rerun), cross links and
+    /// site removals (σ reruns). Every step's global vector equals the
+    /// full loop over the same layers bit for bit.
+    #[test]
+    fn patched_recompose_equals_the_full_loop_over_a_churn_stream() {
+        let mut graph = campus();
+        let cfg = LayeredRankConfig::default();
+        let mut result = layered_doc_rank(&graph, &cfg).unwrap();
+        let mut rng = 0x5eed_u64;
+        let mut below = |m: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % m
+        };
+        // Pages added with intra-site links only: removing one shrinks
+        // its site without touching a cross link.
+        let mut intra_pages: Vec<DocId> = Vec::new();
+        let (mut patched, mut patched_shrinks) = (0usize, 0usize);
+        for step in 0..240 {
+            let live: Vec<usize> = graph
+                .live_sites()
+                .map(SiteId::index)
+                .filter(|&s| graph.site_size(SiteId(s)) >= 3)
+                .collect();
+            let site = SiteId(live[below(live.len())]);
+            let docs = graph.docs_of_site(site);
+            let mut gd = GraphDelta::for_graph(&graph);
+            match below(10) {
+                0..=2 => {
+                    gd.remove_link(docs[0], docs[1]).unwrap();
+                    gd.add_link(docs[1], docs[2]).unwrap();
+                    gd.add_link(docs[2], docs[0]).unwrap();
+                }
+                3..=5 => {
+                    let p = gd
+                        .add_page(site, &format!("http://intra-{step}.page/"))
+                        .unwrap();
+                    gd.add_link(docs[0], p).unwrap();
+                    gd.add_link(p, docs[1]).unwrap();
+                    intra_pages.push(p);
+                }
+                6..=7 if !intra_pages.is_empty() => {
+                    let p = intra_pages.swap_remove(below(intra_pages.len()));
+                    gd.remove_page(p).unwrap();
+                }
+                8 => {
+                    let other = graph.docs_of_site(SiteId(live[below(live.len())]))[0];
+                    if graph.site_of(other) != site {
+                        gd.add_link(docs[0], other).unwrap();
+                    }
+                }
+                _ if graph.n_live_sites() > 6 && step % 4 == 0 => {
+                    intra_pages.retain(|&p| graph.site_of(p) != site);
+                    gd.remove_site(site).unwrap();
+                }
+                _ => gd.add_link(docs[2], docs[1]).unwrap(),
+            }
+            let (next, applied) = graph.apply(&gd).unwrap();
+            let delta = SiteDelta::from(&applied);
+            let (updated, stats) = incremental_update(&result, &next, &delta, &cfg).unwrap();
+            let full = recompose_full(&next, &updated.site_rank, &updated.local_ranks).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(updated.global.scores()),
+                bits(&full),
+                "step {step}: recompose diverged from the full loop"
+            );
+            if !stats.site_rank_recomputed {
+                patched += 1;
+                patched_shrinks += usize::from(stats.sites_shrunk > 0);
+            }
+            graph = next;
+            result = updated;
+        }
+        assert!(patched > 100, "only {patched} steps took the patch");
+        assert!(
+            patched_shrinks > 10,
+            "only {patched_shrinks} patched shrinks"
+        );
+        assert!(
+            graph.n_live_sites() < graph.n_sites(),
+            "no site was removed"
+        );
     }
 
     #[test]

@@ -354,36 +354,25 @@ pub struct RankEngine {
     epoch: u64,
 }
 
-/// Materializes a graph's membership/assignment tables for a snapshot.
-fn snapshot_tables(graph: &DocGraph) -> (Arc<Vec<Vec<DocId>>>, Arc<Vec<SiteId>>) {
-    (
-        Arc::new(
-            (0..graph.n_sites())
-                .map(|s| graph.docs_of_site(SiteId(s)).to_vec())
-                .collect(),
-        ),
-        Arc::new(graph.site_assignments().to_vec()),
-    )
-}
-
-/// Builds the immutable serving snapshot of one fresh computation over
-/// pre-shared membership tables.
+/// Builds the immutable serving snapshot of one fresh computation. It
+/// copies nothing: the scores and the site layer are the outcome's own
+/// buffers, and the membership and assignment tables are the graph's.
 fn build_snapshot(
     epoch: u64,
     outcome: &RankOutcome,
-    tables: (Arc<Vec<Vec<DocId>>>, Arc<Vec<SiteId>>),
+    graph: &DocGraph,
     staleness: Staleness,
 ) -> RankSnapshot {
     RankSnapshot::new(
         epoch,
         outcome.backend.clone(),
-        Arc::new(outcome.ranking.scores().to_vec()),
+        Arc::clone(outcome.ranking.shared_scores()),
         outcome
             .site_rank
             .as_ref()
-            .map(|r| Arc::new(r.scores().to_vec())),
-        tables.0,
-        tables.1,
+            .map(|r| Arc::clone(r.shared_scores())),
+        Arc::clone(graph.shared_members()),
+        Arc::clone(graph.shared_site_assignments()),
         staleness,
     )
 }
@@ -449,12 +438,7 @@ impl RankEngine {
             self.ctx.telemetry.record(&outcome.telemetry);
             // A from-scratch run gives no per-site staleness accounting, so
             // the snapshot conservatively declares everything moved.
-            let snapshot = build_snapshot(
-                self.epoch,
-                &outcome,
-                snapshot_tables(graph),
-                Staleness::Full,
-            );
+            let snapshot = build_snapshot(self.epoch, &outcome, graph, Staleness::Full);
             self.cache = Some(ServingCache {
                 outcome,
                 fingerprint,
@@ -506,8 +490,6 @@ impl RankEngine {
         // serving order survives unless two distinct local scores round to
         // one product (the serve tier's refresh debug-asserts they never
         // do): `Resized`, so unnamed shards refresh instead of rebuild.
-        let removal =
-            !updated.applied.removed_docs.is_empty() || !updated.applied.removed_sites.is_empty();
         let mut sites = updated.applied.changed_sites.clone();
         sites.extend_from_slice(&updated.applied.grown_sites);
         sites.extend_from_slice(&updated.applied.shrunk_sites);
@@ -529,21 +511,11 @@ impl RankEngine {
             sites.sort_unstable();
             Staleness::Sites(sites)
         };
-        // Membership-preserving deltas (the common rewire) re-pin the
-        // previous snapshot's membership/assignment tables instead of
-        // re-materializing O(docs) copies — only the score vector is new.
-        let tables = if updated.applied.new_doc_sites.is_empty()
-            && updated.applied.added_sites == 0
-            && !removal
-        {
-            (
-                cache.snapshot.site_members_arc(),
-                cache.snapshot.site_of_arc(),
-            )
-        } else {
-            snapshot_tables(&updated.graph)
-        };
-        cache.snapshot = build_snapshot(self.epoch, &updated.outcome, tables, staleness);
+        // The snapshot shares the new graph's tables, which share every
+        // untouched site's member list with the previous epoch's
+        // (lmm-serve's `unnamed_sites_share_their_buffers_at_every_layer`):
+        // no delta copies membership it left alone.
+        cache.snapshot = build_snapshot(self.epoch, &updated.outcome, &updated.graph, staleness);
         cache.outcome = updated.outcome;
         Ok(&cache.outcome)
     }

@@ -6,7 +6,13 @@
 //! [`RankEngine::apply_delta`](crate::RankEngine::apply_delta)) advances a
 //! monotone **epoch** and produces a new [`RankSnapshot`]: the score
 //! vector, the site layer, and the membership tables behind `Arc`s, plus a
-//! [`Staleness`] record naming what changed since the previous epoch. A
+//! [`Staleness`] record naming what changed since the previous epoch.
+//! Building one copies nothing: the scores and the site layer are the
+//! engine outcome's own buffers, and the membership tables are the
+//! graph's own — one `Arc` per site member list, so a site a delta left
+//! alone keeps the very list of the previous epoch
+//! (lmm-serve's `unnamed_sites_share_their_buffers_at_every_layer`
+//! holds both with `Arc::ptr_eq` over a churn stream). A
 //! serving tier pins a snapshot, answers every query of one response from
 //! that single pin, and uses the staleness set to rebuild only the shards
 //! a delta actually touched — everything else re-pins its existing
@@ -68,7 +74,7 @@ pub struct RankSnapshot {
     backend: String,
     scores: Arc<Vec<f64>>,
     site_rank: Option<Arc<Vec<f64>>>,
-    site_members: Arc<Vec<Vec<DocId>>>,
+    site_members: Arc<Vec<Arc<[DocId]>>>,
     site_of: Arc<Vec<SiteId>>,
     staleness: Staleness,
 }
@@ -82,7 +88,7 @@ impl RankSnapshot {
         backend: String,
         scores: Arc<Vec<f64>>,
         site_rank: Option<Arc<Vec<f64>>>,
-        site_members: Arc<Vec<Vec<DocId>>>,
+        site_members: Arc<Vec<Arc<[DocId]>>>,
         site_of: Arc<Vec<SiteId>>,
         staleness: Staleness,
     ) -> Self {
@@ -126,7 +132,7 @@ impl RankSnapshot {
     /// over the member lists.
     #[must_use]
     pub fn n_live_docs(&self) -> usize {
-        self.site_members.iter().map(Vec::len).sum()
+        self.site_members.iter().map(|m| m.len()).sum()
     }
 
     /// The global score vector, indexed by `DocId`.
@@ -144,9 +150,7 @@ impl RankSnapshot {
     /// Member documents of one site (empty slice for an unknown site).
     #[must_use]
     pub fn members_of_site(&self, site: SiteId) -> &[DocId] {
-        self.site_members
-            .get(site.index())
-            .map_or(&[], Vec::as_slice)
+        self.site_members.get(site.index()).map_or(&[], |m| m)
     }
 
     /// Owning site of one document.
@@ -205,7 +209,7 @@ impl RankSnapshot {
         let sites = sites.start.min(self.n_sites())..sites.end.min(self.n_sites());
         let members: Vec<Vec<DocId>> = sites
             .clone()
-            .map(|s| self.site_members[s].clone())
+            .map(|s| self.site_members[s].to_vec())
             .collect();
         let member_scores: Vec<Vec<f64>> = members
             .iter()
@@ -232,18 +236,6 @@ impl RankSnapshot {
             member_scores,
             tombstoned,
         }
-    }
-
-    /// Shared membership table — lets the engine re-pin it across
-    /// membership-preserving deltas instead of re-materializing O(docs)
-    /// tables per update.
-    pub(crate) fn site_members_arc(&self) -> Arc<Vec<Vec<DocId>>> {
-        Arc::clone(&self.site_members)
-    }
-
-    /// Shared assignment table (see [`Self::site_members_arc`]).
-    pub(crate) fn site_of_arc(&self) -> Arc<Vec<SiteId>> {
-        Arc::clone(&self.site_of)
     }
 }
 
@@ -295,7 +287,7 @@ impl SnapshotSegment {
     #[must_use]
     pub fn to_snapshot(&self) -> RankSnapshot {
         let mut scores = vec![0.0f64; self.n_docs];
-        let mut site_members = vec![Vec::new(); self.n_sites];
+        let mut site_members: Vec<Arc<[DocId]>> = vec![Arc::from([]); self.n_sites];
         // Uncovered documents point at an out-of-range site, whose member
         // list is empty: `is_live_doc` correctly answers false.
         let mut site_of = vec![SiteId(usize::MAX); self.n_docs];
@@ -306,7 +298,7 @@ impl SnapshotSegment {
                 scores[doc.index()] = score;
                 site_of[doc.index()] = SiteId(site);
             }
-            site_members[site] = docs.clone();
+            site_members[site] = Arc::from(docs.as_slice());
         }
         for &(doc, site) in &self.tombstoned {
             site_of[doc.index()] = site;
@@ -327,13 +319,17 @@ impl SnapshotSegment {
 mod tests {
     use super::*;
 
+    fn members(lists: Vec<Vec<DocId>>) -> Arc<Vec<Arc<[DocId]>>> {
+        Arc::new(lists.into_iter().map(Arc::from).collect())
+    }
+
     fn snapshot(staleness: Staleness) -> RankSnapshot {
         RankSnapshot::new(
             3,
             "test".into(),
             Arc::new(vec![0.25, 0.75]),
             None,
-            Arc::new(vec![vec![DocId(0)], vec![DocId(1)]]),
+            members(vec![vec![DocId(0)], vec![DocId(1)]]),
             Arc::new(vec![SiteId(0), SiteId(1)]),
             staleness,
         )
@@ -361,7 +357,7 @@ mod tests {
             "test".into(),
             Arc::new(vec![0.6, 0.0, 0.4]),
             None,
-            Arc::new(vec![vec![DocId(0)], Vec::new(), vec![DocId(2)]]),
+            members(vec![vec![DocId(0)], Vec::new(), vec![DocId(2)]]),
             Arc::new(vec![SiteId(0), SiteId(1), SiteId(2)]),
             Staleness::Resized {
                 sites: vec![],
@@ -390,7 +386,7 @@ mod tests {
             "test".into(),
             Arc::new(vec![0.3, 0.2, 0.0, 0.4, 0.1]),
             None,
-            Arc::new(vec![
+            members(vec![
                 vec![DocId(0), DocId(1)],
                 Vec::new(),
                 vec![DocId(3), DocId(4)],

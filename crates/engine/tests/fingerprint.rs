@@ -110,7 +110,8 @@ fn membership_preserving_deltas_repin_snapshot_tables() {
         after.members_of_site(SiteId(0)).as_ptr(),
     ));
 
-    // Growth changes membership: the tables must be rebuilt.
+    // Growth changes site 0's membership: its list is new, while every
+    // other site's list is still the one the first snapshot held.
     let (current, _) = base.apply(&rewire).unwrap();
     let mut grow = GraphDelta::for_graph(&current);
     let root = current.docs_of_site(SiteId(0))[0];
@@ -119,7 +120,12 @@ fn membership_preserving_deltas_repin_snapshot_tables() {
     engine.apply_delta(&grow).unwrap();
     let grown = engine.snapshot().unwrap();
     assert!(!std::ptr::eq(
-        after.members_of_site(SiteId(1)).as_ptr(),
+        after.members_of_site(SiteId(0)).as_ptr(),
+        grown.members_of_site(SiteId(0)).as_ptr(),
+    ));
+    assert!(grown.members_of_site(SiteId(0)).contains(&p));
+    assert!(std::ptr::eq(
+        before.members_of_site(SiteId(1)).as_ptr(),
         grown.members_of_site(SiteId(1)).as_ptr(),
     ));
 }

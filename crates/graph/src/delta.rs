@@ -705,11 +705,18 @@ impl DocGraph {
         let kinds = self
             .kinds
             .append(delta.new_pages.iter().map(|p| p.kind).collect());
-        let mut site_of = self.site_of.clone();
-        site_of.extend(delta.new_pages.iter().map(|p| p.site));
+        // A delta that appends no page keeps the assignment table whole.
+        let site_of = if delta.new_pages.is_empty() {
+            Arc::clone(&self.site_of)
+        } else {
+            let mut site_of = Vec::with_capacity(self.site_of.len() + delta.new_pages.len());
+            site_of.extend_from_slice(&self.site_of);
+            site_of.extend(delta.new_pages.iter().map(|p| p.site));
+            Arc::new(site_of)
+        };
         let site_names = self.site_names.append(delta.new_sites.clone());
-        let mut site_members = self.site_members.clone();
-        site_members.resize(site_names.len(), Arc::new(Vec::new()));
+        let mut site_members = self.site_members.as_ref().clone();
+        site_members.resize(site_names.len(), Arc::from(Vec::new()));
         let mut site_links = self.site_links.clone();
         site_links.resize(site_names.len(), Arc::new(LinkBlock::with_capacity(0, 0)));
         // Sites whose membership changes get a new member list; those and
@@ -757,17 +764,28 @@ impl DocGraph {
                 "patched SiteLink row of site {s} disagrees with its links"
             );
             if regroup.contains(&s) {
-                site_members[s] = Arc::new(members);
+                site_members[s] = Arc::from(members);
             }
             site_links[s] = Arc::new(block);
         }
         let n_links = self.n_links + links_added.len() - links_removed.len();
-        let mut dead_docs: Vec<DocId> = self.dead_docs.as_ref().clone();
-        dead_docs.extend(dead_new.iter().map(|&d| DocId(d)));
-        dead_docs.sort_unstable();
-        let mut dead_sites: Vec<SiteId> = self.dead_sites.as_ref().clone();
-        dead_sites.extend(delta.removed_sites.iter().map(|&s| SiteId(s)));
-        dead_sites.sort_unstable();
+        // The tombstone lists are shared unless this delta removes more.
+        let dead_docs = if dead_new.is_empty() {
+            Arc::clone(&self.dead_docs)
+        } else {
+            let mut dead_docs: Vec<DocId> = self.dead_docs.as_ref().clone();
+            dead_docs.extend(dead_new.iter().map(|&d| DocId(d)));
+            dead_docs.sort_unstable();
+            Arc::new(dead_docs)
+        };
+        let dead_sites = if delta.removed_sites.is_empty() {
+            Arc::clone(&self.dead_sites)
+        } else {
+            let mut dead_sites: Vec<SiteId> = self.dead_sites.as_ref().clone();
+            dead_sites.extend(delta.removed_sites.iter().map(|&s| SiteId(s)));
+            dead_sites.sort_unstable();
+            Arc::new(dead_sites)
+        };
 
         let removed_doc_sites: Vec<SiteId> = dead_new
             .iter()
@@ -786,11 +804,11 @@ impl DocGraph {
             kinds,
             site_of,
             site_names,
-            site_members,
+            site_members: Arc::new(site_members),
             site_links,
             n_links,
-            dead_docs: Arc::new(dead_docs),
-            dead_sites: Arc::new(dead_sites),
+            dead_docs,
+            dead_sites,
             flat: Arc::default(),
         };
 

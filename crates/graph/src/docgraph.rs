@@ -227,9 +227,15 @@ impl LinkBlock {
 pub struct DocGraph {
     pub(crate) urls: CowColumn<String>,
     pub(crate) kinds: CowColumn<PageKind>,
-    pub(crate) site_of: Vec<SiteId>,
+    /// Site of every document slot. Shared by `Arc` with the serving
+    /// snapshots of this graph version; [`apply`](Self::apply) copies it
+    /// only when it appends pages.
+    pub(crate) site_of: Arc<Vec<SiteId>>,
     pub(crate) site_names: CowColumn<String>,
-    pub(crate) site_members: Vec<Arc<Vec<DocId>>>,
+    /// Live members of each site, ascending. Both the table and each list
+    /// are shared: `apply` hands on the list of every site it leaves
+    /// alone, and a serving snapshot of this version holds the table.
+    pub(crate) site_members: Arc<Vec<Arc<[DocId]>>>,
     /// Out-link rows of each site, parallel to `site_members`: row `i` of
     /// block `s` belongs to `site_members[s][i]`. Tombstoned documents are
     /// in no member list, hence in no block. Block `s` also holds site
@@ -372,6 +378,21 @@ impl DocGraph {
     #[must_use]
     pub fn site_assignments(&self) -> &[SiteId] {
         &self.site_of
+    }
+
+    /// The assignment table itself, for a consumer that keeps it (a
+    /// serving snapshot) without copying O(docs) ids per graph version.
+    #[must_use]
+    pub fn shared_site_assignments(&self) -> &Arc<Vec<SiteId>> {
+        &self.site_of
+    }
+
+    /// Every site's member list (see [`docs_of_site`](Self::docs_of_site)),
+    /// shared: a site that [`apply`](Self::apply) left alone keeps the very
+    /// list of the base graph, so `Arc::ptr_eq` tells it from a rebuilt one.
+    #[must_use]
+    pub fn shared_members(&self) -> &Arc<Vec<Arc<[DocId]>>> {
+        &self.site_members
     }
 
     /// Host name of a site.
@@ -651,15 +672,15 @@ impl DocGraph {
                     (t.index(), links)
                 })
                 .collect();
-            site_members.push(Arc::new(members));
+            site_members.push(Arc::from(members));
             site_links.push(Arc::new(block));
         }
         let compacted = DocGraph {
             urls: CowColumn::from_vec(urls),
             kinds: CowColumn::from_vec(kinds),
-            site_of,
+            site_of: Arc::new(site_of),
             site_names: CowColumn::from_vec(site_names),
-            site_members,
+            site_members: Arc::new(site_members),
             site_links,
             n_links: self.n_links,
             dead_docs: Arc::new(Vec::new()),
@@ -847,9 +868,9 @@ impl DocGraphBuilder {
         DocGraph {
             urls: CowColumn::from_vec(self.urls),
             kinds: CowColumn::from_vec(self.kinds),
-            site_of: self.site_of,
+            site_of: Arc::new(self.site_of),
             site_names: CowColumn::from_vec(self.site_names),
-            site_members: site_members.into_iter().map(Arc::new).collect(),
+            site_members: Arc::new(site_members.into_iter().map(Arc::from).collect()),
             site_links,
             n_links: rows.nnz(),
             dead_docs: Arc::new(Vec::new()),

@@ -115,6 +115,10 @@ pub fn uniform(n: usize) -> Vec<f64> {
 /// Checks whether `x` is a probability distribution: all entries finite and
 /// non-negative, and the total within `tol` of 1.
 ///
+/// One pass: the entry check and four independent partial sums (so the
+/// sum is not one serial dependency chain) share each load; a bad entry
+/// is reported at its first index.
+///
 /// # Errors
 /// Returns [`LinalgError::InvalidProbability`] for a bad entry or
 /// [`LinalgError::NotDistribution`] for a bad total.
@@ -122,12 +126,29 @@ pub fn check_distribution(x: &[f64], tol: f64) -> Result<()> {
     if x.is_empty() {
         return Err(LinalgError::Empty);
     }
-    for (i, &v) in x.iter().enumerate() {
-        if !v.is_finite() || v < 0.0 {
-            return Err(LinalgError::InvalidProbability { index: i, value: v });
+    let bad = |v: f64| !v.is_finite() || v < 0.0;
+    let first_bad = |start: usize, chunk: &[f64]| {
+        let i = chunk.iter().position(|&v| bad(v)).unwrap_or(0);
+        LinalgError::InvalidProbability {
+            index: start + i,
+            value: chunk[i],
+        }
+    };
+    let mut acc = [0.0f64; 4];
+    let mut quads = x.chunks_exact(4);
+    for (q, quad) in quads.by_ref().enumerate() {
+        if bad(quad[0]) | bad(quad[1]) | bad(quad[2]) | bad(quad[3]) {
+            return Err(first_bad(4 * q, quad));
+        }
+        for (a, &v) in acc.iter_mut().zip(quad) {
+            *a += v;
         }
     }
-    let sum: f64 = x.iter().sum();
+    let tail = quads.remainder();
+    if tail.iter().any(|&v| bad(v)) {
+        return Err(first_bad(x.len() - tail.len(), tail));
+    }
+    let sum = (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail.iter().sum::<f64>();
     if (sum - 1.0).abs() > tol {
         return Err(LinalgError::NotDistribution { sum });
     }
@@ -306,6 +327,32 @@ mod tests {
             check_distribution(&[f64::NAN, 1.0], 1e-9),
             Err(LinalgError::InvalidProbability { index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn check_distribution_reports_the_first_bad_index_in_quads_and_tail() {
+        for n in [1usize, 3, 4, 5, 8, 11] {
+            for first in 0..n {
+                let mut x = vec![1.0 / n as f64; n];
+                x[first] = f64::INFINITY;
+                x[n - 1] = -1.0; // a later bad entry never wins
+                if first == n - 1 {
+                    x[first] = f64::INFINITY;
+                }
+                match check_distribution(&x, 1e-9) {
+                    Err(LinalgError::InvalidProbability { index, value }) => {
+                        assert_eq!((index, value), (first, f64::INFINITY), "n = {n}");
+                    }
+                    other => panic!("n = {n}, first = {first}: {other:?}"),
+                }
+            }
+            assert!(check_distribution(&vec![1.0 / n as f64; n], 1e-9).is_ok());
+            let short = vec![0.5 / n as f64; n];
+            assert!(matches!(
+                check_distribution(&short, 1e-9),
+                Err(LinalgError::NotDistribution { .. })
+            ));
+        }
     }
 
     #[test]

@@ -129,27 +129,45 @@ pub fn workspace() -> LintConfig {
                 tiers: &[&["pending"], &["panic"]],
             },
         ],
-        lock_free: &[LockFreePath {
-            // The serve read path: every read function of the router.
-            // Each answers on the caller's thread from one `ArcCell` load
-            // of the serving set, so it must complete even while a
-            // publisher holds (or has poisoned) the gate. Only `publish`
-            // and `publish_paced` take the gate. A listed name the file
-            // no longer defines is itself a violation.
-            file: "crates/serve/src/router.rs",
-            fns: &[
-                "n_shards",
-                "epoch",
-                "stats",
-                "finish",
-                "doc_score",
-                "score",
-                "score_batch",
-                "top_k",
-                "top_k_for_site",
-                "compare",
-            ],
-        }],
+        lock_free: &[
+            LockFreePath {
+                // The serve read path: every read function of the router.
+                // Each answers on the caller's thread from one `ArcCell` load
+                // of the serving set, so it must complete even while a
+                // publisher holds (or has poisoned) the gate. Only `publish`
+                // and `publish_paced` take the gate. A listed name the file
+                // no longer defines is itself a violation.
+                file: "crates/serve/src/router.rs",
+                fns: &[
+                    "n_shards",
+                    "epoch",
+                    "stats",
+                    "finish",
+                    "doc_score",
+                    "score",
+                    "score_batch",
+                    "top_k",
+                    "top_k_for_site",
+                    "compare",
+                    "shard_states",
+                ],
+            },
+            LockFreePath {
+                // The shard store's read path, which every router read ends
+                // in: per-site orders are shared `Arc`s read in place, so
+                // keeping them never needs a lock.
+                file: "crates/serve/src/shard.rs",
+                fns: &[
+                    "score",
+                    "top_k",
+                    "site_top_k",
+                    "site_order",
+                    "epoch",
+                    "sites",
+                    "n_docs",
+                ],
+            },
+        ],
         relaxed_names: &[
             // byte/frame counters
             "sent",

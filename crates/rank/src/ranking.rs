@@ -1,6 +1,8 @@
 //! The [`Ranking`] type: a probability-distribution score vector plus the
 //! order it induces.
 
+use std::sync::Arc;
+
 use crate::error::{RankError, Result};
 use lmm_linalg::vec_ops;
 
@@ -9,6 +11,10 @@ use lmm_linalg::vec_ops;
 ///
 /// Ties are broken by item index (lower index first) so orders are
 /// deterministic — important for reproducible experiment tables.
+///
+/// The scores sit behind an `Arc`, so a clone is O(1) and shares them:
+/// a layered result that reuses a site's local ranking, and a snapshot
+/// that serves the global one, hold the very buffer that was computed.
 ///
 /// # Example
 /// ```
@@ -23,7 +29,7 @@ use lmm_linalg::vec_ops;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ranking {
-    scores: Vec<f64>,
+    scores: Arc<Vec<f64>>,
 }
 
 impl Ranking {
@@ -34,7 +40,9 @@ impl Ranking {
     /// entries or does not sum to 1 within `1e-6`.
     pub fn from_scores(scores: Vec<f64>) -> Result<Self> {
         vec_ops::check_distribution(&scores, 1e-6)?;
-        Ok(Self { scores })
+        Ok(Self {
+            scores: Arc::new(scores),
+        })
     }
 
     /// Normalizes an arbitrary non-negative score vector into a ranking.
@@ -51,7 +59,9 @@ impl Ranking {
             }
         }
         vec_ops::normalize_l1(&mut weights)?;
-        Ok(Self { scores: weights })
+        Ok(Self {
+            scores: Arc::new(weights),
+        })
     }
 
     /// The empty ranking over zero items — the placeholder a layered
@@ -59,7 +69,9 @@ impl Ranking {
     /// set is empty and whose rank weight is zero.
     #[must_use]
     pub fn empty() -> Self {
-        Self { scores: Vec::new() }
+        Self {
+            scores: Arc::default(),
+        }
     }
 
     /// The uniform ranking over `n` items.
@@ -71,7 +83,7 @@ impl Ranking {
             return Err(RankError::Empty);
         }
         Ok(Self {
-            scores: vec_ops::uniform(n),
+            scores: Arc::new(vec_ops::uniform(n)),
         })
     }
 
@@ -103,10 +115,19 @@ impl Ranking {
         self.scores[i]
     }
 
-    /// Consumes the ranking, returning the raw score vector.
+    /// The shared score buffer. Clones of this ranking hold the same
+    /// `Arc`, so `Arc::ptr_eq` tells a reused ranking from a recomputed
+    /// one, and a consumer can keep the scores without copying them.
+    #[must_use]
+    pub fn shared_scores(&self) -> &Arc<Vec<f64>> {
+        &self.scores
+    }
+
+    /// Consumes the ranking, returning the raw score vector — without a
+    /// copy when this ranking is the buffer's only owner.
     #[must_use]
     pub fn into_scores(self) -> Vec<f64> {
-        self.scores
+        Arc::try_unwrap(self.scores).unwrap_or_else(|shared| shared.as_ref().clone())
     }
 
     /// Serving order of two items: descending score, ties broken by index
@@ -246,6 +267,17 @@ mod tests {
         }
         let uniform = Ranking::uniform(9).unwrap();
         assert_eq!(uniform.top_k(4), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn clones_share_the_scores_and_into_scores_copies_only_when_shared() {
+        let r = Ranking::from_scores(vec![0.25, 0.75]).unwrap();
+        let c = r.clone();
+        assert!(Arc::ptr_eq(r.shared_scores(), c.shared_scores()));
+        assert_eq!(c.into_scores(), vec![0.25, 0.75]); // shared: copied
+        let ptr = r.scores().as_ptr();
+        let owned = r.into_scores(); // sole owner: unwrapped in place
+        assert_eq!(owned.as_ptr(), ptr);
     }
 
     #[test]

@@ -67,7 +67,10 @@ impl Default for ServeConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapGrade {
     /// The snapshot's staleness set names one of the shard's sites: the
-    /// store is rebuilt from the snapshot.
+    /// named sites are re-sorted, every other site's order is shared,
+    /// and the shard top list re-merges
+    /// ([`ShardState::rebuild`]; a snapshot that skipped epochs re-sorts
+    /// every site). Counted as a rebuild however few sites it re-sorts.
     Rebuild,
     /// A SiteRank rerun rescaled every site's absolute scores
     /// ([`Staleness::Resized`] not naming the shard): per-site orders are
@@ -92,28 +95,41 @@ pub fn publish_grades(
     snapshot: &RankSnapshot,
 ) -> Vec<SwapGrade> {
     let n_shards = map.n_shards();
-    let contiguous = snapshot.epoch() == serving_epoch + 1;
-    let (stale_shards, fresh): (Vec<usize>, SwapGrade) = match (contiguous, snapshot.staleness()) {
-        (true, Staleness::Sites(sites)) => {
-            (map.shards_of_sites(sites.iter().copied()), SwapGrade::Repin)
-        }
-        (
-            true,
-            Staleness::Resized {
-                sites,
-                removed_sites,
-            },
-        ) => (
-            map.shards_of_sites(sites.iter().chain(removed_sites).copied()),
-            SwapGrade::Refresh,
-        ),
-        _ => ((0..n_shards).collect(), SwapGrade::Repin),
+    let fresh = match snapshot.staleness() {
+        Staleness::Resized { .. } => SwapGrade::Refresh,
+        _ => SwapGrade::Repin,
+    };
+    let stale_shards = match stale_sites(serving_epoch, snapshot) {
+        Some(sites) => map.shards_of_sites(sites),
+        None => (0..n_shards).collect(),
     };
     let mut grades = vec![fresh; n_shards];
     for shard in stale_shards {
         grades[shard] = SwapGrade::Rebuild;
     }
     grades
+}
+
+/// The sites a contiguous snapshot's staleness set names for re-sorting
+/// (sorted): recomputed sites plus removed ones. `None` when the set does
+/// not describe the step from `serving_epoch` — a skipped epoch or a
+/// from-scratch snapshot — so every site must be re-sorted.
+fn stale_sites(serving_epoch: u64, snapshot: &RankSnapshot) -> Option<Vec<usize>> {
+    if snapshot.epoch() != serving_epoch + 1 {
+        return None;
+    }
+    match snapshot.staleness() {
+        Staleness::Full => None,
+        Staleness::Sites(sites) => Some(sites.clone()),
+        Staleness::Resized {
+            sites,
+            removed_sites,
+        } => {
+            let mut named: Vec<usize> = sites.iter().chain(removed_sites).copied().collect();
+            named.sort_unstable();
+            Some(named)
+        }
+    }
 }
 
 /// Shard `shard`'s site range under `map`, with the last shard extended to
@@ -237,6 +253,15 @@ impl ShardedServer {
         self.serving.load().epoch()
     }
 
+    /// Every shard's store in the serving set, from one load — what a
+    /// caller needs to check what a publish shared with the set before
+    /// it. Not part of the stable API.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn shard_states(&self) -> Vec<Arc<ShardState>> {
+        self.serving.load().shards.clone()
+    }
+
     /// The server's telemetry counters, plus the live per-shard document
     /// counts (read from the currently pinned stores) — the skew signal a
     /// rebalancer watches: removal drains shards in place and growth piles
@@ -309,13 +334,17 @@ impl ShardedServer {
             return Ok(report);
         }
         let grades = publish_grades(&self.map, serving, snapshot);
+        let stale = stale_sites(serving, snapshot);
         let mut shards = Vec::with_capacity(grades.len());
         for (shard, (state, grade)) in current.shards.iter().zip(&grades).enumerate() {
             let next = match grade {
                 SwapGrade::Rebuild => {
                     report.shards_rebuilt += 1;
                     let sites = shard_site_range(&self.map, shard, snapshot.n_sites());
-                    ShardState::build(snapshot, sites, self.config.heap_k)
+                    match &stale {
+                        Some(stale) => state.rebuild(snapshot, sites, stale, self.config.heap_k),
+                        None => ShardState::build(snapshot, sites, self.config.heap_k),
+                    }
                 }
                 SwapGrade::Refresh => {
                     report.shards_refreshed += 1;
@@ -497,8 +526,8 @@ mod tests {
         let n = scores.len();
         assert_eq!(n % 2, 0);
         let members = (0..n / 2)
-            .map(|s| vec![DocId(2 * s), DocId(2 * s + 1)])
-            .collect::<Vec<_>>();
+            .map(|s| Arc::from([DocId(2 * s), DocId(2 * s + 1)]))
+            .collect::<Vec<Arc<[DocId]>>>();
         let site_of = (0..n).map(|d| SiteId(d / 2)).collect::<Vec<_>>();
         RankSnapshot::new(
             epoch,
@@ -742,10 +771,10 @@ mod tests {
         let srv = server();
         // A fifth site (id 4) appears: beyond the map, absorbed by the
         // last shard under a Full publish.
-        let mut members: Vec<Vec<DocId>> = (0..4)
-            .map(|s| vec![DocId(2 * s), DocId(2 * s + 1)])
+        let mut members: Vec<Arc<[DocId]>> = (0..4)
+            .map(|s| Arc::from([DocId(2 * s), DocId(2 * s + 1)]))
             .collect();
-        members.push(vec![DocId(8), DocId(9)]);
+        members.push(Arc::from([DocId(8), DocId(9)]));
         let mut site_of: Vec<SiteId> = (0..8).map(|d| SiteId(d / 2)).collect();
         site_of.extend([SiteId(4), SiteId(4)]);
         let snap = RankSnapshot::new(

@@ -4,16 +4,29 @@
 //! A [`ShardState`] is the unit the hot-swap replaces: it pins one snapshot
 //! epoch and the shard's precomputed orderings. Scores are **always
 //! read through the pinned snapshot** — the data stores only document
-//! *orderings* — which gives the publisher three swap grades:
+//! *orderings*, one `Arc` per site — which gives the publisher three swap
+//! grades:
 //!
-//! * [`build`](ShardState::build) — full rebuild (per-site sorts over the
-//!   shard's documents) for shards whose sites a delta staled;
-//! * [`refresh`](ShardState::refresh) — reuse the per-site orderings,
-//!   re-merge the shard-level top list under the new snapshot's scores.
-//!   Sound whenever every covered site kept its member list and
-//!   within-site order (the [`Staleness::Resized`] contract after any
-//!   SiteRank rerun: per-site orders survive, absolute scores and
-//!   cross-site interleavings do not);
+//! * [`rebuild`](ShardState::rebuild) — re-sort only the sites the
+//!   snapshot's staleness set names (and sites appended to the shard),
+//!   share every other site's order, and k-way merge the shard-level top
+//!   list, for shards whose sites a delta staled. Exact under both
+//!   [`Staleness::Sites`] and [`Staleness::Resized`], since an unnamed site
+//!   keeps its order under either; [`build`](ShardState::build) is the same
+//!   function with every site named. Over a 240-delta churn stream,
+//!   `tests/refresh.rs` holds the result equal to a from-scratch build
+//!   (`refreshed_shards_equal_rebuilt_shards_over_a_delta_stream`) and
+//!   every unnamed site's order shared by `Arc`
+//!   (`unnamed_sites_share_their_buffers_at_every_layer`); the unit test
+//!   `merged_top_equals_the_heap_built_top_under_cross_site_ties` holds
+//!   the merge equal to a bounded heap over every document;
+//! * [`refresh`](ShardState::refresh) — the same function with no site
+//!   named: every per-site order is reused and only the top list
+//!   re-merges under the new snapshot's scores. Sound whenever every
+//!   covered site kept its member list and within-site order (the
+//!   [`Staleness::Resized`] contract after any SiteRank rerun: per-site
+//!   orders survive, absolute scores and cross-site interleavings do
+//!   not);
 //! * [`repin`](ShardState::repin) — share the data `Arc` outright, for
 //!   snapshots whose unnamed sites are bit-identical
 //!   ([`Staleness::Sites`]).
@@ -39,35 +52,8 @@ fn serve_cmp(a: &(DocId, f64), b: &(DocId, f64)) -> Ordering {
         .then(a.0.cmp(&b.0))
 }
 
-/// Max-heap entry whose `Ord` ranks *worse* entries greater, so the heap
-/// root is the weakest kept document — a classic bounded top-k heap.
-struct Weakest(DocId, f64);
-
-impl PartialEq for Weakest {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Weakest {}
-impl PartialOrd for Weakest {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Weakest {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Lower score = worse; equal score: higher id = worse.
-        other
-            .1
-            .partial_cmp(&self.1)
-            // lint: allow(panic, "scores come from a stochastic-matrix power iteration and are finite by construction; a NaN here means the kernel itself is broken")
-            .expect("ranking scores are finite")
-            .then(self.0.cmp(&other.0))
-    }
-}
-
-/// Max-heap head for the k-way merge in [`ShardState::refresh`]: greatest
-/// = best in serving order.
+/// Max-heap head for the k-way merge of per-site orders into a shard's
+/// top list: greatest = best in serving order.
 struct MergeHead {
     entry: (DocId, f64),
     site_idx: usize,
@@ -126,12 +112,56 @@ struct ShardData {
     /// heap capacity.
     top: Vec<DocId>,
     /// Per covered site (indexed relative to the shard's first site), the
-    /// site's documents in serving order. Shared between a refreshed state
-    /// and its predecessor.
-    site_order: Arc<Vec<Vec<DocId>>>,
+    /// site's documents in serving order — one `Arc` per site, shared with
+    /// the previous store for every site a rebuild or refresh did not
+    /// re-sort.
+    site_order: Vec<Arc<[DocId]>>,
     /// Documents owned by the shard (so `top.len() == n_docs.min(cap)`
     /// tells whether `top` is exhaustive).
     n_docs: usize,
+}
+
+/// One site's documents sorted into serving order under `snapshot`.
+fn sort_site(snapshot: &RankSnapshot, site: usize) -> Arc<[DocId]> {
+    let scores = snapshot.scores();
+    let mut ordered: Vec<(DocId, f64)> = snapshot
+        .members_of_site(SiteId(site))
+        .iter()
+        .map(|&d| (d, scores[d.index()]))
+        .collect();
+    ordered.sort_unstable_by(serve_cmp);
+    ordered.into_iter().map(|(d, _)| d).collect()
+}
+
+/// The `heap_k` best documents over all `orders`, in serving order: a
+/// k-way merge of the per-site heads, O(sites + k log sites). Exact
+/// because each order is sorted under `scores` and `serve_cmp` is a
+/// strict total order.
+fn merge_top(orders: &[Arc<[DocId]>], scores: &[f64], heap_k: usize, n_docs: usize) -> Vec<DocId> {
+    let mut heads: BinaryHeap<MergeHead> = orders
+        .iter()
+        .enumerate()
+        .filter_map(|(site_idx, order)| {
+            order.first().map(|&d| MergeHead {
+                entry: (d, scores[d.index()]),
+                site_idx,
+                pos: 0,
+            })
+        })
+        .collect();
+    let mut top = Vec::with_capacity(heap_k.min(n_docs));
+    while top.len() < heap_k {
+        let Some(head) = heads.pop() else { break };
+        top.push(head.entry.0);
+        if let Some(&next) = orders[head.site_idx].get(head.pos + 1) {
+            heads.push(MergeHead {
+                entry: (next, scores[next.index()]),
+                site_idx: head.site_idx,
+                pos: head.pos + 1,
+            });
+        }
+    }
+    top
 }
 
 /// One shard's pinned serving state: an epoch, the snapshot it came from,
@@ -145,44 +175,35 @@ pub struct ShardState {
 
 impl ShardState {
     /// Builds a shard store from scratch over `sites` (heap capacity
-    /// `heap_k`): one pass over the shard's documents into a bounded
-    /// top-k heap, plus a per-site sort. Tombstoned sites in the range
-    /// contribute an empty ordering.
+    /// `heap_k`): every site sorted, then the top list merged from the
+    /// per-site orders. Tombstoned sites in the range contribute an empty
+    /// ordering.
     #[must_use]
     pub fn build(snapshot: &RankSnapshot, sites: Range<usize>, heap_k: usize) -> Self {
-        let scores = snapshot.scores();
-        let mut heap: BinaryHeap<Weakest> = BinaryHeap::with_capacity(heap_k + 1);
-        let mut site_order = Vec::with_capacity(sites.len());
-        let mut n_docs = 0usize;
-        for site in sites.clone() {
-            let members = snapshot.members_of_site(SiteId(site));
-            n_docs += members.len();
-            let mut ordered: Vec<(DocId, f64)> =
-                members.iter().map(|&d| (d, scores[d.index()])).collect();
-            ordered.sort_unstable_by(serve_cmp);
-            for &(doc, score) in &ordered {
-                if heap.len() < heap_k {
-                    heap.push(Weakest(doc, score));
-                } else if let Some(weakest) = heap.peek() {
-                    if serve_cmp(&(doc, score), &(weakest.0, weakest.1)) == Ordering::Less {
-                        heap.pop();
-                        heap.push(Weakest(doc, score));
-                    }
-                }
-            }
-            site_order.push(ordered.into_iter().map(|(d, _)| d).collect());
-        }
-        let mut top: Vec<(DocId, f64)> = heap.into_iter().map(|w| (w.0, w.1)).collect();
-        top.sort_unstable_by(serve_cmp);
-        Self {
-            sites,
-            snapshot: snapshot.clone(),
-            data: Arc::new(ShardData {
-                top: top.into_iter().map(|(d, _)| d).collect(),
-                site_order: Arc::new(site_order),
-                n_docs,
-            }),
-        }
+        Self::assemble(None, snapshot, sites, &|_| true, heap_k)
+    }
+
+    /// Rebuilds this shard over `sites` for a newer snapshot, re-sorting
+    /// only the sites in `stale` (sorted; the snapshot's staleness set)
+    /// and any site this store did not cover (appended since). Every
+    /// other site's order is shared with this store, and the top list is
+    /// merged afresh. Exact whenever every unnamed site kept its member
+    /// list and within-site order — what both [`Staleness::Sites`] and
+    /// [`Staleness::Resized`] guarantee for the sites they do not name.
+    ///
+    /// [`Staleness::Sites`]: lmm_engine::Staleness::Sites
+    /// [`Staleness::Resized`]: lmm_engine::Staleness::Resized
+    #[must_use]
+    pub fn rebuild(
+        &self,
+        snapshot: &RankSnapshot,
+        sites: Range<usize>,
+        stale: &[usize],
+        heap_k: usize,
+    ) -> Self {
+        debug_assert!(snapshot.epoch() >= self.snapshot.epoch());
+        let named = |site: usize| stale.binary_search(&site).is_ok();
+        Self::assemble(Some(self), snapshot, sites, &named, heap_k)
     }
 
     /// Re-pins this shard against a newer snapshot without rebuilding: the
@@ -199,60 +220,72 @@ impl ShardState {
     }
 
     /// Rebuilds only the shard-level top list under the new snapshot's
-    /// scores, **reusing** the per-site orderings (shared `Arc`). Exact —
-    /// a k-way merge of the per-site orders is the shard's true top-k —
-    /// whenever every covered site kept its member list and within-site
-    /// order, which is what [`Staleness::Resized`] guarantees for sites it
-    /// does not name. O(sites + k log sites) instead of a full re-sort.
-    ///
-    /// Debug builds check that guarantee: every reused order must still
-    /// be strictly in serving order under the new scores.
+    /// scores, **reusing** every per-site ordering — a
+    /// [`rebuild`](Self::rebuild) naming no site. Exact whenever every
+    /// covered site kept its member list and within-site order, which is
+    /// what [`Staleness::Resized`] guarantees for sites it does not name.
+    /// O(sites + k log sites) instead of a full re-sort.
     ///
     /// [`Staleness::Resized`]: lmm_engine::Staleness::Resized
     #[must_use]
     pub fn refresh(&self, snapshot: &RankSnapshot, heap_k: usize) -> Self {
         debug_assert!(snapshot.epoch() >= self.snapshot.epoch());
+        Self::assemble(Some(self), snapshot, self.sites.clone(), &|_| false, heap_k)
+    }
+
+    /// The one store builder behind [`build`](Self::build),
+    /// [`rebuild`](Self::rebuild) and [`refresh`](Self::refresh): sort the
+    /// sites `stale` names and those `prev` did not cover, share every
+    /// other site's order with `prev`, then merge the top list.
+    ///
+    /// Debug builds check the sharing contract: every reused order must
+    /// still be strictly in serving order under the new scores.
+    fn assemble(
+        prev: Option<&ShardState>,
+        snapshot: &RankSnapshot,
+        sites: Range<usize>,
+        stale: &dyn Fn(usize) -> bool,
+        heap_k: usize,
+    ) -> Self {
         let scores = snapshot.scores();
-        let orders = &self.data.site_order;
-        debug_assert!(
-            orders.iter().all(|order| order.windows(2).all(|w| {
-                let entry = |d: DocId| (d, scores[d.index()]);
-                serve_cmp(&entry(w[0]), &entry(w[1])) == Ordering::Less
-            })),
-            "a reused site order is out of serving order under the new scores"
-        );
-        let mut heads: BinaryHeap<MergeHead> = BinaryHeap::with_capacity(orders.len());
-        for (site_idx, order) in orders.iter().enumerate() {
-            if let Some(&d) = order.first() {
-                heads.push(MergeHead {
-                    entry: (d, scores[d.index()]),
-                    site_idx,
-                    pos: 0,
-                });
-            }
-        }
-        let mut top = Vec::with_capacity(heap_k.min(self.data.n_docs));
-        while top.len() < heap_k {
-            let Some(head) = heads.pop() else { break };
-            top.push(head.entry.0);
-            let order = &orders[head.site_idx];
-            if let Some(&next) = order.get(head.pos + 1) {
-                heads.push(MergeHead {
-                    entry: (next, scores[next.index()]),
-                    site_idx: head.site_idx,
-                    pos: head.pos + 1,
-                });
-            }
-        }
+        let site_order: Vec<Arc<[DocId]>> = sites
+            .clone()
+            .map(|site| {
+                let kept = prev
+                    .filter(|_| !stale(site))
+                    .and_then(|p| p.site_order(SiteId(site)));
+                let Some(order) = kept else {
+                    return sort_site(snapshot, site);
+                };
+                debug_assert!(
+                    order.windows(2).all(|w| {
+                        let entry = |d: DocId| (d, scores[d.index()]);
+                        serve_cmp(&entry(w[0]), &entry(w[1])) == Ordering::Less
+                    }),
+                    "a reused order of site {site} is out of serving order under the new scores"
+                );
+                Arc::clone(order)
+            })
+            .collect();
+        let n_docs = site_order.iter().map(|order| order.len()).sum();
         Self {
-            sites: self.sites.clone(),
+            sites,
             snapshot: snapshot.clone(),
             data: Arc::new(ShardData {
-                top,
-                site_order: Arc::clone(orders),
-                n_docs: self.data.n_docs,
+                top: merge_top(&site_order, scores, heap_k, n_docs),
+                site_order,
+                n_docs,
             }),
         }
+    }
+
+    /// One covered site's serving order as the shared `Arc` (`None` for a
+    /// site outside this shard's range) — the allocation a rebuild that
+    /// does not name the site hands on to the next store.
+    #[must_use]
+    pub fn site_order(&self, site: SiteId) -> Option<&Arc<[DocId]>> {
+        let offset = site.index().checked_sub(self.sites.start)?;
+        self.data.site_order.get(offset)
     }
 
     /// The epoch this state answers from.
@@ -280,11 +313,12 @@ impl ShardState {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// `true` when this state shares its per-site orderings with `other`
+    /// `true` when this state shares every per-site ordering with `other`
     /// (refreshed: new top list, same orders).
     #[cfg(test)]
     fn shares_orders_with(&self, other: &ShardState) -> bool {
-        Arc::ptr_eq(&self.data.site_order, &other.data.site_order)
+        let (a, b) = (&self.data.site_order, &other.data.site_order);
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
     }
 
     /// Score of one document at this shard's epoch — answered from the
@@ -341,7 +375,7 @@ impl ShardState {
         if self.snapshot.is_tombstoned_site(site) {
             return SiteTopK::Tombstoned;
         }
-        let Some(order) = self.data.site_order.get(site.index() - self.sites.start) else {
+        let Some(order) = self.site_order(site) else {
             return SiteTopK::NotCovered;
         };
         let scores = self.snapshot.scores();
@@ -368,12 +402,100 @@ mod tests {
             Arc::new(scores),
             None,
             Arc::new(vec![
-                vec![DocId(0), DocId(1)],
-                vec![DocId(2), DocId(3), DocId(4)],
+                Arc::from([DocId(0), DocId(1)]),
+                Arc::from([DocId(2), DocId(3), DocId(4)]),
             ]),
             Arc::new(vec![SiteId(0), SiteId(0), SiteId(1), SiteId(1), SiteId(1)]),
             Staleness::Full,
         )
+    }
+
+    /// The top list by a bounded heap over every document of `sites`:
+    /// the oracle for the merge.
+    fn heap_top(snapshot: &RankSnapshot, sites: Range<usize>, heap_k: usize) -> Vec<DocId> {
+        /// Ranks worse entries greater, so the heap root is the weakest.
+        struct Weakest(DocId, f64);
+        impl PartialEq for Weakest {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for Weakest {}
+        impl PartialOrd for Weakest {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Weakest {
+            fn cmp(&self, other: &Self) -> Ordering {
+                serve_cmp(&(self.0, self.1), &(other.0, other.1))
+            }
+        }
+        let scores = snapshot.scores();
+        let mut heap: BinaryHeap<Weakest> = BinaryHeap::new();
+        for site in sites {
+            for &d in snapshot.members_of_site(SiteId(site)) {
+                heap.push(Weakest(d, scores[d.index()]));
+                if heap.len() > heap_k {
+                    heap.pop();
+                }
+            }
+        }
+        heap.into_sorted_vec().into_iter().map(|w| w.0).collect()
+    }
+
+    #[test]
+    fn merged_top_equals_the_heap_built_top_under_cross_site_ties() {
+        // 5 sites of 40 interleaved documents, only three distinct scores:
+        // nearly every comparison ties on score across sites and falls
+        // through to the id.
+        let (n_sites, n) = (5usize, 200usize);
+        let scores: Vec<f64> = (0..n).map(|d| [0.002, 0.005, 0.008][(d * 7) % 3]).collect();
+        let members: Vec<Arc<[DocId]>> = (0..n_sites)
+            .map(|s| (s..n).step_by(n_sites).map(DocId).collect())
+            .collect();
+        let snap = RankSnapshot::new(
+            1,
+            "test".into(),
+            Arc::new(scores),
+            None,
+            Arc::new(members),
+            Arc::new((0..n).map(|d| SiteId(d % n_sites)).collect()),
+            Staleness::Full,
+        );
+        for sites in [0..n_sites, 1..4] {
+            let shard_docs: usize = sites
+                .clone()
+                .map(|s| snap.members_of_site(SiteId(s)).len())
+                .sum();
+            for heap_k in [1, 64, shard_docs + 7] {
+                let shard = ShardState::build(&snap, sites.clone(), heap_k);
+                assert_eq!(
+                    shard.data.top,
+                    heap_top(&snap, sites.clone(), heap_k),
+                    "sites {sites:?}, heap_k {heap_k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_resorts_only_the_named_sites() {
+        let snap1 = snapshot(1, vec![0.1, 0.3, 0.2, 0.25, 0.15]);
+        let shard = ShardState::build(&snap1, 0..2, 3);
+        // Site 1's local order flips; site 0 is untouched.
+        let snap2 = snapshot(2, vec![0.1, 0.3, 0.25, 0.15, 0.2]);
+        let rebuilt = shard.rebuild(&snap2, 0..2, &[1], 3);
+        let order = |s: &ShardState, site| Arc::clone(s.site_order(SiteId(site)).unwrap());
+        assert!(Arc::ptr_eq(&order(&shard, 0), &order(&rebuilt, 0)));
+        assert!(!Arc::ptr_eq(&order(&shard, 1), &order(&rebuilt, 1)));
+        let fresh = ShardState::build(&snap2, 0..2, 3);
+        assert_eq!(rebuilt.top_k(3), fresh.top_k(3));
+        assert_eq!(
+            rebuilt.site_top_k(SiteId(1), 3),
+            fresh.site_top_k(SiteId(1), 3)
+        );
+        assert_eq!(rebuilt.n_docs(), 5);
     }
 
     #[test]
@@ -471,7 +593,7 @@ mod tests {
             "test".into(),
             Arc::new(vec![0.4, 0.6, 0.0, 0.0, 0.0]),
             None,
-            Arc::new(vec![vec![DocId(0), DocId(1)], Vec::new()]),
+            Arc::new(vec![Arc::from([DocId(0), DocId(1)]), Arc::from([])]),
             Arc::new(vec![SiteId(0), SiteId(0), SiteId(1), SiteId(1), SiteId(1)]),
             Staleness::Resized {
                 sites: vec![],

@@ -23,8 +23,8 @@ use lmm_serve::{ServeConfig, ShardedServer};
 fn snapshot(epoch: u64, scores: Vec<f64>, staleness: Staleness) -> RankSnapshot {
     let n = scores.len();
     let members = (0..n / 2)
-        .map(|s| vec![DocId(2 * s), DocId(2 * s + 1)])
-        .collect::<Vec<_>>();
+        .map(|s| Arc::from([DocId(2 * s), DocId(2 * s + 1)]))
+        .collect::<Vec<Arc<[DocId]>>>();
     let site_of = (0..n).map(|d| SiteId(d / 2)).collect::<Vec<_>>();
     RankSnapshot::new(
         epoch,

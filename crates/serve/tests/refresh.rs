@@ -9,8 +9,18 @@
 //! `RankEngine::apply_delta` → `ShardedServer::publish`, and after
 //! every publish every shard's top list and every site's full order equal
 //! a from-scratch `ShardState::build` of the same snapshot, entry for
-//! entry, while the rebuilt shards are exactly those the staleness names.
+//! entry, while the rebuilt shards are exactly those the staleness names
+//! and re-sort only the named sites.
+//!
+//! The same stream also checks that a delta copies only what it touched:
+//! at every layer — the core's local ranks, the snapshot's member lists
+//! and scores, the shard stores' per-site orders — each site the delta
+//! does not name keeps the very allocation of the previous epoch.
 
+use std::sync::Arc;
+
+use lmm_core::incremental::{incremental_update, SiteDelta};
+use lmm_core::siterank::{layered_doc_rank, LayeredRankConfig};
 use lmm_engine::{BackendSpec, RankEngine, RankSnapshot, Staleness};
 use lmm_graph::delta::GraphDelta;
 use lmm_graph::generator::CampusWebConfig;
@@ -129,31 +139,43 @@ fn delta(graph: &DocGraph, step: usize, rng: &mut XorShift) -> (GraphDelta, Kind
     (delta, kind)
 }
 
-/// The staleness set's rebuild names: recomputed sites plus removed ones.
+/// The staleness set's rebuild names, sorted: recomputed sites plus
+/// removed ones.
 fn named_sites(snapshot: &RankSnapshot) -> Vec<usize> {
-    match snapshot.staleness() {
+    let mut named: Vec<usize> = match snapshot.staleness() {
         Staleness::Sites(sites) => sites.clone(),
         Staleness::Resized {
             sites,
             removed_sites,
         } => sites.iter().chain(removed_sites).copied().collect(),
         Staleness::Full => panic!("apply_delta must never report Full"),
-    }
+    };
+    named.sort_unstable();
+    named
 }
 
-#[test]
-fn refreshed_shards_equal_rebuilt_shards_over_a_delta_stream() {
+fn campus() -> DocGraph {
     let mut cfg = CampusWebConfig::small();
     cfg.total_docs = 600;
     cfg.n_sites = 12;
     cfg.spam_farms.clear();
-    let mut graph = cfg.generate().unwrap();
-    let mut engine = RankEngine::builder()
+    cfg.generate().unwrap()
+}
+
+fn incremental_engine(threads: usize) -> RankEngine {
+    RankEngine::builder()
         .backend(BackendSpec::Incremental)
         .damping(0.85)
         .tolerance(1e-10)
+        .threads(threads)
         .build()
-        .unwrap();
+        .unwrap()
+}
+
+#[test]
+fn refreshed_shards_equal_rebuilt_shards_over_a_delta_stream() {
+    let mut graph = campus();
+    let mut engine = incremental_engine(1);
     engine.rank(&graph).unwrap();
     let map = ShardMap::uniform(graph.n_sites(), N_SHARDS).unwrap();
     let first = engine.snapshot().unwrap();
@@ -210,7 +232,9 @@ fn refreshed_shards_equal_rebuilt_shards_over_a_delta_stream() {
         for (s, (state, grade)) in shards.iter_mut().zip(&grades).enumerate() {
             let range = shard_site_range(&map, s, snapshot.n_sites());
             *state = match grade {
-                SwapGrade::Rebuild => ShardState::build(&snapshot, range.clone(), HEAP_K),
+                SwapGrade::Rebuild => {
+                    state.rebuild(&snapshot, range.clone(), &named_sites(&snapshot), HEAP_K)
+                }
                 SwapGrade::Refresh => state.refresh(&snapshot, HEAP_K),
                 SwapGrade::Repin => state.repin(&snapshot),
             };
@@ -258,4 +282,91 @@ fn refreshed_shards_equal_rebuilt_shards_over_a_delta_stream() {
     }
     assert!(reruns_naming_sites > 0);
     assert!(dead_slots > 0);
+}
+
+#[test]
+fn unnamed_sites_share_their_buffers_at_every_layer() {
+    for threads in [1usize, 4] {
+        let mut graph = campus();
+        let mut engine = incremental_engine(threads);
+        engine.rank(&graph).unwrap();
+        let config = LayeredRankConfig {
+            threads,
+            ..LayeredRankConfig::with_damping(0.85)
+        };
+        let mut layered = layered_doc_rank(&graph, &config).unwrap();
+        let map = ShardMap::uniform(graph.n_sites(), N_SHARDS).unwrap();
+        let mut snapshot = engine.snapshot().unwrap();
+        let server = ShardedServer::start(map, &snapshot, ServeConfig { heap_k: HEAP_K }).unwrap();
+        let mut rng = XorShift(0x5eed_2024);
+        let (mut shared_orders, mut resorted_orders) = (0usize, 0usize);
+        for step in 0..STEPS {
+            let (delta, kind) = delta(&graph, step, &mut rng);
+            let (mutated, applied) = graph.apply(&delta).unwrap();
+            let mut named: Vec<usize> = applied.changed_sites.clone();
+            named.extend(&applied.grown_sites);
+            named.extend(&applied.shrunk_sites);
+            named.extend(&applied.removed_sites);
+            let untouched = |s: &usize| !named.contains(s) && *s < graph.n_sites();
+
+            // Core: an untouched site's local ranking is the same buffer.
+            let (next, _) =
+                incremental_update(&layered, &mutated, &SiteDelta::from(&applied), &config)
+                    .unwrap();
+            for s in (0..graph.n_sites()).filter(untouched) {
+                assert!(
+                    Arc::ptr_eq(
+                        layered.local_ranks[s].shared_scores(),
+                        next.local_ranks[s].shared_scores()
+                    ),
+                    "threads {threads}, step {step} ({kind:?}): site {s}'s local ranks copied"
+                );
+            }
+
+            // Engine: the snapshot serves the outcome's own score buffer,
+            // and an untouched site's member list is the previous one.
+            engine.apply_delta(&delta).unwrap();
+            let next_snapshot = engine.snapshot().unwrap();
+            assert!(std::ptr::eq(
+                next_snapshot.scores(),
+                engine.outcome().unwrap().ranking.scores()
+            ));
+            for s in (0..graph.n_sites()).filter(untouched) {
+                assert!(
+                    std::ptr::eq(
+                        snapshot.members_of_site(SiteId(s)),
+                        next_snapshot.members_of_site(SiteId(s))
+                    ),
+                    "threads {threads}, step {step} ({kind:?}): site {s}'s members copied"
+                );
+            }
+
+            // Serve: in every shard, an unnamed site keeps its order.
+            let before = server.shard_states();
+            server.publish(&next_snapshot).unwrap();
+            let stale = named_sites(&next_snapshot);
+            for (old, new) in before.iter().zip(server.shard_states()) {
+                for site in old.sites().clone() {
+                    let (Some(a), Some(b)) =
+                        (old.site_order(SiteId(site)), new.site_order(SiteId(site)))
+                    else {
+                        continue;
+                    };
+                    if stale.binary_search(&site).is_ok() {
+                        resorted_orders += usize::from(!Arc::ptr_eq(a, b));
+                    } else {
+                        assert!(
+                            Arc::ptr_eq(a, b),
+                            "threads {threads}, step {step} ({kind:?}): site {site}'s order copied"
+                        );
+                        shared_orders += 1;
+                    }
+                }
+            }
+            graph = mutated;
+            layered = next;
+            snapshot = next_snapshot;
+        }
+        assert!(shared_orders > 0 && resorted_orders > 0);
+    }
 }
