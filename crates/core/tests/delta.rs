@@ -8,7 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use lmm_core::incremental::{diff_sites, incremental_update, SiteDelta};
-use lmm_core::siterank::{layered_doc_rank, LayeredRankConfig};
+use lmm_core::siterank::{layered_doc_rank, LayeredDocRank, LayeredRankConfig, SiteLayerMethod};
 use lmm_graph::delta::GraphDelta;
 use lmm_graph::generator::CampusWebConfig;
 use lmm_graph::{DocGraph, SiteId};
@@ -45,9 +45,15 @@ impl Stream {
 /// links, page growth, whole new sites, page/site removal, and cancelled
 /// (add-then-remove) additions. `ops == 0` yields an empty delta. Tracks
 /// planned removals so the delta stays valid: no double removal, no site
-/// emptied without `remove_site`, at least two sites survive.
+/// emptied without `remove_site`, at least two sites survive. Sites are
+/// drawn from the live ones, so the generator also drives a chain of
+/// deltas through tombstoned graphs (on a graph without tombstones the
+/// draws are the slot indices themselves).
 fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta {
     let mut delta = GraphDelta::for_graph(graph);
+    let live: Vec<usize> = graph.live_sites().map(SiteId::index).collect();
+    let n = live.len();
+    let pick = |stream: &mut Stream| SiteId(live[stream.below(n)]);
     let mut removed_docs: BTreeSet<usize> = BTreeSet::new();
     let mut removed_sites: BTreeSet<usize> = BTreeSet::new();
     let mut lost_per_site: BTreeMap<usize, usize> = BTreeMap::new();
@@ -59,8 +65,7 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
         match stream.below(8) {
             // Remove one page from a live site that keeps ≥ 2 members.
             5 => {
-                let n = graph.n_sites();
-                let site = (0..n).map(|k| (stream.below(n) + k) % n).find(|&s| {
+                let site = (0..n).map(|k| live[(stream.below(n) + k) % n]).find(|&s| {
                     !removed_sites.contains(&s)
                         && graph.site_size(SiteId(s))
                             > lost_per_site.get(&s).copied().unwrap_or(0) + 2
@@ -80,9 +85,8 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
             // Remove a whole site (keep at least two live; skip sites this
             // delta already grew or shrank).
             6 => {
-                if removed_sites.len() + 2 < graph.n_sites() {
-                    let n = graph.n_sites();
-                    let site = (0..n).map(|k| (stream.below(n) + k) % n).find(|s| {
+                if removed_sites.len() + 2 < n {
+                    let site = (0..n).map(|k| live[(stream.below(n) + k) % n]).find(|s| {
                         !removed_sites.contains(s)
                             && !added_to.contains(s)
                             && !lost_per_site.contains_key(s)
@@ -95,9 +99,8 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
             }
             // Cancelled addition: add a page, link it, remove it again.
             7 => {
-                let n = graph.n_sites();
                 let site = (0..n)
-                    .map(|k| SiteId((stream.below(n) + k) % n))
+                    .map(|k| SiteId(live[(stream.below(n) + k) % n]))
                     .find(|s| !removed_sites.contains(&s.index()))
                     .expect("at least two sites survive");
                 let root = graph.docs_of_site(site)[0];
@@ -110,7 +113,7 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
             }
             // Intra-site rewire.
             0 => {
-                let site = SiteId(stream.below(graph.n_sites()));
+                let site = pick(stream);
                 let docs = graph.docs_of_site(site);
                 if docs.len() >= 2 {
                     let a = docs[stream.below(docs.len())];
@@ -121,17 +124,16 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
             }
             // Cross-site link.
             1 => {
-                let s = SiteId(stream.below(graph.n_sites()));
-                let t = SiteId(stream.below(graph.n_sites()));
+                let s = pick(stream);
+                let t = pick(stream);
                 let a = graph.docs_of_site(s)[0];
                 let b = graph.docs_of_site(t)[0];
                 delta.add_link(a, b).unwrap();
             }
             // Grow an existing (not planned-removed) site by one page.
             2 => {
-                let n = graph.n_sites();
                 let site = (0..n)
-                    .map(|k| SiteId((stream.below(n) + k) % n))
+                    .map(|k| SiteId(live[(stream.below(n) + k) % n]))
                     .find(|s| !removed_sites.contains(&s.index()))
                     .expect("at least two sites survive");
                 let root = graph.docs_of_site(site)[0];
@@ -146,7 +148,7 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
                 let name = format!("new-{}.example", stream.next());
                 let s = delta.add_site(&name);
                 let q0 = delta.add_page(s, &format!("http://{name}/")).unwrap();
-                let anchor = graph.docs_of_site(SiteId(stream.below(graph.n_sites())))[0];
+                let anchor = graph.docs_of_site(pick(stream))[0];
                 delta.add_link(anchor, q0).unwrap();
                 delta.add_link(q0, anchor).unwrap();
                 if stream.below(2) == 0 {
@@ -157,7 +159,7 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
             }
             // Remove a (possibly absent) link — exercises no-op removals.
             _ => {
-                let site = SiteId(stream.below(graph.n_sites()));
+                let site = pick(stream);
                 let docs = graph.docs_of_site(site);
                 let a = docs[stream.below(docs.len())];
                 let b = docs[stream.below(docs.len())];
@@ -167,6 +169,115 @@ fn random_delta(graph: &DocGraph, stream: &mut Stream, ops: usize) -> GraphDelta
     }
     delta
 }
+
+/// FNV-1a fold of the bit patterns of `values` into `hash`.
+fn fold_bits(hash: u64, values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(hash, |h, v| {
+        v.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Digest of every score of a layered result — global, SiteRank and each
+/// local vector — plus its iteration counters.
+fn digest(hash: u64, r: &LayeredDocRank) -> u64 {
+    let scores = r
+        .local_ranks
+        .iter()
+        .chain([&r.site_rank, &r.global])
+        .flat_map(|ranking| ranking.scores().iter().map(|x| x.to_bits()));
+    let counters = [
+        r.site_report.iterations as u64,
+        r.total_local_iterations as u64,
+        r.max_local_iterations as u64,
+    ];
+    fold_bits(fold_bits(hash, scores), counters)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Bit-for-bit pin of the layered pipeline: cold PageRank and Stationary
+/// site layers on a graph without tombstones and on a tombstoned one, and
+/// 240 chained mixed deltas (growth, removal, rewires, new sites) through
+/// `incremental_update` — at one worker thread and at four.
+/// The constants are the digests of the implementation this test was
+/// written against; any change to the arithmetic of any step moves one.
+#[test]
+fn layered_rankings_are_bit_pinned() {
+    for threads in [1usize, 4] {
+        let cfg = LayeredRankConfig {
+            threads,
+            ..LayeredRankConfig::default()
+        };
+        let base = campus(3);
+        let cold = layered_doc_rank(&base, &cfg).unwrap();
+        assert_eq!(
+            digest(FNV_OFFSET, &cold),
+            COLD_PAGERANK,
+            "threads {threads}"
+        );
+        let stationary = LayeredRankConfig {
+            site_method: SiteLayerMethod::Stationary,
+            ..cfg.clone()
+        };
+        let cold_stationary = layered_doc_rank(&base, &stationary).unwrap();
+        assert_eq!(
+            digest(FNV_OFFSET, &cold_stationary),
+            COLD_STATIONARY,
+            "threads {threads}"
+        );
+
+        let mut removal = GraphDelta::for_graph(&base);
+        removal.remove_site(SiteId(2)).unwrap();
+        removal
+            .remove_page(base.docs_of_site(SiteId(5))[1])
+            .unwrap();
+        let (tombstoned, _) = base.apply(&removal).unwrap();
+        let cold_tombstoned = [&cfg, &stationary].into_iter().fold(FNV_OFFSET, |h, c| {
+            digest(h, &layered_doc_rank(&tombstoned, c).unwrap())
+        });
+        assert_eq!(cold_tombstoned, COLD_TOMBSTONED, "threads {threads}");
+
+        assert_eq!(churn(&base, cold, &cfg, 240), CHURN, "threads {threads}");
+        // The un-damped site chain turns periodic 30 deltas into this
+        // stream, so the Stationary run pins its first 24.
+        assert_eq!(
+            churn(&base, cold_stationary, &stationary, 24),
+            STATIONARY_CHURN,
+            "threads {threads}"
+        );
+    }
+}
+
+/// Digest of `steps` chained random deltas through `incremental_update`,
+/// starting from `result`, the ranking of `base`.
+fn churn(
+    base: &DocGraph,
+    mut result: LayeredDocRank,
+    cfg: &LayeredRankConfig,
+    steps: usize,
+) -> u64 {
+    let mut stream = Stream(0x9e11);
+    let mut graph = base.clone();
+    let mut hash = FNV_OFFSET;
+    for _ in 0..steps {
+        let ops = 1 + stream.below(4);
+        let delta = random_delta(&graph, &mut stream, ops);
+        let (next, applied) = graph.apply(&delta).unwrap();
+        let (updated, _) =
+            incremental_update(&result, &next, &SiteDelta::from(&applied), cfg).unwrap();
+        hash = digest(hash, &updated);
+        (graph, result) = (next, updated);
+    }
+    hash
+}
+
+const COLD_PAGERANK: u64 = 0x058c_868d_b5d3_73b4;
+const COLD_STATIONARY: u64 = 0x9c18_4928_5fa7_d82d;
+const COLD_TOMBSTONED: u64 = 0x53c7_c523_2404_cfe4;
+const CHURN: u64 = 0x99aa_530c_8487_73cc;
+const STATIONARY_CHURN: u64 = 0x3b2b_a6da_f674_45e5;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -131,3 +131,51 @@ fn outcome_reports_all_phases() {
     assert_eq!(outcome.stats.phases[2].traffic.messages, 0);
     assert!(outcome.stats.total_wall().as_nanos() > 0);
 }
+
+/// FNV-1a fold of the bit patterns of `values` into `hash`.
+fn fold_bits(hash: u64, values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(hash, |h, v| {
+        v.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Bit-for-bit pin of every architecture's answer and traffic: the global
+/// and site scores, the SiteRank rounds and each phase's messages and
+/// bytes, at one worker thread and at four. The constant is the digest of
+/// the implementation this test was written against.
+#[test]
+fn distributed_rankings_are_bit_pinned() {
+    let graph = campus();
+    for threads in [1usize, 4] {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for arch in [
+            Architecture::Flat,
+            Architecture::SuperPeer { n_groups: 4 },
+            Architecture::Hybrid,
+            Architecture::Centralized,
+        ] {
+            let config = DistributedConfig {
+                threads,
+                ..DistributedConfig::default().with_architecture(arch)
+            };
+            let outcome = run_distributed(&graph, &config).expect("distributed run");
+            let scores = outcome
+                .global
+                .scores()
+                .iter()
+                .chain(outcome.site_rank.scores());
+            hash = fold_bits(hash, scores.map(|x| x.to_bits()));
+            let phases = outcome.stats.phases.iter();
+            hash = fold_bits(
+                hash,
+                phases.flat_map(|p| [p.traffic.messages, p.traffic.bytes, u64::from(p.rounds)]),
+            );
+            hash = fold_bits(hash, [u64::from(outcome.siterank_rounds)]);
+        }
+        assert_eq!(hash, DISTRIBUTED, "threads {threads}");
+    }
+}
+
+const DISTRIBUTED: u64 = 0xbffa_7708_b0ea_c33f;
