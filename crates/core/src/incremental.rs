@@ -35,21 +35,16 @@
 //! [`DocGraph::compact_ids`] densification to check that removals leave
 //! no drift.
 
-use std::sync::Arc;
-
 use crate::error::{LmmError, Result};
 use crate::siterank::{
-    layered_doc_rank, live_site_chain, reject_personalization_on_tombstones, LayeredDocRank,
-    LayeredRankConfig, SiteLayerMethod,
+    check_config, compose, compose_patch, layered_doc_rank, live_site_chain, local_ranks,
+    site_layer, LayeredDocRank, LayeredRankConfig,
 };
 use lmm_graph::delta::AppliedDelta;
 use lmm_graph::docgraph::DocGraph;
-use lmm_graph::ids::SiteId;
+use lmm_graph::ids::{DocId, SiteId};
 #[cfg(test)]
 use lmm_graph::remap::IdRemap;
-use lmm_linalg::{power_method_pool, vec_ops, StationaryOperator, StochasticMatrix};
-use lmm_par::ThreadPool;
-use lmm_rank::pagerank::PageRank;
 use lmm_rank::Ranking;
 
 /// What changed between two versions of a document graph whose common
@@ -194,7 +189,7 @@ pub fn diff_sites(old: &DocGraph, new: &DocGraph) -> Result<SiteDelta> {
             shrunk_sites.push(s);
         } else if gained {
             grown_sites.push(s);
-        } else if !old.shares_site(new, site) && old.site_subgraph(site) != new.site_subgraph(site)
+        } else if !old.shares_site(new, site) && !intra_links(old, site).eq(intra_links(new, site))
         {
             changed_sites.push(s);
         }
@@ -233,6 +228,18 @@ pub fn diff_sites(old: &DocGraph, new: &DocGraph) -> Result<SiteDelta> {
         removed_sites,
         added_sites,
         cross_links_changed,
+    })
+}
+
+/// The links between site `site`'s live documents, ascending by source
+/// then destination: two graphs whose site kept its members share its
+/// intra-site subgraph exactly when these agree.
+fn intra_links(graph: &DocGraph, site: SiteId) -> impl Iterator<Item = (DocId, usize)> + '_ {
+    graph.site_out_links(site).flat_map(move |(d, row)| {
+        let inside = row
+            .iter()
+            .filter(move |&&t| graph.site_of(DocId(t)) == site);
+        inside.map(move |&t| (d, t))
     })
 }
 
@@ -376,115 +383,6 @@ fn validate_delta(
     })
 }
 
-/// Recomputes the SiteRank, warm-started from the previous vector. When
-/// sites were appended, the previous vector is padded with each new site's
-/// teleport mass (`(1-f)·v(s)` under PageRank, uniform mass under the raw
-/// stationary method) and renormalized — the cheapest consistent prior for
-/// a site nobody has linked long enough to rank. When sites were
-/// tombstoned, the computation runs over the live restriction: the dead
-/// slots' previous mass is dropped and the L1 renormalization spreads it
-/// **proportionally over the survivors** (the dangling-node rule), the
-/// warm start the power iteration then converges from.
-fn recompute_site_rank(
-    previous: &LayeredDocRank,
-    new_graph: &DocGraph,
-    config: &LayeredRankConfig,
-) -> Result<(Ranking, lmm_linalg::ConvergenceReport)> {
-    let n_sites = new_graph.n_sites();
-    let n_old = previous.site_rank.len();
-    if !new_graph.dead_sites().is_empty() {
-        let (live, chain) = live_site_chain(new_graph, &config.site_options);
-        if live.is_empty() {
-            return Err(LmmError::InvalidModel {
-                reason: "every site is tombstoned — nothing to rank".into(),
-            });
-        }
-        let k = live.len();
-        let pad = match config.site_method {
-            SiteLayerMethod::PageRank => (1.0 - config.site_damping) / k as f64,
-            SiteLayerMethod::Stationary => 1.0 / k as f64,
-        };
-        let mut warm: Vec<f64> = live
-            .iter()
-            .map(|&s| {
-                if s < n_old {
-                    previous.site_rank.score(s)
-                } else {
-                    pad
-                }
-            })
-            .collect();
-        if warm.iter().sum::<f64>() <= 0.0 {
-            warm = vec![1.0 / k as f64; k];
-        }
-        vec_ops::normalize_l1(&mut warm)?;
-        let stochastic = StochasticMatrix::from_adjacency(chain)?;
-        let (pi, report) = match config.site_method {
-            SiteLayerMethod::PageRank => {
-                let mut pr = PageRank::new();
-                pr.damping(config.site_damping)
-                    .tol(config.power.tol)
-                    .max_iters(config.power.max_iters)
-                    .initial(warm);
-                let result = pr.run(&stochastic)?;
-                (result.ranking.into_scores(), result.report)
-            }
-            SiteLayerMethod::Stationary => {
-                let pool = ThreadPool::shared(config.threads);
-                let op = StationaryOperator::new(stochastic.matrix(), Arc::clone(&pool))?;
-                power_method_pool(&op, &warm, &config.power, &pool)?
-            }
-        };
-        let mut scores = vec![0.0f64; n_sites];
-        for (j, &s) in live.iter().enumerate() {
-            scores[s] = pi[j];
-        }
-        return Ok((Ranking::from_scores(scores)?, report));
-    }
-    let site_graph = lmm_graph::sitegraph::ranking_site_graph(new_graph, &config.site_options);
-    let mut warm = previous.site_rank.scores().to_vec();
-    match config.site_method {
-        SiteLayerMethod::PageRank => {
-            for s in n_old..n_sites {
-                // The caller validated the personalization vector against
-                // the updated site count, so `v[s]` covers the new sites.
-                let teleport = match &config.site_personalization {
-                    Some(v) => v[s],
-                    None => 1.0 / n_sites as f64,
-                };
-                warm.push((1.0 - config.site_damping) * teleport);
-            }
-            vec_ops::normalize_l1(&mut warm)?;
-            let mut pr = PageRank::new();
-            pr.damping(config.site_damping)
-                .tol(config.power.tol)
-                .max_iters(config.power.max_iters)
-                .initial(warm);
-            if let Some(v) = &config.site_personalization {
-                pr.personalization(v.clone());
-            }
-            let result = pr.run(&site_graph.to_stochastic()?)?;
-            Ok((result.ranking, result.report))
-        }
-        SiteLayerMethod::Stationary => {
-            if config.site_personalization.is_some() {
-                return Err(LmmError::InvalidModel {
-                    reason: "site-layer personalization requires SiteLayerMethod::PageRank \
-                             (the un-damped stationary chain has no teleport vector)"
-                        .into(),
-                });
-            }
-            warm.extend(std::iter::repeat_n(1.0 / n_sites as f64, n_sites - n_old));
-            vec_ops::normalize_l1(&mut warm)?;
-            let stochastic = site_graph.to_stochastic()?;
-            let pool = ThreadPool::shared(config.threads);
-            let op = StationaryOperator::new(stochastic.matrix(), Arc::clone(&pool))?;
-            let (pi, report) = power_method_pool(&op, &warm, &config.power, &pool)?;
-            Ok((Ranking::from_scores(pi)?, report))
-        }
-    }
-}
-
 /// Applies an incremental update: recomputes only the stale layers of
 /// `previous` against `new_graph` and recomposes the global ranking.
 ///
@@ -511,57 +409,17 @@ pub fn incremental_update(
     config: &LayeredRankConfig,
 ) -> Result<(LayeredDocRank, UpdateStats)> {
     let delta = validate_delta(previous, new_graph, delta)?;
-    let n_sites = new_graph.n_sites();
-    let n_old = n_sites - delta.added_sites;
     // Personalization must fit the *new* graph: a site vector of the old
     // length (or a per-site vector of a grown site's old size) would fail
     // deep inside PageRank with an opaque message — or worse, silently
-    // skew a recomposed ranking the caller believes personalized. On a
-    // graph with tombstoned sites, slot-indexed vectors are rejected
-    // outright.
-    if !new_graph.dead_sites().is_empty() {
-        reject_personalization_on_tombstones(new_graph, config)?;
-    }
-    if let Some(v) = &config.site_personalization {
-        if v.len() != n_sites {
-            return Err(LmmError::InvalidModel {
-                reason: format!(
-                    "site personalization has length {}, the updated graph has {} \
-                     sites — supply a vector covering the added sites",
-                    v.len(),
-                    n_sites
-                ),
-            });
-        }
-    }
-    for (&s, v) in &config.local_personalization {
-        if s >= n_sites || v.len() != new_graph.site_size(SiteId(s)) {
-            return Err(LmmError::InvalidModel {
-                reason: format!(
-                    "document personalization for site {s} has length {}, the \
-                     updated graph's site has {} documents",
-                    v.len(),
-                    if s < n_sites {
-                        new_graph.site_size(SiteId(s))
-                    } else {
-                        0
-                    }
-                ),
-            });
-        }
-    }
+    // skew a recomposed ranking the caller believes personalized.
+    check_config(new_graph, config)?;
+    let n_sites = new_graph.n_sites();
+    let n_old = n_sites - delta.added_sites;
     // Appended slots a same-delta removal already tombstoned never compute.
     let added_live: Vec<usize> = (n_old..n_sites)
         .filter(|&s| new_graph.is_live_site(SiteId(s)))
         .collect();
-    let mut stats = UpdateStats {
-        sites_grown: delta.grown.len(),
-        sites_shrunk: delta.shrunk.len(),
-        sites_added: added_live.len(),
-        sites_removed: delta.removed.len(),
-        ..UpdateStats::default()
-    };
-
     // SiteRank: reuse, or recompute warm-started (padded when sites were
     // appended, redistributed when sites were removed — either way the
     // dimension changed, so reuse is impossible). Under a self-loop
@@ -570,22 +428,28 @@ pub fn incremental_update(
     // start makes a spurious recompute converge immediately).
     let self_loops_stale = config.site_options.include_self_loops
         && !(delta.changed.is_empty() && delta.grown.is_empty() && delta.shrunk.is_empty());
-    let (site_rank, site_report) = if delta.cross_links_changed
-        || delta.added_sites > 0
-        || !delta.removed.is_empty()
-        || self_loops_stale
-    {
-        stats.site_rank_recomputed = true;
-        recompute_site_rank(previous, new_graph, config)?
+    let mut stats = UpdateStats {
+        sites_grown: delta.grown.len(),
+        sites_shrunk: delta.shrunk.len(),
+        sites_added: added_live.len(),
+        sites_removed: delta.removed.len(),
+        site_rank_recomputed: delta.cross_links_changed
+            || delta.added_sites > 0
+            || !delta.removed.is_empty()
+            || self_loops_stale,
+        ..UpdateStats::default()
+    };
+    let (site_rank, site_report) = if stats.site_rank_recomputed {
+        site_layer(new_graph, config, Some(&previous.site_rank))?
     } else {
         (previous.site_rank.clone(), previous.site_report)
     };
 
-    // Local ranks: recompute only the stale sites, fanned across the shared
-    // pool — changed sites warm, grown/shrunk/added sites cold; removed
-    // sites drop to an empty placeholder. Each solve is independent and
-    // fills only its own slot, so the fan-out stays deterministic at any
-    // thread count.
+    // Local ranks: recompute only the stale sites — changed sites warm
+    // from their previous vector, grown/shrunk/added sites cold. Dead
+    // slots (removed now, or appended dead) hold the empty ranking — zero
+    // weight, zero members, nothing to compute; a slot dead before keeps
+    // its placeholder, like every other untouched site.
     let jobs: Vec<(usize, bool)> = delta
         .changed
         .iter()
@@ -594,74 +458,38 @@ pub fn incremental_update(
         .chain(delta.shrunk.iter().map(|&s| (s, false)))
         .chain(added_live.iter().map(|&s| (s, false)))
         .collect();
-    let mut local_ranks: Vec<Option<Ranking>> =
-        previous.local_ranks.iter().cloned().map(Some).collect();
-    local_ranks.resize(n_sites, None);
-    // Dead slots (removed now, or appended dead) hold the empty ranking —
-    // zero weight, zero members, nothing to compute. A slot dead before
-    // keeps its placeholder, like every other untouched site.
-    for (s, slot) in local_ranks.iter_mut().enumerate() {
-        let placeholder = slot.as_ref().is_some_and(Ranking::is_empty);
-        if !placeholder && !new_graph.is_live_site(SiteId(s)) {
-            *slot = Some(Ranking::empty());
+    let mut local = previous.local_ranks.clone();
+    local.resize(n_sites, Ranking::empty());
+    for (s, slot) in local.iter_mut().enumerate() {
+        if !slot.is_empty() && !new_graph.is_live_site(SiteId(s)) {
+            *slot = Ranking::empty();
         }
     }
-    let mut total_local_iterations = 0usize;
-    let mut max_local_iterations = 0usize;
-    let pool = ThreadPool::shared(config.threads);
-    let solved = pool.par_map(&jobs, |_, &(s, warm)| {
-        let sub = new_graph.site_subgraph(SiteId(s));
-        let mut pr = PageRank::new();
-        pr.damping(config.local_damping)
-            .tol(config.power.tol)
-            .max_iters(config.power.max_iters);
-        if warm {
-            // Validated above: a changed site kept its size.
-            pr.initial(previous.local_ranks[s].scores().to_vec());
-        }
-        if let Some(v) = config.local_personalization.get(&s) {
-            pr.personalization(v.clone());
-        }
-        pr.run_adjacency(sub.adjacency)
-    });
-    for (&(s, _), result) in jobs.iter().zip(solved) {
-        let result = result?;
-        total_local_iterations += result.report.iterations;
-        max_local_iterations = max_local_iterations.max(result.report.iterations);
-        local_ranks[s] = Some(result.ranking);
-    }
+    let (total_local_iterations, max_local_iterations) =
+        local_ranks(new_graph, &mut local, &jobs, config)?;
     stats.sites_recomputed = jobs.len();
     stats.sites_reused = new_graph.n_live_sites() - stats.sites_recomputed;
-    let local_ranks = local_ranks
-        .into_iter()
-        .enumerate()
-        .map(|(s, ranks)| {
-            ranks.ok_or_else(|| LmmError::InvalidModel {
-                reason: format!("no local rank computed or reused for site {s}"),
-            })
-        })
-        .collect::<Result<Vec<Ranking>>>()?;
 
     // Recompose. With σ unchanged, every site outside `jobs` keeps its
     // members, its local vector and its weight, so its scores are the
     // previous epoch's bit for bit: patch the recomputed sites into the
     // previous vector. A σ rerun moves every score: full recompose.
-    let scores = if stats.site_rank_recomputed || previous.global.len() > new_graph.n_docs() {
-        recompose_full(new_graph, &site_rank, &local_ranks)?
+    let global = if stats.site_rank_recomputed || previous.global.len() > new_graph.n_docs() {
+        compose(new_graph, &site_rank, &local)?
     } else {
-        recompose_patch(
+        let recomputed = jobs.iter().map(|&(s, _)| s);
+        compose_patch(
             previous.global.scores(),
             new_graph,
             &site_rank,
-            &local_ranks,
-            jobs.iter().map(|&(s, _)| s),
+            &local,
+            recomputed,
         )?
     };
-    let global = Ranking::from_scores(scores)?;
     Ok((
         LayeredDocRank {
             site_rank,
-            local_ranks,
+            local_ranks: local,
             global,
             site_report,
             total_local_iterations,
@@ -669,74 +497,6 @@ pub fn incremental_update(
         },
         stats,
     ))
-}
-
-/// Writes site `s`'s scores `σ_s · π_s(d)` into the global vector, with an
-/// explicit size check so an inconsistent state can never silently
-/// misalign scores.
-fn write_site(
-    scores: &mut [f64],
-    new_graph: &DocGraph,
-    site_rank: &Ranking,
-    local_ranks: &[Ranking],
-    s: usize,
-) -> Result<()> {
-    let ranks = &local_ranks[s];
-    let members = new_graph.docs_of_site(SiteId(s));
-    if ranks.len() != members.len() {
-        return Err(LmmError::InvalidModel {
-            reason: format!(
-                "local rank for site {s} covers {} documents, site has {}",
-                ranks.len(),
-                members.len()
-            ),
-        });
-    }
-    let weight = site_rank.score(s);
-    for (doc, &local) in members.iter().zip(ranks.scores()) {
-        scores[doc.index()] = weight * local;
-    }
-    Ok(())
-}
-
-/// The Partition Theorem's aggregation step over every site, O(N): dead
-/// slots stay zero.
-fn recompose_full(
-    new_graph: &DocGraph,
-    site_rank: &Ranking,
-    local_ranks: &[Ranking],
-) -> Result<Vec<f64>> {
-    let mut scores = vec![0.0f64; new_graph.n_docs()];
-    for s in 0..local_ranks.len() {
-        write_site(&mut scores, new_graph, site_rank, local_ranks, s)?;
-    }
-    Ok(scores)
-}
-
-/// The aggregation step as a patch of `previous` (the last global vector,
-/// composed under the same σ): appended slots start at zero, the
-/// documents a shrunk site lost — dead now, like every tombstoned slot —
-/// are zeroed, and each recomputed site's members are rewritten. Every
-/// written score is the same product the full loop writes, so the result
-/// equals [`recompose_full`] bit for bit (the `patched_recompose_*` test
-/// holds it over a churn stream).
-fn recompose_patch(
-    previous: &[f64],
-    new_graph: &DocGraph,
-    site_rank: &Ranking,
-    local_ranks: &[Ranking],
-    recomputed: impl IntoIterator<Item = usize>,
-) -> Result<Vec<f64>> {
-    let mut scores = Vec::with_capacity(new_graph.n_docs());
-    scores.extend_from_slice(previous);
-    scores.resize(new_graph.n_docs(), 0.0);
-    for &d in new_graph.dead_docs() {
-        scores[d.index()] = 0.0;
-    }
-    for s in recomputed {
-        write_site(&mut scores, new_graph, site_rank, local_ranks, s)?;
-    }
-    Ok(scores)
 }
 
 /// Convenience: diff + update + (in debug builds) equivalence check against
@@ -842,10 +602,10 @@ fn remap_result(previous: &LayeredDocRank, remap: &IdRemap) -> Result<LayeredDoc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::siterank::SiteLayerMethod;
     use lmm_graph::delta::GraphDelta;
     use lmm_graph::docgraph::DocGraphBuilder;
     use lmm_graph::generator::CampusWebConfig;
-    use lmm_graph::DocId;
     use lmm_linalg::vec_ops;
 
     fn campus() -> DocGraph {
@@ -1270,11 +1030,11 @@ mod tests {
             let (next, applied) = graph.apply(&gd).unwrap();
             let delta = SiteDelta::from(&applied);
             let (updated, stats) = incremental_update(&result, &next, &delta, &cfg).unwrap();
-            let full = recompose_full(&next, &updated.site_rank, &updated.local_ranks).unwrap();
+            let full = compose(&next, &updated.site_rank, &updated.local_ranks).unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(updated.global.scores()),
-                bits(&full),
+                bits(full.scores()),
                 "step {step}: recompose diverged from the full loop"
             );
             if !stats.site_rank_recomputed {
@@ -1452,6 +1212,29 @@ mod tests {
         assert!(vec_ops::l1_diff(updated.global.scores(), full.global.scores()) < 1e-7);
         let total: f64 = updated.global.scores().iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stationary_site_personalization_is_rejected_without_a_site_rerun() {
+        // A local-only delta never reruns σ, yet the configuration the
+        // cold pipeline rejects must fail the update the same way.
+        let old = campus();
+        let new = edit_intra_site(&old, 3);
+        let delta = diff_sites(&old, &new).unwrap();
+        assert!(!delta.cross_links_changed);
+        let stationary = LayeredRankConfig {
+            site_method: SiteLayerMethod::Stationary,
+            ..LayeredRankConfig::default()
+        };
+        let base = layered_doc_rank(&old, &stationary).unwrap();
+        let cfg = LayeredRankConfig {
+            site_personalization: Some(vec![1.0 / new.n_sites() as f64; new.n_sites()]),
+            ..stationary
+        };
+        let cold = layered_doc_rank(&new, &cfg).unwrap_err();
+        let warm = incremental_update(&base, &new, &delta, &cfg).unwrap_err();
+        assert!(matches!(warm, LmmError::InvalidModel { .. }), "{warm}");
+        assert_eq!(cold.to_string(), warm.to_string());
     }
 
     #[test]

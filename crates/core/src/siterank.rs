@@ -14,16 +14,33 @@
 //! 5. the global DocRank is the weighted concatenation
 //!    `DocRank(G_D) = (π_S(s_1)·π_D(s_1)ᵀ, …, π_S(s_N)·π_D(s_N)ᵀ)ᵀ`.
 //!
+//! Each step is written once, and every pipeline — cold
+//! [`layered_doc_rank`], warm [`crate::incremental::incremental_update`]
+//! and the distributed runs of `lmm-p2p` — calls the same functions:
+//!
+//! * steps 2 and 4 are [`site_layer`]: the SiteGraph restricted to the
+//!   live sites (the identity restriction on a graph without tombstones),
+//!   ranked cold or warm and scattered back into slot space;
+//! * step 3 is [`local_ranks`]: the listed sites solved cold or warm on
+//!   the shared worker pool;
+//! * step 5 is [`compose`] (or, when σ did not move, a patch of the
+//!   previous global vector).
+//!
 //! Personalization (Section 3.2, last paragraphs) enters at step 3 (per-site
 //! document preferences) and/or step 4 (site preferences).
 
 use std::collections::HashMap;
 
+use std::sync::Arc;
+
 use crate::error::{LmmError, Result};
 use lmm_graph::docgraph::DocGraph;
 use lmm_graph::ids::{DocId, SiteId};
 use lmm_graph::sitegraph::{ranking_site_graph, SiteGraphOptions};
-use lmm_linalg::{ConvergenceReport, CooMatrix, CsrMatrix, PowerOptions};
+use lmm_linalg::{
+    power_method_pool, vec_ops, ConvergenceReport, CooMatrix, CsrMatrix, PowerOptions,
+    StationaryOperator, StochasticMatrix,
+};
 use lmm_par::ThreadPool;
 use lmm_rank::pagerank::{PageRank, PageRankResult};
 use lmm_rank::Ranking;
@@ -172,116 +189,256 @@ pub(crate) fn live_site_chain(
     (live, coo.to_csr())
 }
 
-/// Errors when a personalized configuration meets a graph with tombstoned
-/// sites: the slot-indexed vectors have no meaning over a restricted live
-/// chain, so the combination is rejected instead of silently re-weighted.
-pub(crate) fn reject_personalization_on_tombstones(
-    graph: &DocGraph,
-    config: &LayeredRankConfig,
-) -> Result<()> {
-    if config.site_personalization.is_some() {
-        return Err(LmmError::InvalidModel {
-            reason: "site personalization is unsupported on a graph with tombstoned \
-                     sites; compact_ids() first"
-                .into(),
-        });
+/// Checks `config` against `graph` before any solve, so the cold and the
+/// incremental pipeline reject the same configurations with the same
+/// [`LmmError::InvalidModel`]: a site personalization under the un-damped
+/// Stationary site layer or on a graph with tombstoned sites (a
+/// slot-indexed vector has no meaning over the live restriction), a
+/// document personalization for a dead or absent site, and vectors that do
+/// not cover the graph's sites or a site's documents.
+pub(crate) fn check_config(graph: &DocGraph, config: &LayeredRankConfig) -> Result<()> {
+    let invalid = |reason: String| Err(LmmError::InvalidModel { reason });
+    if let Some(v) = &config.site_personalization {
+        if config.site_method == SiteLayerMethod::Stationary {
+            return invalid(
+                "site-layer personalization requires SiteLayerMethod::PageRank (the \
+                 un-damped stationary chain has no teleport vector)"
+                    .into(),
+            );
+        }
+        if !graph.dead_sites().is_empty() {
+            return invalid(
+                "site personalization is unsupported on a graph with tombstoned sites; \
+                 compact_ids() first"
+                    .into(),
+            );
+        }
+        if v.len() != graph.n_sites() {
+            return invalid(format!(
+                "site personalization has length {}, the graph has {} sites",
+                v.len(),
+                graph.n_sites()
+            ));
+        }
     }
-    if let Some(&s) = config
-        .local_personalization
-        .keys()
-        .find(|&&s| !graph.is_live_site(SiteId(s)))
-    {
-        return Err(LmmError::InvalidModel {
-            reason: format!("document personalization names tombstoned site {s}"),
-        });
+    for (&s, v) in &config.local_personalization {
+        if !graph.is_live_site(SiteId(s)) {
+            return invalid(format!("document personalization names no live site {s}"));
+        }
+        if v.len() != graph.site_size(SiteId(s)) {
+            return invalid(format!(
+                "document personalization for site {s} has length {}, the site has {} \
+                 documents",
+                v.len(),
+                graph.site_size(SiteId(s))
+            ));
+        }
     }
     Ok(())
 }
 
-/// The layered pipeline over a graph with tombstoned sites: the site layer
-/// runs on the live restriction and scatters back into the slot space;
-/// dead slots keep zero rank and an empty local vector.
-fn layered_doc_rank_tombstoned(
+/// Steps 2 and 4: the SiteRank `π_S`, solved over the SiteGraph restricted
+/// to the live sites and scattered back into slot space (dead slots score
+/// 0). `warm: None` is the cold start. `Some(previous)` warm-starts from
+/// the previous SiteRank: dead slots' mass is dropped, sites appended since
+/// are padded with their teleport mass (`(1-f)·v(s)` under PageRank,
+/// uniform mass under the raw stationary method), and the L1
+/// renormalization spreads the difference **proportionally over the
+/// survivors** — the dangling-node rule, and the cheapest consistent prior
+/// for a site nobody has linked long enough to rank.
+///
+/// # Errors
+/// Returns [`LmmError::InvalidModel`] when every site is tombstoned;
+/// propagates the site solve's failures.
+pub fn site_layer(
     graph: &DocGraph,
     config: &LayeredRankConfig,
-) -> Result<LayeredDocRank> {
-    reject_personalization_on_tombstones(graph, config)?;
+    warm: Option<&Ranking>,
+) -> Result<(Ranking, ConvergenceReport)> {
     let (live, chain) = live_site_chain(graph, &config.site_options);
     if live.is_empty() {
         return Err(LmmError::InvalidModel {
             reason: "every site is tombstoned — nothing to rank".into(),
         });
     }
-    let stochastic = lmm_linalg::StochasticMatrix::from_adjacency(chain)?;
-    let (pi, site_report) = match config.site_method {
+    let k = live.len() as f64;
+    let initial = warm.map(|previous| {
+        // Padding multiplies by `1/k` rather than dividing by `k`: the two
+        // differ in the last bit for some `k`, and the pinned rankings were
+        // computed with this form.
+        let pad = |s: usize| match (config.site_method, &config.site_personalization) {
+            (SiteLayerMethod::PageRank, Some(v)) => (1.0 - config.site_damping) * v[s],
+            (SiteLayerMethod::PageRank, None) => (1.0 - config.site_damping) * (1.0 / k),
+            (SiteLayerMethod::Stationary, _) => 1.0 / k,
+        };
+        let mut x: Vec<f64> = live
+            .iter()
+            .map(|&s| {
+                if s < previous.len() {
+                    previous.score(s)
+                } else {
+                    pad(s)
+                }
+            })
+            .collect();
+        if x.iter().sum::<f64>() <= 0.0 {
+            x = vec![1.0 / k; live.len()];
+        }
+        vec_ops::normalize_l1(&mut x).map(|_| x)
+    });
+    let initial = initial.transpose()?;
+    let stochastic = StochasticMatrix::from_adjacency(chain)?;
+    let (pi, report) = match config.site_method {
         SiteLayerMethod::PageRank => {
-            let mut site_pr = PageRank::new();
-            site_pr
-                .damping(config.site_damping)
+            let mut pr = PageRank::new();
+            pr.damping(config.site_damping)
                 .tol(config.power.tol)
                 .max_iters(config.power.max_iters);
-            let result = site_pr.run(&stochastic)?;
+            if let Some(v) = &config.site_personalization {
+                pr.personalization(v.clone());
+            }
+            if let Some(x) = initial {
+                pr.initial(x);
+            }
+            let result = pr.run(&stochastic)?;
             (result.ranking.into_scores(), result.report)
         }
+        // Cold, this is `power::stationary_distribution` bit for bit: the
+        // same iteration from the uniform vector, and the pull-mode
+        // operator sums each entry in the serial scatter's order.
         SiteLayerMethod::Stationary => {
-            lmm_linalg::power::stationary_distribution(stochastic.matrix(), &config.power)?
+            let pool = ThreadPool::shared(config.threads);
+            let op = StationaryOperator::new(stochastic.matrix(), Arc::clone(&pool))?;
+            let x0 = initial.unwrap_or_else(|| vec_ops::uniform(live.len()));
+            power_method_pool(&op, &x0, &config.power, &pool)?
         }
     };
-    let mut site_scores = vec![0.0f64; graph.n_sites()];
-    for (j, &s) in live.iter().enumerate() {
-        site_scores[s] = pi[j];
+    let mut scores = vec![0.0f64; graph.n_sites()];
+    for (&s, p) in live.iter().zip(pi) {
+        scores[s] = p;
     }
-    let site_rank = Ranking::from_scores(site_scores)?;
+    Ok((Ranking::from_scores(scores)?, report))
+}
 
-    let pool = ThreadPool::shared(config.threads);
-    let solved = pool.par_map(&live, |_, &s| {
-        let sub = graph.site_subgraph(SiteId(s));
+/// Step 3: the local DocRank `π_D(s)` of each listed site — PageRank over
+/// its intra-site subgraph — fanned out over the shared pool of
+/// `config.threads` workers. A job `(s, true)` warm-starts from `ranks[s]`,
+/// the site's previous vector (its size must be unchanged); `(s, false)`
+/// solves cold. Each solution replaces `ranks[s]`. Every solve is serial
+/// and fills only its own slot, so the ranks are bit-identical at every
+/// thread count. Returns the total and the largest iteration count.
+///
+/// # Errors
+/// Propagates PageRank failures (non-convergence, invalid personalization
+/// vectors).
+pub fn local_ranks(
+    graph: &DocGraph,
+    ranks: &mut [Ranking],
+    jobs: &[(usize, bool)],
+    config: &LayeredRankConfig,
+) -> Result<(usize, usize)> {
+    let solved = ThreadPool::shared(config.threads).par_map(jobs, |_, &(s, warm)| {
         let mut pr = PageRank::new();
         pr.damping(config.local_damping)
             .tol(config.power.tol)
             .max_iters(config.power.max_iters);
+        if warm {
+            pr.initial(ranks[s].scores().to_vec());
+        }
         if let Some(v) = config.local_personalization.get(&s) {
             pr.personalization(v.clone());
         }
-        pr.run_adjacency(sub.adjacency)
+        pr.run_adjacency(graph.site_subgraph(SiteId(s)).adjacency)
     });
-    let mut local_ranks = vec![Ranking::empty(); graph.n_sites()];
-    let mut total_local_iterations = 0usize;
-    let mut max_local_iterations = 0usize;
-    for (&s, result) in live.iter().zip(solved) {
+    let (mut total, mut max) = (0usize, 0usize);
+    for (&(s, _), result) in jobs.iter().zip(solved) {
         let result = result?;
-        total_local_iterations += result.report.iterations;
-        max_local_iterations = max_local_iterations.max(result.report.iterations);
-        local_ranks[s] = result.ranking;
+        total += result.report.iterations;
+        max = max.max(result.report.iterations);
+        ranks[s] = result.ranking;
     }
+    Ok((total, max))
+}
 
+/// Step 5: the weighted concatenation `σ_s·π_D(s)` over every site, O(N);
+/// dead slots stay zero.
+///
+/// # Errors
+/// Returns [`LmmError::InvalidModel`] when a local vector does not cover
+/// its site's documents, and fails when the composed scores are not a
+/// distribution.
+pub fn compose(graph: &DocGraph, site_rank: &Ranking, local_ranks: &[Ranking]) -> Result<Ranking> {
     let mut scores = vec![0.0f64; graph.n_docs()];
-    for (s, ranks) in local_ranks.iter().enumerate() {
-        let weight = site_rank.score(s);
-        let members = graph.docs_of_site(SiteId(s));
-        for (local, doc) in members.iter().enumerate() {
-            scores[doc.index()] = weight * ranks.score(local);
-        }
+    for s in 0..local_ranks.len() {
+        write_site(&mut scores, graph, site_rank, local_ranks, s)?;
     }
-    let global = Ranking::from_scores(scores)?;
-    Ok(LayeredDocRank {
-        site_rank,
-        local_ranks,
-        global,
-        site_report,
-        total_local_iterations,
-        max_local_iterations,
-    })
+    Ok(Ranking::from_scores(scores)?)
+}
+
+/// [`compose`] as a patch of `previous` (the last global vector, composed
+/// under the same σ): appended slots start at zero, the documents a shrunk
+/// site lost — dead now, like every tombstoned slot — are zeroed, and each
+/// recomputed site's members are rewritten. Every written score is the
+/// same product the full loop writes, so the result equals [`compose`] bit
+/// for bit (the `patched_recompose_*` test holds it over a churn stream).
+pub(crate) fn compose_patch(
+    previous: &[f64],
+    graph: &DocGraph,
+    site_rank: &Ranking,
+    local_ranks: &[Ranking],
+    recomputed: impl IntoIterator<Item = usize>,
+) -> Result<Ranking> {
+    let mut scores = Vec::with_capacity(graph.n_docs());
+    scores.extend_from_slice(previous);
+    scores.resize(graph.n_docs(), 0.0);
+    for &d in graph.dead_docs() {
+        scores[d.index()] = 0.0;
+    }
+    for s in recomputed {
+        write_site(&mut scores, graph, site_rank, local_ranks, s)?;
+    }
+    Ok(Ranking::from_scores(scores)?)
+}
+
+/// Writes site `s`'s scores `σ_s · π_s(d)` into the global vector, with an
+/// explicit size check so an inconsistent state can never silently
+/// misalign scores.
+fn write_site(
+    scores: &mut [f64],
+    graph: &DocGraph,
+    site_rank: &Ranking,
+    local_ranks: &[Ranking],
+    s: usize,
+) -> Result<()> {
+    let ranks = &local_ranks[s];
+    let members = graph.docs_of_site(SiteId(s));
+    if ranks.len() != members.len() {
+        return Err(LmmError::InvalidModel {
+            reason: format!(
+                "local rank for site {s} covers {} documents, site has {}",
+                ranks.len(),
+                members.len()
+            ),
+        });
+    }
+    let weight = site_rank.score(s);
+    for (doc, &local) in members.iter().zip(ranks.scores()) {
+        scores[doc.index()] = weight * local;
+    }
+    Ok(())
 }
 
 /// Runs the full layered DocRank pipeline (Section 3.2) on a document
-/// graph. Tombstoned sites (if any) keep zero rank and an empty local
-/// vector; the surviving sites' scores still form a distribution.
+/// graph: every live site solved cold. Tombstoned sites (if any) keep zero
+/// rank and an empty local vector; the surviving sites' scores still form
+/// a distribution.
 ///
 /// # Errors
-/// Propagates PageRank failures (non-convergence, invalid personalization
-/// vectors) from either layer; rejects personalization on a graph with
-/// tombstoned sites.
+/// Returns [`LmmError::InvalidModel`] for a site personalization under the
+/// Stationary site layer or on a graph with tombstoned sites, and for a
+/// personalization vector that does not fit the graph — the same checks
+/// [`crate::incremental::incremental_update`] makes; propagates PageRank
+/// failures (non-convergence) from either layer.
 ///
 /// # Example
 /// ```
@@ -300,88 +457,16 @@ fn layered_doc_rank_tombstoned(
 /// # }
 /// ```
 pub fn layered_doc_rank(graph: &DocGraph, config: &LayeredRankConfig) -> Result<LayeredDocRank> {
-    // Tombstoned sites change the site-layer state space; the dense path
-    // below stays bit-identical for graphs without them.
-    if !graph.dead_sites().is_empty() {
-        return layered_doc_rank_tombstoned(graph, config);
-    }
-    // Step 2: SiteGraph — through the one shared derivation so distributed
-    // and local pipelines provably rank the same `Y`.
-    let site_graph = ranking_site_graph(graph, &config.site_options);
-
-    // Step 4: SiteRank (independent of step 3 — the parallelism the paper
-    // contrasts with BlockRank).
-    let (site_rank, site_report) = match config.site_method {
-        SiteLayerMethod::PageRank => {
-            let mut site_pr = PageRank::new();
-            site_pr
-                .damping(config.site_damping)
-                .tol(config.power.tol)
-                .max_iters(config.power.max_iters);
-            if let Some(v) = &config.site_personalization {
-                site_pr.personalization(v.clone());
-            }
-            let site_result: PageRankResult = site_pr.run(&site_graph.to_stochastic()?)?;
-            (site_result.ranking, site_result.report)
-        }
-        SiteLayerMethod::Stationary => {
-            if config.site_personalization.is_some() {
-                return Err(crate::error::LmmError::InvalidModel {
-                    reason: "site-layer personalization requires SiteLayerMethod::PageRank \
-                             (the un-damped stationary chain has no teleport vector)"
-                        .into(),
-                });
-            }
-            let (pi, report) = lmm_linalg::power::stationary_distribution(
-                site_graph.to_stochastic()?.matrix(),
-                &config.power,
-            )?;
-            (Ranking::from_scores(pi)?, report)
-        }
-    };
-
-    // Step 3: local DocRanks, one independent PageRank per site — the
-    // embarrassingly parallel half of the paper's pipeline, fanned across
-    // the shared pool. Every site's solve is serial internally and fills
-    // only its own slot, so the fan-out is deterministic.
-    let n_sites = graph.n_sites();
-    let pool = ThreadPool::shared(config.threads);
-    let sites: Vec<usize> = (0..n_sites).collect();
-    let solved = pool.par_map(&sites, |_, &s| {
-        let sub = graph.site_subgraph(SiteId(s));
-        let mut pr = PageRank::new();
-        pr.damping(config.local_damping)
-            .tol(config.power.tol)
-            .max_iters(config.power.max_iters);
-        if let Some(v) = config.local_personalization.get(&s) {
-            pr.personalization(v.clone());
-        }
-        pr.run_adjacency(sub.adjacency)
-    });
-    let mut local_ranks = Vec::with_capacity(n_sites);
-    let mut total_local_iterations = 0usize;
-    let mut max_local_iterations = 0usize;
-    for result in solved {
-        let result = result?;
-        total_local_iterations += result.report.iterations;
-        max_local_iterations = max_local_iterations.max(result.report.iterations);
-        local_ranks.push(result.ranking);
-    }
-
-    // Step 5: weighted concatenation in global document order.
-    let mut scores = vec![0.0f64; graph.n_docs()];
-    for (s, ranks) in local_ranks.iter().enumerate() {
-        let weight = site_rank.score(s);
-        let members = graph.docs_of_site(SiteId(s));
-        for (local, doc) in members.iter().enumerate() {
-            scores[doc.index()] = weight * ranks.score(local);
-        }
-    }
-    let global = Ranking::from_scores(scores)?;
-
+    check_config(graph, config)?;
+    let (site_rank, site_report) = site_layer(graph, config, None)?;
+    let mut local = vec![Ranking::empty(); graph.n_sites()];
+    let jobs: Vec<(usize, bool)> = graph.live_sites().map(|s| (s.index(), false)).collect();
+    let (total_local_iterations, max_local_iterations) =
+        local_ranks(graph, &mut local, &jobs, config)?;
+    let global = compose(graph, &site_rank, &local)?;
     Ok(LayeredDocRank {
         site_rank,
-        local_ranks,
+        local_ranks: local,
         global,
         site_report,
         total_local_iterations,
@@ -554,6 +639,46 @@ mod tests {
                 serial.total_local_iterations,
                 parallel.total_local_iterations
             );
+        }
+    }
+
+    #[test]
+    fn cold_stationary_site_layer_is_the_serial_stationary_distribution() {
+        // More sites than one `vec_ops::PAR_CHUNK`, so every normalization
+        // sums several chunks.
+        let n = vec_ops::PAR_CHUNK + 500;
+        let mut b = DocGraphBuilder::new();
+        let docs: Vec<DocId> = (0..n)
+            .map(|i| b.add_doc(&format!("s{i}.example"), &format!("http://s{i}.example/")))
+            .collect();
+        let mut state = 7u64;
+        for &d in &docs {
+            for _ in 0..3 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let t = docs[(state >> 33) as usize % n];
+                if t != d {
+                    b.add_link(d, t).unwrap();
+                }
+            }
+        }
+        let g = b.build();
+        let (_, chain) = live_site_chain(&g, &SiteGraphOptions::default());
+        let stochastic = StochasticMatrix::from_adjacency(chain).unwrap();
+        let power = PowerOptions::with_tol(1e-10);
+        let (serial, _) =
+            lmm_linalg::power::stationary_distribution(stochastic.matrix(), &power).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1usize, 4] {
+            let cfg = LayeredRankConfig {
+                site_method: SiteLayerMethod::Stationary,
+                power: power.clone(),
+                threads,
+                ..LayeredRankConfig::default()
+            };
+            let (sigma, _) = site_layer(&g, &cfg, None).unwrap();
+            assert_eq!(bits(sigma.scores()), bits(&serial), "{threads} threads");
         }
     }
 

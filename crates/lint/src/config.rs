@@ -179,7 +179,6 @@ pub fn workspace() -> LintConfig {
             "next",
             "next_conn",
             "next_op",
-            "next_site",
             // telemetry counters without the suffix convention
             "queries",
             "buckets",

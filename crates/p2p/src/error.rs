@@ -3,6 +3,7 @@
 use std::error::Error as StdError;
 use std::fmt;
 
+use lmm_core::LmmError;
 use lmm_linalg::LinalgError;
 use lmm_rank::RankError;
 
@@ -75,6 +76,21 @@ impl From<RankError> for P2pError {
 impl From<LinalgError> for P2pError {
     fn from(e: LinalgError) -> Self {
         P2pError::Linalg(e)
+    }
+}
+
+/// A failure of `lmm-core`'s per-site solve keeps its ranking or
+/// linear-algebra cause; a model error is a configuration the simulation
+/// cannot run.
+impl From<LmmError> for P2pError {
+    fn from(e: LmmError) -> Self {
+        match e {
+            LmmError::Rank(e) => P2pError::Rank(e),
+            LmmError::Linalg(e) => P2pError::Linalg(e),
+            other => P2pError::InvalidConfig {
+                reason: other.to_string(),
+            },
+        }
     }
 }
 

@@ -7,8 +7,11 @@
 //! is the O(N) composition of the two. This crate simulates that deployment
 //! faithfully enough to *measure* it:
 //!
-//! * [`peer::SitePeer`] — a peer owning one site: its intra-site subgraph,
-//!   its outgoing SiteLink row, and its slice of the rank vectors;
+//! * per-site compute — each peer's local DocRank and the final
+//!   composition — is `lmm-core`'s layered solve
+//!   (`lmm_core::siterank::{local_ranks, compose}`), the same code the
+//!   single-process pipeline runs; only the SiteRank transport
+//!   ([`peer::GroupNode`]'s rounds) is specific to this crate;
 //! * [`network::SimNetwork`] — a message-passing fabric with per-message
 //!   byte accounting and optional loss + retransmission (failure
 //!   injection);
@@ -54,6 +57,5 @@ pub mod stats;
 
 pub use error::{P2pError, Result};
 pub use network::{FaultConfig, SimNetwork};
-pub use peer::SitePeer;
 pub use runner::{run_distributed, Architecture, DistributedConfig, DistributedOutcome};
 pub use stats::{PhaseStats, RunStats, TrafficStats};

@@ -10,13 +10,14 @@
 //! experiment measures.
 
 use std::collections::VecDeque;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::error::{P2pError, Result};
 use crate::message::{Address, Message, Payload};
-use crate::stats::TrafficStats;
+use crate::stats::{PhaseStats, TrafficStats};
 
 /// Message-loss injection parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,8 +145,24 @@ impl SimNetwork {
 
     /// Resets the traffic counters (used between protocol phases) and
     /// returns the counts accumulated so far.
-    pub fn take_stats(&mut self) -> TrafficStats {
+    fn take_stats(&mut self) -> TrafficStats {
         std::mem::take(&mut self.stats)
+    }
+
+    /// Closes one protocol phase: its traffic since the previous phase
+    /// (the counters reset) and its wall time since `start`.
+    pub(crate) fn end_phase(
+        &mut self,
+        name: &'static str,
+        start: Instant,
+        rounds: u32,
+    ) -> PhaseStats {
+        PhaseStats {
+            name,
+            traffic: self.take_stats(),
+            wall: start.elapsed(),
+            rounds,
+        }
     }
 }
 

@@ -1,78 +1,14 @@
-//! Peer state: per-site compute peers and per-group protocol nodes.
-//!
-//! Two kinds of participants appear in the simulated deployment:
-//!
-//! * [`SitePeer`] — the compute side of one Web site: its intra-site
-//!   subgraph and the local DocRank computation (Section 3.2, step 3),
-//!   which "can be completely decentralized in a peer-to-peer search
-//!   system";
-//! * [`GroupNode`] — the protocol side of the distributed SiteRank: the
-//!   owner of one *group* of sites' rank entries during the synchronous
-//!   power iteration. In the flat architecture every group holds exactly
-//!   one site; in the super-peer architecture a group is a super-peer's
-//!   whole partition.
+//! The protocol side of the distributed SiteRank: [`GroupNode`] owns one
+//! *group* of sites' rank entries during the synchronous power iteration.
+//! In the flat architecture every group holds exactly one site; in the
+//! super-peer architecture a group is a super-peer's whole partition. A
+//! site's compute side — its local DocRank (Section 3.2, step 3) — is
+//! `lmm-core`'s per-site solve, which needs no protocol at all.
 
 use std::collections::HashMap;
 
 use crate::error::{P2pError, Result};
-use lmm_graph::docgraph::DocGraph;
-use lmm_graph::ids::SiteId;
-use lmm_linalg::{CsrMatrix, PowerOptions};
-use lmm_rank::pagerank::PageRank;
-use lmm_rank::Ranking;
-
-/// The compute peer of one Web site.
-#[derive(Debug, Clone)]
-pub struct SitePeer {
-    site: usize,
-    members: Vec<usize>,
-    local_adjacency: CsrMatrix,
-}
-
-impl SitePeer {
-    /// Extracts the peer's state (member docs + intra-site subgraph) from
-    /// the document graph.
-    #[must_use]
-    pub fn from_graph(graph: &DocGraph, site: SiteId) -> Self {
-        let sub = graph.site_subgraph(site);
-        Self {
-            site: site.index(),
-            members: sub.members.iter().map(|d| d.index()).collect(),
-            local_adjacency: sub.adjacency,
-        }
-    }
-
-    /// The owned site index.
-    #[must_use]
-    pub fn site(&self) -> usize {
-        self.site
-    }
-
-    /// Global doc ids of the site's pages (ascending).
-    #[must_use]
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Number of local documents.
-    #[must_use]
-    pub fn n_docs(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Computes the local DocRank `π_D(s)` — PageRank over the intra-site
-    /// subgraph. Purely local: no network traffic.
-    ///
-    /// # Errors
-    /// Propagates PageRank failures.
-    pub fn compute_local_rank(&self, damping: f64, power: &PowerOptions) -> Result<Ranking> {
-        let mut pr = PageRank::new();
-        pr.damping(damping)
-            .tol(power.tol)
-            .max_iters(power.max_iters);
-        Ok(pr.run_adjacency(self.local_adjacency.clone())?.ranking)
-    }
-}
+use lmm_linalg::CsrMatrix;
 
 /// Contributions a group emits in one SiteRank round, already batched per
 /// destination group.
@@ -149,18 +85,6 @@ impl GroupNode {
             damping,
             residual: f64::INFINITY,
         })
-    }
-
-    /// Group index.
-    #[must_use]
-    pub fn group(&self) -> usize {
-        self.group
-    }
-
-    /// Owned sites.
-    #[must_use]
-    pub fn sites(&self) -> &[usize] {
-        &self.sites
     }
 
     /// Current `(site, rank)` entries.
@@ -255,7 +179,7 @@ impl GroupNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmm_graph::docgraph::DocGraphBuilder;
+    use lmm_graph::docgraph::{DocGraph, DocGraphBuilder};
     use lmm_graph::sitegraph::{SiteGraph, SiteGraphOptions};
     use lmm_linalg::vec_ops;
     use lmm_rank::pagerank::PageRank;
@@ -279,20 +203,6 @@ mod tests {
             .to_stochastic()
             .unwrap()
             .into_matrix()
-    }
-
-    #[test]
-    fn site_peer_extracts_subgraph() {
-        let g = graph();
-        let p = SitePeer::from_graph(&g, SiteId(0));
-        assert_eq!(p.site(), 0);
-        assert_eq!(p.members(), &[0, 1]);
-        assert_eq!(p.n_docs(), 2);
-        let rank = p
-            .compute_local_rank(0.85, &PowerOptions::default())
-            .unwrap();
-        assert_eq!(rank.len(), 2);
-        assert!((rank.scores().iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]

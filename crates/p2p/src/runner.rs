@@ -17,20 +17,19 @@
 //!   full edge list and one node computes flat PageRank over the whole
 //!   DocGraph.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::error::{P2pError, Result};
 use crate::message::{Address, Payload};
 use crate::network::{FaultConfig, SimNetwork};
-use crate::peer::{GroupNode, SitePeer};
-use crate::stats::{PhaseStats, RunStats};
+use crate::peer::GroupNode;
+use crate::stats::RunStats;
+use lmm_core::siterank::{
+    compose, flat_pagerank, local_ranks, site_layer, LayeredRankConfig, SiteLayerMethod,
+};
 use lmm_graph::docgraph::DocGraph;
-use lmm_graph::ids::SiteId;
 use lmm_graph::sitegraph::{ranking_site_graph, SiteGraphOptions};
 use lmm_linalg::PowerOptions;
-use lmm_rank::pagerank::PageRank;
 use lmm_rank::Ranking;
 
 /// Deployment topology of the simulated search engine.
@@ -85,8 +84,8 @@ pub struct DistributedConfig {
     pub power: PowerOptions,
     /// Optional message-loss injection.
     pub fault: Option<FaultConfig>,
-    /// Worker threads for the parallel local-DocRank phase (`0` = one per
-    /// available core).
+    /// Worker threads for the parallel local-DocRank phase and the
+    /// centralized baseline's PageRank (`0` = one per available core).
     pub threads: usize,
 }
 
@@ -112,6 +111,19 @@ impl DistributedConfig {
     pub fn with_architecture(mut self, architecture: Architecture) -> Self {
         self.architecture = architecture;
         self
+    }
+
+    /// The configuration of the `lmm-core` solve the peers run.
+    fn layered(&self) -> LayeredRankConfig {
+        LayeredRankConfig {
+            local_damping: self.local_damping,
+            site_damping: self.site_damping,
+            site_method: SiteLayerMethod::PageRank,
+            site_options: self.site_options,
+            power: self.power.clone(),
+            threads: self.threads,
+            ..LayeredRankConfig::default()
+        }
     }
 }
 
@@ -199,12 +211,7 @@ fn run_layered(
         .enumerate()
         .map(|(g, sites)| GroupNode::new(g, sites.clone(), &site_transition, config.site_damping))
         .collect::<Result<_>>()?;
-    stats.push(PhaseStats {
-        name: "sitegraph",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    stats.push(net.end_phase("sitegraph", t0, 0));
 
     // --- Phase 2: distributed SiteRank (synchronous rounds).
     let t0 = Instant::now();
@@ -277,12 +284,7 @@ fn run_layered(
             residual: last_residual,
         });
     }
-    stats.push(PhaseStats {
-        name: "siterank rounds",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds,
-    });
+    stats.push(net.end_phase("siterank rounds", t0, rounds));
 
     // Collect the site rank vector (conceptually known to each owner).
     let mut site_scores = vec![0.0f64; n_sites];
@@ -291,17 +293,12 @@ fn run_layered(
             site_scores[s] = r;
         }
     }
-    let site_rank = Ranking::from_weights(site_scores).map_err(P2pError::Rank)?;
+    let site_rank = Ranking::from_weights(site_scores)?;
 
     // --- Phase 3: local DocRanks in parallel (no traffic).
     let t0 = Instant::now();
-    let local_ranks = parallel_local_ranks(graph, config)?;
-    stats.push(PhaseStats {
-        name: "local docranks",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    let local = peer_local_ranks(graph, config)?;
+    stats.push(net.end_phase("local docranks", t0, 0));
 
     // --- Phase 4: aggregation. Site peers ship local vectors to their
     // owner (super-peer or coordinator); owners compose their slice and
@@ -319,13 +316,13 @@ fn run_layered(
             Address::Peer(s.min(n_groups - 1)), // the site's compute peer
             Address::Peer(owner),
             Payload::LocalRankVector {
-                scores: local_ranks[s].scores().to_vec(),
+                scores: local[s].scores().to_vec(),
             },
         )?;
     }
     // Owners weight their slices and forward the composed sub-vector.
     for (g, sites) in groups.iter().enumerate() {
-        let slice_len: usize = sites.iter().map(|&s| local_ranks[s].len()).sum();
+        let slice_len: usize = sites.iter().map(|&s| local[s].len()).sum();
         net.send(
             Address::Peer(g),
             Address::Coordinator,
@@ -336,21 +333,8 @@ fn run_layered(
         let _ = net.drain(Address::Peer(g))?;
     }
     let _ = net.drain(Address::Coordinator)?;
-    // Numerically, compose exactly as lmm-core's pipeline does.
-    let mut scores = vec![0.0f64; graph.n_docs()];
-    for (s, ranks) in local_ranks.iter().enumerate() {
-        let weight = site_rank.score(s);
-        for (local, doc) in graph.docs_of_site(SiteId(s)).iter().enumerate() {
-            scores[doc.index()] = weight * ranks.score(local);
-        }
-    }
-    let global = Ranking::from_scores(scores).map_err(P2pError::Rank)?;
-    stats.push(PhaseStats {
-        name: "aggregation",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    let global = compose(graph, &site_rank, &local)?;
+    stats.push(net.end_phase("aggregation", t0, 0));
 
     Ok(DistributedOutcome {
         architecture: config.architecture,
@@ -383,21 +367,11 @@ fn run_hybrid(graph: &DocGraph, config: &DistributedConfig) -> Result<Distribute
         )?;
     }
     let _ = net.drain(Address::Coordinator)?;
-    stats.push(PhaseStats {
-        name: "sitelink upload",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    stats.push(net.end_phase("sitelink upload", t0, 0));
 
     // --- Phase 2: central SiteRank + broadcast of the shared vector.
     let t0 = Instant::now();
-    let mut pr = PageRank::new();
-    pr.damping(config.site_damping)
-        .tol(config.power.tol)
-        .max_iters(config.power.max_iters);
-    let site_result = pr.run(&site_graph.to_stochastic()?)?;
-    let site_rank = site_result.ranking;
+    let (site_rank, site_report) = site_layer(graph, &config.layered(), None)?;
     for s in 0..n_sites {
         net.send(
             Address::Coordinator,
@@ -408,26 +382,16 @@ fn run_hybrid(graph: &DocGraph, config: &DistributedConfig) -> Result<Distribute
         )?;
         let _ = net.drain(Address::Peer(s))?;
     }
-    stats.push(PhaseStats {
-        name: "central siterank",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: site_result.report.iterations as u32,
-    });
+    stats.push(net.end_phase("central siterank", t0, site_report.iterations as u32));
 
     // --- Phase 3: local DocRanks in parallel at the peers (no traffic).
     let t0 = Instant::now();
-    let local_ranks = parallel_local_ranks(graph, config)?;
-    stats.push(PhaseStats {
-        name: "local docranks",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    let local = peer_local_ranks(graph, config)?;
+    stats.push(net.end_phase("local docranks", t0, 0));
 
     // --- Phase 4: peers ship their (already weighted) slices.
     let t0 = Instant::now();
-    for (s, ranks) in local_ranks.iter().enumerate() {
+    for (s, ranks) in local.iter().enumerate() {
         net.send(
             Address::Peer(s),
             Address::Coordinator,
@@ -437,20 +401,8 @@ fn run_hybrid(graph: &DocGraph, config: &DistributedConfig) -> Result<Distribute
         )?;
     }
     let _ = net.drain(Address::Coordinator)?;
-    let mut scores = vec![0.0f64; graph.n_docs()];
-    for (s, ranks) in local_ranks.iter().enumerate() {
-        let weight = site_rank.score(s);
-        for (local, doc) in graph.docs_of_site(SiteId(s)).iter().enumerate() {
-            scores[doc.index()] = weight * ranks.score(local);
-        }
-    }
-    let global = Ranking::from_scores(scores).map_err(P2pError::Rank)?;
-    stats.push(PhaseStats {
-        name: "aggregation",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    let global = compose(graph, &site_rank, &local)?;
+    stats.push(net.end_phase("aggregation", t0, 0));
 
     Ok(DistributedOutcome {
         architecture: Architecture::Hybrid,
@@ -482,85 +434,36 @@ fn run_centralized(graph: &DocGraph, config: &DistributedConfig) -> Result<Distr
         )?;
     }
     let _ = net.drain(Address::Coordinator)?;
-    stats.push(PhaseStats {
-        name: "graph upload",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    stats.push(net.end_phase("graph upload", t0, 0));
 
     // Central compute phase.
     let t0 = Instant::now();
-    let mut pr = PageRank::new();
-    pr.damping(config.local_damping)
-        .tol(config.power.tol)
-        .max_iters(config.power.max_iters);
-    let result = pr.run_adjacency(graph.adjacency().clone())?;
-    stats.push(PhaseStats {
-        name: "central pagerank",
-        traffic: net.take_stats(),
-        wall: t0.elapsed(),
-        rounds: 0,
-    });
+    let result = flat_pagerank(graph, config.local_damping, &config.power, config.threads)?;
+    stats.push(net.end_phase("central pagerank", t0, 0));
 
     Ok(DistributedOutcome {
         architecture: Architecture::Centralized,
         global: result.ranking,
-        site_rank: Ranking::uniform(n_sites).map_err(P2pError::Rank)?,
+        site_rank: Ranking::uniform(n_sites)?,
         stats,
         siterank_rounds: 0,
     })
 }
 
-/// Computes every site's local DocRank on a worker pool (an atomic work
-/// counter feeding `threads` scoped workers), mirroring the real deployment
-/// where each site's server ranks its own collection concurrently.
-fn parallel_local_ranks(graph: &DocGraph, config: &DistributedConfig) -> Result<Vec<Ranking>> {
-    let n_sites = graph.n_sites();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4)
-    } else {
-        config.threads
-    }
-    .min(n_sites);
-
-    let peers: Vec<SitePeer> = (0..n_sites)
-        .map(|s| SitePeer::from_graph(graph, SiteId(s)))
-        .collect();
-    let results: Mutex<Vec<Option<Result<Ranking>>>> =
-        Mutex::new((0..n_sites).map(|_| None).collect());
-    let next_site = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let peers = &peers;
-            let results = &results;
-            let next_site = &next_site;
-            scope.spawn(move || loop {
-                let s = next_site.fetch_add(1, Ordering::Relaxed);
-                if s >= n_sites {
-                    break;
-                }
-                let rank = peers[s].compute_local_rank(config.local_damping, &config.power);
-                results.lock().expect("no poisoned workers")[s] = Some(rank);
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("no poisoned workers")
-        .into_iter()
-        .map(|slot| slot.expect("every site was processed"))
-        .collect()
+/// Every site's local DocRank, solved cold by `lmm-core`'s per-site solve
+/// on the shared worker pool — the real deployment's site servers each
+/// ranking their own collection concurrently.
+fn peer_local_ranks(graph: &DocGraph, config: &DistributedConfig) -> Result<Vec<Ranking>> {
+    let mut local = vec![Ranking::empty(); graph.n_sites()];
+    let jobs: Vec<(usize, bool)> = graph.live_sites().map(|s| (s.index(), false)).collect();
+    local_ranks(graph, &mut local, &jobs, &config.layered())?;
+    Ok(local)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmm_core::siterank::{layered_doc_rank, LayeredRankConfig};
+    use lmm_core::siterank::layered_doc_rank;
     use lmm_graph::generator::CampusWebConfig;
     use lmm_linalg::vec_ops;
 
