@@ -13,8 +13,10 @@
 //!    a grade describes data movement, not placement movement.
 //! 2. **Stage** (phase one): cut a [`SnapshotSegment`] per
 //!    rebuild/refresh shard and ship it to the owning node at epoch
-//!    `C+1`, in parallel across nodes. Nodes hold staged sets without
-//!    serving them.
+//!    `C+1`, in parallel across nodes — each node's segments are cut on
+//!    its own stage thread, off the control-state lock, and a segment
+//!    costs its shard's sites plus the snapshot's tombstone table. Nodes
+//!    hold staged sets without serving them.
 //! 3. **Commit** (phase two): only after *every* node acked its stages,
 //!    tell each to flip to `C+1`. A node that fails either phase is
 //!    evicted, every survivor gets an **`Abort(C+1)`** (the attempt's
@@ -516,10 +518,8 @@ impl ClusterController {
 struct NodeJob {
     node: u64,
     addr: String,
-    /// The attempt's `Stage` frames, built once while planning and sent
-    /// by reference — a per-node retry re-sends them without re-cutting
-    /// or copying a segment.
-    stages: Vec<Message>,
+    /// The shards placed on the node and their grades, in shard order.
+    shards: Vec<(usize, SwapGrade)>,
 }
 
 impl ControllerInner {
@@ -626,28 +626,17 @@ impl ControllerInner {
                     grades.iter().filter(|g| **g == SwapGrade::Refresh).count(),
                     grades.iter().filter(|g| **g == SwapGrade::Repin).count(),
                 );
-                // Cut segments while planning: clone cost is bounded by
-                // the stale shards' sites, and we hold no node locks.
                 let mut jobs: BTreeMap<u64, NodeJob> = BTreeMap::new();
                 for shard in 0..n_shards {
                     let node = placement[shard];
-                    let job = jobs.entry(node).or_insert_with(|| NodeJob {
-                        node,
-                        addr: state.nodes[&node].addr.clone(),
-                        stages: Vec::new(),
-                    });
-                    let segment = match grades[shard] {
-                        SwapGrade::Repin => None,
-                        SwapGrade::Rebuild | SwapGrade::Refresh => Some(snapshot.export_segment(
-                            shard_site_range(&self.map, shard, snapshot.n_sites()),
-                        )),
-                    };
-                    job.stages.push(Message::Stage {
-                        epoch: next_epoch,
-                        shard: shard as u64,
-                        grade: grades[shard],
-                        segment,
-                    });
+                    jobs.entry(node)
+                        .or_insert_with(|| NodeJob {
+                            node,
+                            addr: state.nodes[&node].addr.clone(),
+                            shards: Vec::new(),
+                        })
+                        .shards
+                        .push((shard, grades[shard]));
                 }
                 (
                     next_epoch,
@@ -668,7 +657,7 @@ impl ControllerInner {
                 for job in &jobs {
                     handles.push(scope.spawn(move || {
                         let started = Instant::now();
-                        self.stage_node(job, next_epoch)
+                        self.stage_node(job, next_epoch, snapshot)
                             .map(|()| (job.node, started.elapsed().as_secs_f64() * 1e3))
                             .map_err(|detail| (job.node, detail))
                     }));
@@ -768,10 +757,29 @@ impl ControllerInner {
         }
     }
 
-    fn stage_node(&self, job: &NodeJob, epoch: u64) -> std::result::Result<(), String> {
+    /// Cuts the node's segments once, then stages them; a per-node retry
+    /// re-sends the same frames without re-cutting a segment.
+    fn stage_node(
+        &self,
+        job: &NodeJob,
+        epoch: u64,
+        snapshot: &RankSnapshot,
+    ) -> std::result::Result<(), String> {
+        let stages: Vec<Message> = job
+            .shards
+            .iter()
+            .map(|&(shard, grade)| Message::Stage {
+                epoch,
+                shard: shard as u64,
+                grade,
+                segment: (grade != SwapGrade::Repin).then(|| {
+                    snapshot.export_segment(shard_site_range(&self.map, shard, snapshot.n_sites()))
+                }),
+            })
+            .collect();
         let mut schedule = self.call_policy().begin(epoch ^ job.node.rotate_left(32));
         loop {
-            match self.try_stage(job, epoch) {
+            match self.try_stage(&job.addr, &stages, epoch) {
                 Ok(()) => return Ok(()),
                 Err(detail) => {
                     if !schedule.backoff_and_retry() {
@@ -782,12 +790,17 @@ impl ControllerInner {
         }
     }
 
-    fn try_stage(&self, job: &NodeJob, epoch: u64) -> std::result::Result<(), String> {
-        for stage in &job.stages {
+    fn try_stage(
+        &self,
+        addr: &str,
+        stages: &[Message],
+        epoch: u64,
+    ) -> std::result::Result<(), String> {
+        for stage in stages {
             let reply = self
                 .pool
-                .call(&job.addr, stage)
-                .map_err(|e| format!("stage via {}: {e}", job.addr))?;
+                .call(addr, stage)
+                .map_err(|e| format!("stage via {addr}: {e}"))?;
             match reply {
                 Message::Ack { epoch: acked } if acked == epoch => {}
                 other => return Err(format!("stage answered {other:?}")),

@@ -10,22 +10,40 @@
 //! epoch — so "same data, new placement" never reads as "same epoch,
 //! different data".
 //!
-//! Concurrency model: one accept thread (a non-blocking poll whose idle
-//! tick doubles as the staged-set GC), one thread per accepted
+//! Concurrency model: one accept thread blocked in `accept` (`kill` wakes
+//! it by dialing the listener itself), one thread per accepted
 //! connection. Peers keep their links open — the controller's pool holds
-//! one per node, clients one per node they query — so the accept poll is
-//! paid when a link is first dialed, not per publish or per query.
-//! Serving state swaps atomically under a mutex held only for the pointer
-//! swap and `Arc` clones — query compute happens off-lock.
+//! one per node, clients one per node they query. A staged set whose
+//! publisher died is expired by the heartbeat pings that keep arriving
+//! from the controller, and a commit refuses a set past its TTL, so no
+//! idle timer is needed.
+//!
+//! A publish costs the node its staged shards, not the web. All of a
+//! node's stores pin **one** snapshot per committed epoch, cut from the
+//! node's tables (see `Tables`), which hold entries for the members of
+//! the node's own sites only. An epoch whose stages are all repins shares
+//! the committed tables outright. Otherwise its first segment takes the
+//! score and assignment buffers of a retired epoch — no allocation and
+//! no copy of the whole id space — and every stage writes its shard's
+//! members into them: a segment's from the wire, a repinned shard's from
+//! the committed epoch. Each member list a segment did not change stays
+//! shared. A site keeps its committed order when its member list is
+//! unchanged and the order is still strictly in serving order under the
+//! new scores — exactly what a full sort would produce, since serving
+//! order is a strict total order. Commit then re-sorts only the other
+//! sites and re-merges the top lists, under the stage lock; the serving
+//! mutex is taken only to swap the new stores in, and queries hold it
+//! only to clone the `Arc` they answer from.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lmm_engine::SnapshotSegment;
+use lmm_engine::{RankSnapshot, SnapshotSegment, Staleness};
 use lmm_graph::{DocId, SiteId};
 use lmm_serve::{DocScore, ShardState, SiteTopK, SwapGrade};
 
@@ -41,8 +59,6 @@ pub struct NodeConfig {
     pub heap_k: usize,
     /// Read/write timeout on every connection.
     pub io_timeout: Duration,
-    /// How often idle connection threads check the shutdown flag.
-    pub poll: Duration,
     /// How long a staged-but-uncommitted epoch set may wait for its
     /// commit before the node garbage-collects it. A publishing
     /// controller that dies (or silently gives up) between stage and
@@ -64,7 +80,6 @@ impl Default for NodeConfig {
         Self {
             heap_k: 64,
             io_timeout: Duration::from_secs(2),
-            poll: Duration::from_millis(25),
             stage_ttl: Duration::from_secs(60),
             retry: RetryPolicy {
                 max_attempts: 3,
@@ -76,23 +91,199 @@ impl Default for NodeConfig {
 }
 
 /// What the node currently serves: one committed cluster epoch, one rank
-/// epoch, and the owned shard stores. Swapped wholesale at commit.
+/// epoch, the owned shard stores, and the tables their one snapshot was
+/// cut from. Swapped wholesale at commit.
 #[derive(Default)]
 struct Serving {
     epoch: u64,
     rank_epoch: u64,
     shards: HashMap<u64, Arc<ShardState>>,
+    tables: Tables,
 }
 
-/// The pending stage set for one not-yet-committed cluster epoch. A stage
-/// at a newer epoch supersedes (clears) an older uncommitted set, and a
-/// set that outlives [`NodeConfig::stage_ttl`] is expired.
+/// The tables of a node's snapshot, indexed like the full snapshot's:
+/// scores and site assignments by `DocId`, member lists by site. Only the
+/// sites of the node's shards have members, and a score or an assignment
+/// is defined only for a member of one of them. That is enough: a store
+/// reads a document's score only after finding the document in the
+/// member list of the site its assignment names, so any other entry,
+/// whatever it holds, reads as a dead slot.
+#[derive(Debug, Clone, Default)]
+struct Tables {
+    backend: String,
+    scores: Arc<Vec<f64>>,
+    site_of: Arc<Vec<SiteId>>,
+    members: Arc<Vec<Arc<[DocId]>>>,
+}
+
+impl Tables {
+    /// Gives the score and assignment tables buffers of their own, `n_docs`
+    /// long: the spare ones when there are, whatever they hold, since
+    /// only the staged shards' members need entries — those of the sites
+    /// in `carried` are copied from `base` here, the rest are written by
+    /// their segments.
+    fn detach(
+        &mut self,
+        spare: &mut Spare,
+        n_docs: usize,
+        base: &Tables,
+        carried: &[Range<usize>],
+    ) {
+        let mut scores = std::mem::take(&mut spare.scores);
+        scores.resize(n_docs, 0.0);
+        let mut site_of = std::mem::take(&mut spare.site_of);
+        site_of.resize(n_docs, SiteId(usize::MAX));
+        self.scores = Arc::new(scores);
+        self.site_of = Arc::new(site_of);
+        for sites in carried {
+            self.carry(base, sites.clone());
+        }
+    }
+
+    /// Copies the entries of the members of `sites` from `base`, for a
+    /// shard repinned into detached tables.
+    fn carry(&mut self, base: &Tables, sites: Range<usize>) {
+        // Unshared once detached, so neither call clones.
+        let scores = Arc::make_mut(&mut self.scores);
+        let site_of = Arc::make_mut(&mut self.site_of);
+        for site in sites {
+            for &doc in base.members.get(site).map_or(&[][..], |m| m) {
+                // A repinned shard keeps its id space; ids past this epoch's
+                // are no member of it.
+                if let (Some(score), Some(assigned)) =
+                    (scores.get_mut(doc.index()), site_of.get_mut(doc.index()))
+                {
+                    *score = base.scores[doc.index()];
+                    *assigned = SiteId(site);
+                }
+            }
+        }
+    }
+
+    /// Writes one segment's sites into detached tables: its scores, its
+    /// members' assignments, and each member list it changed. Every other
+    /// member list stays shared.
+    fn patch(&mut self, seg: &SnapshotSegment) {
+        self.backend.clone_from(&seg.backend);
+        if self.members.len() != seg.n_sites {
+            Arc::make_mut(&mut self.members).resize(seg.n_sites, Arc::from([]));
+        }
+        let scores = Arc::make_mut(&mut self.scores);
+        let site_of = Arc::make_mut(&mut self.site_of);
+        scores.resize(seg.n_docs, 0.0);
+        site_of.resize(seg.n_docs, SiteId(usize::MAX));
+        let covered = seg.members.iter().zip(&seg.member_scores);
+        for (site, (docs, doc_scores)) in seg.sites.clone().zip(covered) {
+            for (&doc, &score) in docs.iter().zip(doc_scores) {
+                scores[doc.index()] = score;
+                site_of[doc.index()] = SiteId(site);
+            }
+            if *self.members[site] != **docs {
+                Arc::make_mut(&mut self.members)[site] = Arc::from(docs.as_slice());
+            }
+        }
+    }
+
+    /// Empties the member lists of `sites` (a shard that left the node).
+    fn clear(&mut self, sites: Range<usize>) {
+        for site in sites {
+            if self.members.get(site).is_some_and(|m| !m.is_empty()) {
+                Arc::make_mut(&mut self.members)[site] = Arc::from([]);
+            }
+        }
+    }
+
+    /// The node's snapshot over these tables at `rank_epoch`. It shares
+    /// every table and lists no dead documents: a node never exports.
+    fn snapshot(&self, rank_epoch: u64) -> RankSnapshot {
+        RankSnapshot::new(
+            rank_epoch,
+            self.backend.clone(),
+            Arc::clone(&self.scores),
+            None,
+            Arc::clone(&self.members),
+            Arc::clone(&self.site_of),
+            Arc::default(),
+            Staleness::Full,
+        )
+    }
+}
+
+/// The score and assignment buffers of a retired epoch, kept so that the
+/// next epoch writes into pages the node already holds instead of
+/// allocating (and faulting in) new ones.
+#[derive(Debug, Default)]
+struct Spare {
+    scores: Vec<f64>,
+    site_of: Vec<SiteId>,
+}
+
+impl Spare {
+    /// Keeps each buffer of `retired` that nothing holds any more, when
+    /// it is larger than the one kept.
+    fn recycle(&mut self, retired: Tables) {
+        keep_larger(&mut self.scores, retired.scores);
+        keep_larger(&mut self.site_of, retired.site_of);
+    }
+}
+
+fn keep_larger<T>(spare: &mut Vec<T>, retired: Arc<Vec<T>>) {
+    if let Ok(buffer) = Arc::try_unwrap(retired) {
+        if buffer.capacity() > spare.capacity() {
+            *spare = buffer;
+        }
+    }
+}
+
+/// `true` when `order` is strictly in serving order under `scores`: score
+/// descending, ties by ascending id — the order lmm-serve sorts a site
+/// into, which is a strict total order, so an order that passes is the
+/// one a fresh sort of the same members would produce.
+fn in_serving_order(order: &[DocId], scores: &[f64]) -> bool {
+    order.windows(2).all(|w| {
+        let (a, b) = (scores[w[0].index()], scores[w[1].index()]);
+        a > b || (a == b && w[0] < w[1])
+    })
+}
+
+/// How commit installs one staged shard.
+#[derive(Debug)]
+enum StagedShard {
+    /// Keep the committed store over `sites`, pinned on the new snapshot.
+    Repin { sites: Range<usize> },
+    /// Assemble over `sites`, re-sorting only `stale` (ascending) and
+    /// sharing every other site's committed order.
+    Assemble {
+        sites: Range<usize>,
+        stale: Vec<usize>,
+    },
+}
+
+/// The pending stage set for one not-yet-committed cluster epoch: its
+/// shards and the epoch's node tables. A stage at a newer epoch
+/// supersedes (clears) an older uncommitted set, and a set that outlives
+/// [`NodeConfig::stage_ttl`] is expired.
 #[derive(Default)]
 struct Staged {
     epoch: u64,
-    entries: HashMap<u64, (SwapGrade, Option<SnapshotSegment>)>,
+    entries: HashMap<u64, StagedShard>,
+    /// The committed tables until the epoch's first segment arrives; from
+    /// then on (`detached`) score and assignment buffers of the epoch's
+    /// own, holding the entries of every staged shard's members.
+    tables: Tables,
+    detached: bool,
     /// When the set's most recent stage arrived (TTL clock).
     at: Option<Instant>,
+    spare: Spare,
+}
+
+impl Staged {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.spare.recycle(std::mem::take(&mut self.tables));
+        self.detached = false;
+        self.at = None;
+    }
 }
 
 struct NodeInner {
@@ -247,6 +438,9 @@ impl ShardNode {
     /// heartbeats.
     pub fn kill(mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept thread out of `accept` with a connection of our
+        // own; it sees the flag and drops the listener.
+        let _ = TcpStream::connect(&self.inner.addr);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -322,30 +516,15 @@ fn register_with_controller(
     }
 }
 
+/// Blocks in `accept`, so a peer's first frame is read the moment it
+/// dials; `kill` wakes it with a connection of its own.
 fn accept_loop(listener: &TcpListener, inner: &Arc<NodeInner>, conns: &Accepted) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                conns.spawn(stream, move |stream| conn_loop(stream, &inner));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // The idle poll doubles as a node-local GC tick: a staged
-                // set whose publisher died stage/commit-gap is reclaimed
-                // even if no controller ever connects again (the commit-
-                // time expiry check keeps the safety property; this keeps
-                // the memory from staying pinned indefinitely). That is
-                // why this loop polls where the controller's blocks. The
-                // poll delays only a link's first frame: peers keep their
-                // links open, so it is off the publish and query paths.
-                inner.expire_stale_stage();
-                std::thread::sleep(inner.cfg.poll);
-            }
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
         }
+        let inner = Arc::clone(inner);
+        conns.spawn(stream, move |stream| conn_loop(stream, &inner));
     }
 }
 
@@ -432,8 +611,7 @@ impl NodeInner {
         self.last_aborted.fetch_max(epoch, Ordering::SeqCst);
         let mut staged = lock_clean(&self.staged);
         if !staged.entries.is_empty() && staged.epoch <= epoch {
-            staged.entries.clear();
-            staged.at = None;
+            staged.clear();
             self.aborted.fetch_add(1, Ordering::Relaxed);
         }
         Message::Ack { epoch }
@@ -447,8 +625,7 @@ impl NodeInner {
                 .at
                 .is_some_and(|at| at.elapsed() > self.cfg.stage_ttl);
         if expired {
-            staged.entries.clear();
-            staged.at = None;
+            staged.clear();
             self.staged_expired.fetch_add(1, Ordering::Relaxed);
         }
         expired
@@ -459,6 +636,11 @@ impl NodeInner {
         self.expire_locked(&mut staged);
     }
 
+    /// Stages one shard of `epoch`. A segment is patched into the epoch's
+    /// tables here, and the sites whose committed order cannot be kept are
+    /// picked here too, so commit has only the re-sorts and the merges
+    /// left. Everything is decided against the committed epoch, which
+    /// cannot move while the stage lock is held: commit holds it too.
     fn stage(
         &self,
         epoch: u64,
@@ -471,36 +653,106 @@ impl NodeInner {
                 detail: format!("stage of shard {shard} grade {grade:?} carries no segment"),
             };
         }
+        if let Some(seg) = segment.as_ref().filter(|seg| seg.sites.end > seg.n_sites) {
+            return Message::Bad {
+                detail: format!(
+                    "stage of shard {shard} covers sites {:?} of {}",
+                    seg.sites, seg.n_sites
+                ),
+            };
+        }
         let aborted = self.last_aborted.load(Ordering::SeqCst);
         if epoch <= aborted && aborted > 0 {
             return Message::Bad {
                 detail: format!("stage epoch {epoch} was aborted (last aborted {aborted})"),
             };
         }
-        {
-            let committed = lock_clean(&self.serving).epoch;
-            if epoch <= committed {
-                return Message::Bad {
-                    detail: format!("stage epoch {epoch} is not past committed {committed}"),
-                };
-            }
-        }
         let mut staged = lock_clean(&self.staged);
-        self.expire_locked(&mut staged);
-        if staged.epoch != epoch {
-            // A newer publish supersedes any uncommitted older stage set.
-            staged.entries.clear();
-            staged.epoch = epoch;
+        let (committed, base, prev) = {
+            let serving = lock_clean(&self.serving);
+            (
+                serving.epoch,
+                serving.tables.clone(),
+                serving.shards.get(&shard).cloned(),
+            )
+        };
+        if epoch <= committed {
+            return Message::Bad {
+                detail: format!("stage epoch {epoch} is not past committed {committed}"),
+            };
         }
-        staged.entries.insert(shard, (grade, segment));
+        self.expire_locked(&mut staged);
+        if staged.epoch != epoch || staged.entries.is_empty() {
+            // A newer publish supersedes any uncommitted older stage set;
+            // the new set starts from the committed tables.
+            staged.clear();
+            staged.epoch = epoch;
+            staged.tables = base.clone();
+        }
+        let entry = match segment {
+            None => {
+                // A repin keeps the committed store, over its sites.
+                let sites = prev.as_ref().map_or(0..0, |p| p.sites().clone());
+                if staged.detached {
+                    staged.tables.carry(&base, sites.clone());
+                }
+                StagedShard::Repin { sites }
+            }
+            Some(seg) => {
+                let Staged {
+                    entries,
+                    tables,
+                    detached,
+                    spare,
+                    ..
+                } = &mut *staged;
+                if !*detached {
+                    let repinned: Vec<Range<usize>> = entries
+                        .values()
+                        .filter_map(|entry| match entry {
+                            StagedShard::Repin { sites } => Some(sites.clone()),
+                            StagedShard::Assemble { .. } => None,
+                        })
+                        .collect();
+                    tables.detach(spare, seg.n_docs, &base, &repinned);
+                    *detached = true;
+                }
+                tables.patch(&seg);
+                // A site keeps its committed order when its members are
+                // unchanged and the order is still strictly sorted.
+                let stale = seg
+                    .sites
+                    .clone()
+                    .zip(&seg.members)
+                    .filter(|&(site, members)| {
+                        let unchanged = base.members.get(site).is_some_and(|m| **m == **members);
+                        let order = prev.as_ref().and_then(|p| p.site_order(SiteId(site)));
+                        !(unchanged && order.is_some_and(|o| in_serving_order(o, &tables.scores)))
+                    })
+                    .map(|(site, _)| site)
+                    .collect();
+                StagedShard::Assemble {
+                    sites: seg.sites,
+                    stale,
+                }
+            }
+        };
+        staged.entries.insert(shard, entry);
         staged.at = Some(Instant::now());
         self.staged_count.fetch_add(1, Ordering::Relaxed);
         Message::Ack { epoch }
     }
 
+    /// Commits the staged set: assembles every store over one new node
+    /// snapshot under the stage lock, then swaps them in under the serving
+    /// mutex, which it holds for nothing else.
     fn commit(&self, epoch: u64, rank_epoch: u64) -> Message {
-        let mut serving = lock_clean(&self.serving);
-        if serving.epoch == epoch {
+        let mut staged = lock_clean(&self.staged);
+        let (committed, mut prev) = {
+            let serving = lock_clean(&self.serving);
+            (serving.epoch, serving.shards.clone())
+        };
+        if committed == epoch {
             // Duplicate commit (a publish retry): already serving it.
             return Message::Ack { epoch };
         }
@@ -510,7 +762,6 @@ impl NodeInner {
                 detail: format!("commit of epoch {epoch} refused: epoch was aborted"),
             };
         }
-        let mut staged = lock_clean(&self.staged);
         if self.expire_locked(&mut staged) {
             return Message::Bad {
                 detail: format!(
@@ -529,47 +780,48 @@ impl NodeInner {
             };
         }
         let entries = std::mem::take(&mut staged.entries);
+        let mut tables = std::mem::take(&mut staged.tables);
+        staged.clear();
+        // Shards not in the staged set leave the node — the controller
+        // moved them elsewhere — and their sites leave its tables.
+        for (shard, state) in &prev {
+            if !entries.contains_key(shard) {
+                tables.clear(state.sites().clone());
+            }
+        }
+        let snapshot = tables.snapshot(rank_epoch);
         let mut shards: HashMap<u64, Arc<ShardState>> = HashMap::with_capacity(entries.len());
-        for (shard, (grade, segment)) in entries {
-            let state = match (grade, segment) {
-                (SwapGrade::Repin, _) => match serving.shards.get(&shard) {
-                    Some(prev) => Arc::clone(prev),
-                    None => {
-                        return Message::Bad {
-                            detail: format!("repin of shard {shard} without a prior store"),
-                        }
-                    }
-                },
-                (SwapGrade::Refresh, Some(seg)) => {
-                    let snap = seg.to_snapshot();
-                    match serving.shards.get(&shard) {
-                        // Orders survived: re-merge the top under the
-                        // redistributed scores — same path as in-process.
-                        Some(prev) => Arc::new(prev.refresh(&snap, self.cfg.heap_k)),
-                        // Defensive: a refresh-graded shard we never held
-                        // (shouldn't happen; controller rebuilds movers).
-                        None => Arc::new(ShardState::build(&snap, seg.sites, self.cfg.heap_k)),
-                    }
-                }
-                (SwapGrade::Rebuild, Some(seg)) => {
-                    let snap = seg.to_snapshot();
-                    Arc::new(ShardState::build(&snap, seg.sites, self.cfg.heap_k))
-                }
-                (grade, None) => {
+        for (shard, entry) in entries {
+            let state = match (entry, prev.remove(&shard)) {
+                (StagedShard::Repin { .. }, Some(prev)) => prev.repin(&snapshot),
+                (StagedShard::Repin { .. }, None) => {
                     return Message::Bad {
-                        detail: format!("commit found shard {shard} grade {grade:?} segment-less"),
+                        detail: format!("repin of shard {shard} without a prior store"),
                     }
+                }
+                (StagedShard::Assemble { sites, stale }, Some(prev)) => {
+                    prev.rebuild(&snapshot, sites, &stale, self.cfg.heap_k)
+                }
+                (StagedShard::Assemble { sites, .. }, None) => {
+                    ShardState::build(&snapshot, sites, self.cfg.heap_k)
                 }
             };
-            shards.insert(shard, state);
+            shards.insert(shard, Arc::new(state));
         }
-        // The wholesale swap: shards not in the staged set are dropped —
-        // the controller moved them elsewhere.
-        *serving = Serving {
-            epoch,
-            rank_epoch,
-            shards,
-        };
+        let retired = std::mem::replace(
+            &mut *lock_clean(&self.serving),
+            Serving {
+                epoch,
+                rank_epoch,
+                shards,
+                tables,
+            },
+        );
+        // Off the serving lock: the retired stores go, and the buffers of
+        // the tables they pinned are kept for the next epoch's copies.
+        drop(prev);
+        drop(retired.shards);
+        staged.spare.recycle(retired.tables);
         self.commits.fetch_add(1, Ordering::Relaxed);
         Message::Ack { epoch }
     }
@@ -666,5 +918,314 @@ impl NodeInner {
             bytes_sent,
             bytes_recv,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lmm_engine::{BackendSpec, RankEngine};
+    use lmm_graph::delta::GraphDelta;
+    use lmm_graph::generator::CampusWebConfig;
+    use lmm_graph::sharding::ShardMap;
+    use lmm_graph::DocGraph;
+    use lmm_serve::{publish_grades, shard_site_range};
+
+    const HEAP_K: usize = 8;
+
+    fn node(node_id: u64) -> NodeInner {
+        NodeInner {
+            node_id,
+            addr: String::new(),
+            cfg: NodeConfig {
+                heap_k: HEAP_K,
+                ..NodeConfig::default()
+            },
+            shutdown: AtomicBool::new(false),
+            serving: Mutex::new(Serving::default()),
+            staged: Mutex::new(Staged::default()),
+            last_aborted: AtomicU64::new(0),
+            counters: Arc::new(WireCounters::default()),
+            next_conn: AtomicU64::new(0),
+            queries: AtomicU64::new(0),
+            tombstone_rejections: AtomicU64::new(0),
+            staged_count: AtomicU64::new(0),
+            commits: AtomicU64::new(0),
+            aborted: AtomicU64::new(0),
+            staged_expired: AtomicU64::new(0),
+        }
+    }
+
+    /// Every site order of every store of `node`, by site.
+    fn orders(node: &NodeInner) -> HashMap<usize, Arc<[DocId]>> {
+        let serving = lock_clean(&node.serving);
+        let mut orders = HashMap::new();
+        for state in serving.shards.values() {
+            for site in state.sites().clone() {
+                if let Some(order) = state.site_order(SiteId(site)) {
+                    orders.insert(site, Arc::clone(order));
+                }
+            }
+        }
+        orders
+    }
+
+    /// What the controller does: stage each shard at its owner with its
+    /// grade (a segment unless repinned), then commit every owner. The
+    /// nodes' spare buffers are poisoned first, so an entry the epoch
+    /// fails to write cannot pass for a correct one.
+    fn publish(
+        nodes: &[NodeInner],
+        owners: &[usize],
+        grades: &[SwapGrade],
+        map: &ShardMap,
+        snapshot: &RankSnapshot,
+        epoch: u64,
+    ) {
+        for node in nodes {
+            let spare = &mut lock_clean(&node.staged).spare;
+            spare.scores.fill(f64::NAN);
+            spare.site_of.fill(SiteId(0));
+        }
+        for (shard, (&owner, &grade)) in owners.iter().zip(grades).enumerate() {
+            let segment = (grade != SwapGrade::Repin)
+                .then(|| snapshot.export_segment(shard_site_range(map, shard, snapshot.n_sites())));
+            let reply = nodes[owner].stage(epoch, shard as u64, grade, segment);
+            assert_eq!(reply, Message::Ack { epoch }, "stage of shard {shard}");
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if owners.contains(&i) {
+                let reply = node.commit(epoch, snapshot.epoch());
+                assert_eq!(reply, Message::Ack { epoch }, "commit at node {i}");
+            }
+        }
+    }
+
+    /// Every store equals a from-scratch build over the full snapshot on
+    /// its own sites: orders, top list, site answers, and the score of
+    /// every document of those sites. A document of a site the node does
+    /// not hold is never live there (asking for it is a routing error): a
+    /// dead slot, or unknown past the id space of the node's last
+    /// segment. An id past the snapshot is unknown.
+    fn assert_parity(
+        nodes: &[NodeInner],
+        owners: &[usize],
+        map: &ShardMap,
+        snapshot: &RankSnapshot,
+    ) {
+        for (shard, &owner) in owners.iter().enumerate() {
+            let (_, rank_epoch, store) = nodes[owner].pin(shard as u64).unwrap();
+            assert_eq!(rank_epoch, snapshot.epoch());
+            let sites = shard_site_range(map, shard, snapshot.n_sites());
+            let want = ShardState::build(snapshot, sites.clone(), HEAP_K);
+            assert_eq!(store.sites(), &sites);
+            for site in sites.clone() {
+                assert_eq!(
+                    store.site_order(SiteId(site)).map(|o| &o[..]),
+                    want.site_order(SiteId(site)).map(|o| &o[..]),
+                    "order of site {site}"
+                );
+            }
+            let bits = |(top, exact): (Vec<(DocId, f64)>, bool)| {
+                (
+                    top.into_iter()
+                        .map(|(d, s)| (d, s.to_bits()))
+                        .collect::<Vec<_>>(),
+                    exact,
+                )
+            };
+            for k in [1, HEAP_K, snapshot.n_docs()] {
+                assert_eq!(
+                    bits(store.top_k(k)),
+                    bits(want.top_k(k)),
+                    "top {k} of shard {shard}"
+                );
+            }
+            for site in 0..snapshot.n_sites() + 1 {
+                assert_eq!(
+                    store.site_top_k(SiteId(site), snapshot.n_docs()),
+                    want.site_top_k(SiteId(site), snapshot.n_docs()),
+                    "site {site} at shard {shard}"
+                );
+            }
+            let held: Vec<Range<usize>> = owners
+                .iter()
+                .enumerate()
+                .filter(|&(_, &o)| o == owner)
+                .map(|(s, _)| shard_site_range(map, s, snapshot.n_sites()))
+                .collect();
+            for d in 0..snapshot.n_docs() + 2 {
+                let doc = DocId(d);
+                let got = store.score(doc);
+                let site = snapshot.site_assignments().get(d).map(|s| s.index());
+                match site {
+                    None => assert_eq!(got, DocScore::Unknown, "doc {d}"),
+                    Some(s) if held.iter().any(|r| r.contains(&s)) => {
+                        let want = want.score(doc);
+                        match (got, want) {
+                            (DocScore::Live(a), DocScore::Live(b)) => {
+                                assert_eq!(a.to_bits(), b.to_bits(), "score of doc {d}");
+                            }
+                            _ => assert_eq!(got, want, "doc {d}"),
+                        }
+                    }
+                    Some(_) => assert!(
+                        matches!(got, DocScore::Tombstoned | DocScore::Unknown),
+                        "doc {d} of another node answered {got:?}"
+                    ),
+                }
+            }
+        }
+    }
+
+    fn campus() -> DocGraph {
+        let mut cfg = CampusWebConfig::small();
+        cfg.total_docs = 300;
+        cfg.n_sites = 10;
+        cfg.spam_farms.clear();
+        cfg.generate().unwrap()
+    }
+
+    /// One delta of each kind in turn: local (a rewire and a new page),
+    /// global (a cross-site link), page removal, site removal, and an
+    /// appended site.
+    fn delta(graph: &DocGraph, step: usize) -> GraphDelta {
+        let mut delta = GraphDelta::for_graph(graph);
+        let live: Vec<SiteId> = graph.live_sites().collect();
+        let site = live[(step * 7 + 3) % live.len()];
+        let docs = graph.docs_of_site(site);
+        match step % 5 {
+            0 => {
+                // As the benchmark's local edit: one site is rewired (its
+                // members stay, its order moves), another grows a page.
+                for &from in &docs[..docs.len() - 1] {
+                    delta.add_link(from, docs[docs.len() - 1]).unwrap();
+                }
+                let grown = live[(step * 7 + 4) % live.len()];
+                let root = graph.docs_of_site(grown)[0];
+                let page = delta
+                    .add_page(grown, &format!("http://parity/{step}"))
+                    .unwrap();
+                delta.add_link(root, page).unwrap();
+            }
+            1 => {
+                let other = graph.docs_of_site(live[(step * 3 + 1) % live.len()]);
+                delta.add_link(docs[0], other[other.len() / 2]).unwrap();
+            }
+            2 => delta.remove_page(docs[docs.len() - 1]).unwrap(),
+            3 => delta.remove_site(site).unwrap(),
+            _ => {
+                let added = delta.add_site(&format!("parity-{step}.example"));
+                let a = delta.add_page(added, "http://parity-a/").unwrap();
+                let b = delta.add_page(added, "http://parity-b/").unwrap();
+                delta.add_link(a, b).unwrap();
+                delta.add_link(b, docs[0]).unwrap();
+                delta.add_link(docs[0], a).unwrap();
+            }
+        }
+        delta
+    }
+
+    /// A republish of the same rank epoch onto a new placement, graded as
+    /// the controller does: a shard that changed owner is rebuilt, every
+    /// other one repinned. A node that keeps its shards keeps every order.
+    fn replace(
+        nodes: &[NodeInner],
+        owners: &mut Vec<usize>,
+        moved_to: Vec<usize>,
+        map: &ShardMap,
+        snapshot: &RankSnapshot,
+        epoch: u64,
+    ) {
+        let grades: Vec<SwapGrade> = owners
+            .iter()
+            .zip(&moved_to)
+            .map(|(was, now)| {
+                if was == now {
+                    SwapGrade::Repin
+                } else {
+                    SwapGrade::Rebuild
+                }
+            })
+            .collect();
+        let before = orders(&nodes[0]);
+        *owners = moved_to;
+        publish(nodes, owners, &grades, map, snapshot, epoch);
+        assert_parity(nodes, owners, map, snapshot);
+        for (site, order) in orders(&nodes[0]) {
+            if let Some(kept) = before.get(&site) {
+                assert!(Arc::ptr_eq(&order, kept), "site {site} re-sorted");
+            }
+        }
+    }
+
+    #[test]
+    fn node_stores_equal_full_builds_across_churn_and_failover() {
+        let mut graph = campus();
+        let mut engine = RankEngine::builder()
+            .backend(BackendSpec::Incremental)
+            .threads(1)
+            .build()
+            .unwrap();
+        engine.rank(&graph).unwrap();
+        let map = ShardMap::balanced(&graph, 4).unwrap();
+        let mut nodes = vec![node(0), node(1)];
+        let mut owners = vec![0, 0, 1, 1];
+        let mut snapshot = engine.snapshot().unwrap();
+        let mut epoch = 1;
+        let mut local_deltas = 0;
+        let rebuild_all = [SwapGrade::Rebuild; 4];
+        publish(&nodes, &owners, &rebuild_all, &map, &snapshot, epoch);
+        assert_parity(&nodes, &owners, &map, &snapshot);
+
+        for step in 0..15 {
+            epoch += 1;
+            if step == 5 {
+                // Failover: node 1 is gone, node 0 takes its shards.
+                nodes.pop();
+                replace(&nodes, &mut owners, vec![0; 4], &map, &snapshot, epoch);
+                epoch += 1;
+            }
+            if step == 10 {
+                // Node 1 rejoins empty and takes its shards back, which
+                // leave node 0.
+                nodes.push(node(1));
+                replace(
+                    &nodes,
+                    &mut owners,
+                    vec![0, 0, 1, 1],
+                    &map,
+                    &snapshot,
+                    epoch,
+                );
+                epoch += 1;
+            }
+            let d = delta(&graph, step);
+            graph = graph.apply(&d).unwrap().0;
+            engine.apply_delta(&d).unwrap();
+            let previous = snapshot.epoch();
+            snapshot = engine.snapshot().unwrap();
+            let grades = publish_grades(&map, previous, &snapshot);
+            let before: Vec<_> = nodes.iter().map(orders).collect();
+            publish(&nodes, &owners, &grades, &map, &snapshot, epoch);
+            assert_parity(&nodes, &owners, &map, &snapshot);
+            if let Staleness::Sites(named) = snapshot.staleness() {
+                // A local delta: every order it did not name is the very
+                // order of the previous commit.
+                local_deltas += 1;
+                for (node, before) in nodes.iter().zip(&before) {
+                    let after = orders(node);
+                    for (site, order) in before {
+                        if named.binary_search(site).is_err() {
+                            assert!(Arc::ptr_eq(order, &after[site]), "site {site} re-sorted");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            local_deltas >= 2,
+            "the stream staged {local_deltas} local deltas"
+        );
     }
 }

@@ -19,11 +19,14 @@ pub enum LmmError {
         reason: String,
     },
     /// The phase matrix `Y` is not primitive, violating the precondition of
-    /// Theorem 2 (Approaches 2 and 4 require it).
+    /// Theorem 2 (Approaches 2 and 4 require it); or the un-damped site
+    /// chain of the Stationary site layer has a periodic recurrent class,
+    /// so its power iteration cannot converge.
     PhaseMatrixNotPrimitive {
-        /// Number of strongly connected components of `Y`.
+        /// Number of strongly connected components of the chain.
         components: usize,
-        /// Period of `Y` when irreducible (0 otherwise).
+        /// Period of `Y` when irreducible (0 otherwise); for the site
+        /// chain, the period of its periodic recurrent class.
         period: usize,
     },
     /// A referenced phase index is out of range.

@@ -45,6 +45,7 @@ use lmm_graph::docgraph::DocGraph;
 use lmm_graph::ids::{DocId, SiteId};
 #[cfg(test)]
 use lmm_graph::remap::IdRemap;
+use lmm_graph::sitegraph::{ranking_site_graph, SiteGraphOptions};
 use lmm_rank::Ranking;
 
 /// What changed between two versions of a document graph whose common
@@ -217,10 +218,10 @@ pub fn diff_sites(old: &DocGraph, new: &DocGraph) -> Result<SiteDelta> {
     // changed. Intra-site count changes can also stale the SiteRank, but
     // only under self-loop SiteGraphs — [`incremental_update`] handles
     // that from the config, since the delta itself is options-agnostic.
-    let opts = lmm_graph::sitegraph::SiteGraphOptions::default();
-    let cross_links_changed = live_added > 0
-        || !removed_sites.is_empty()
-        || live_site_chain(old, &opts).1 != live_site_chain(new, &opts).1;
+    let opts = SiteGraphOptions::default();
+    let chain = |g: &DocGraph| live_site_chain(g, ranking_site_graph(g, &opts)).1;
+    let cross_links_changed =
+        live_added > 0 || !removed_sites.is_empty() || chain(old) != chain(new);
     Ok(SiteDelta {
         changed_sites,
         grown_sites,

@@ -36,9 +36,9 @@ use std::sync::Arc;
 use crate::error::{LmmError, Result};
 use lmm_graph::docgraph::DocGraph;
 use lmm_graph::ids::{DocId, SiteId};
-use lmm_graph::sitegraph::{ranking_site_graph, SiteGraphOptions};
+use lmm_graph::sitegraph::{ranking_site_graph, SiteGraph, SiteGraphOptions};
 use lmm_linalg::{
-    power_method_pool, vec_ops, ConvergenceReport, CooMatrix, CsrMatrix, PowerOptions,
+    power_method_pool, structure, vec_ops, ConvergenceReport, CooMatrix, CsrMatrix, PowerOptions,
     StationaryOperator, StochasticMatrix,
 };
 use lmm_par::ThreadPool;
@@ -155,20 +155,16 @@ impl LayeredDocRank {
     }
 }
 
-/// The live-site restriction of the ranking SiteGraph: the ascending list
-/// of live site slots plus the dense `k×k` weight matrix over them. On a
-/// graph without tombstoned sites this is the identity restriction (every
-/// slot, the full weight matrix).
+/// The live-site restriction of `site_graph`, the ranking SiteGraph of
+/// `graph`: the ascending list of live site slots plus the dense `k×k`
+/// weight matrix over them. On a graph without tombstoned sites this is
+/// the identity restriction (every slot, the full weight matrix).
 ///
 /// Removal keeps site ids stable by tombstoning slots, but a stationary
 /// computation over the slot space would leak teleport mass into dead,
 /// linkless sites — so every site-layer solve runs over this restriction
 /// and scatters the result back into the slot space (dead slots score 0).
-pub(crate) fn live_site_chain(
-    graph: &DocGraph,
-    options: &SiteGraphOptions,
-) -> (Vec<usize>, CsrMatrix) {
-    let site_graph = ranking_site_graph(graph, options);
+pub(crate) fn live_site_chain(graph: &DocGraph, site_graph: SiteGraph) -> (Vec<usize>, CsrMatrix) {
     let live: Vec<usize> = graph.live_sites().map(SiteId::index).collect();
     if live.len() == graph.n_sites() {
         return (live, site_graph.into_weights());
@@ -248,14 +244,36 @@ pub(crate) fn check_config(graph: &DocGraph, config: &LayeredRankConfig) -> Resu
 /// for a site nobody has linked long enough to rank.
 ///
 /// # Errors
-/// Returns [`LmmError::InvalidModel`] when every site is tombstoned;
-/// propagates the site solve's failures.
+/// Returns [`LmmError::InvalidModel`] when every site is tombstoned, and
+/// [`LmmError::PhaseMatrixNotPrimitive`] when the Stationary method meets
+/// a live site chain with a periodic recurrent class (its power iteration
+/// would not converge); propagates the site solve's failures.
 pub fn site_layer(
     graph: &DocGraph,
     config: &LayeredRankConfig,
     warm: Option<&Ranking>,
 ) -> Result<(Ranking, ConvergenceReport)> {
-    let (live, chain) = live_site_chain(graph, &config.site_options);
+    site_layer_over(
+        graph,
+        ranking_site_graph(graph, &config.site_options),
+        config,
+        warm,
+    )
+}
+
+/// [`site_layer`] over `site_graph`, the ranking SiteGraph of `graph` the
+/// caller already derived (with `config.site_options`), so a caller that
+/// also reads the SiteGraph derives it once.
+///
+/// # Errors
+/// See [`site_layer`].
+pub fn site_layer_over(
+    graph: &DocGraph,
+    site_graph: SiteGraph,
+    config: &LayeredRankConfig,
+    warm: Option<&Ranking>,
+) -> Result<(Ranking, ConvergenceReport)> {
+    let (live, chain) = live_site_chain(graph, site_graph);
     if live.is_empty() {
         return Err(LmmError::InvalidModel {
             reason: "every site is tombstoned — nothing to rank".into(),
@@ -307,6 +325,16 @@ pub fn site_layer(
         // same iteration from the uniform vector, and the pull-mode
         // operator sums each entry in the serial scatter's order.
         SiteLayerMethod::Stationary => {
+            // Without damping the iteration converges only when every
+            // recurrent class of the chain is aperiodic: refuse a chain
+            // with a periodic one before the first power step.
+            let report = structure::analyze(stochastic.matrix())?;
+            if report.recurrent_period > 1 {
+                return Err(LmmError::PhaseMatrixNotPrimitive {
+                    components: report.components,
+                    period: report.recurrent_period,
+                });
+            }
             let pool = ThreadPool::shared(config.threads);
             let op = StationaryOperator::new(stochastic.matrix(), Arc::clone(&pool))?;
             let x0 = initial.unwrap_or_else(|| vec_ops::uniform(live.len()));
@@ -664,7 +692,7 @@ mod tests {
             }
         }
         let g = b.build();
-        let (_, chain) = live_site_chain(&g, &SiteGraphOptions::default());
+        let (_, chain) = live_site_chain(&g, ranking_site_graph(&g, &SiteGraphOptions::default()));
         let stochastic = StochasticMatrix::from_adjacency(chain).unwrap();
         let power = PowerOptions::with_tol(1e-10);
         let (serial, _) =

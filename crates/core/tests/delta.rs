@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lmm_core::incremental::{diff_sites, incremental_update, SiteDelta};
 use lmm_core::siterank::{layered_doc_rank, LayeredDocRank, LayeredRankConfig, SiteLayerMethod};
+use lmm_core::LmmError;
 use lmm_graph::delta::GraphDelta;
 use lmm_graph::generator::CampusWebConfig;
 use lmm_graph::{DocGraph, SiteId};
@@ -239,11 +240,15 @@ fn layered_rankings_are_bit_pinned() {
         });
         assert_eq!(cold_tombstoned, COLD_TOMBSTONED, "threads {threads}");
 
-        assert_eq!(churn(&base, cold, &cfg, 240), CHURN, "threads {threads}");
+        assert_eq!(
+            churn(&base, cold, &cfg, 240).unwrap(),
+            CHURN,
+            "threads {threads}"
+        );
         // The un-damped site chain turns periodic 30 deltas into this
         // stream, so the Stationary run pins its first 24.
         assert_eq!(
-            churn(&base, cold_stationary, &stationary, 24),
+            churn(&base, cold_stationary, &stationary, 24).unwrap(),
             STATIONARY_CHURN,
             "threads {threads}"
         );
@@ -251,26 +256,47 @@ fn layered_rankings_are_bit_pinned() {
 }
 
 /// Digest of `steps` chained random deltas through `incremental_update`,
-/// starting from `result`, the ranking of `base`.
+/// starting from `result`, the ranking of `base`; or the index (from 0)
+/// of the first delta that failed, with its error.
 fn churn(
     base: &DocGraph,
     mut result: LayeredDocRank,
     cfg: &LayeredRankConfig,
     steps: usize,
-) -> u64 {
+) -> Result<u64, (usize, LmmError)> {
     let mut stream = Stream(0x9e11);
     let mut graph = base.clone();
     let mut hash = FNV_OFFSET;
-    for _ in 0..steps {
+    for step in 0..steps {
         let ops = 1 + stream.below(4);
         let delta = random_delta(&graph, &mut stream, ops);
         let (next, applied) = graph.apply(&delta).unwrap();
-        let (updated, _) =
-            incremental_update(&result, &next, &SiteDelta::from(&applied), cfg).unwrap();
+        let (updated, _) = incremental_update(&result, &next, &SiteDelta::from(&applied), cfg)
+            .map_err(|e| (step, e))?;
         hash = digest(hash, &updated);
         (graph, result) = (next, updated);
     }
-    hash
+    Ok(hash)
+}
+
+/// The Stationary stream of the pin above meets a site chain with a
+/// periodic recurrent class at delta 30 (counting from 0). The un-damped
+/// site layer refuses it by its structure, before any power step, instead
+/// of spending the whole iteration budget and failing as `NotConverged`.
+/// The reducible chains it meets earlier, whose recurrent classes are
+/// aperiodic, still converge.
+#[test]
+fn stationary_site_layer_refuses_a_periodic_chain_up_front() {
+    let stationary = LayeredRankConfig {
+        site_method: SiteLayerMethod::Stationary,
+        ..LayeredRankConfig::default()
+    };
+    let base = campus(3);
+    let cold = layered_doc_rank(&base, &stationary).unwrap();
+    match churn(&base, cold, &stationary, 40) {
+        Err((30, LmmError::PhaseMatrixNotPrimitive { period, .. })) => assert!(period > 1),
+        other => panic!("expected delta 30 to meet a periodic site chain, got {other:?}"),
+    }
 }
 
 const COLD_PAGERANK: u64 = 0x058c_868d_b5d3_73b4;

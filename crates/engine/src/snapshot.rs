@@ -76,12 +76,21 @@ pub struct RankSnapshot {
     site_rank: Option<Arc<Vec<f64>>>,
     site_members: Arc<Vec<Arc<[DocId]>>>,
     site_of: Arc<Vec<SiteId>>,
+    dead_docs: Arc<Vec<DocId>>,
     staleness: Staleness,
 }
 
 impl RankSnapshot {
     /// Assembles a snapshot. Used by the engine; external `Ranker`
     /// implementations normally receive snapshots rather than build them.
+    ///
+    /// `dead_docs` is the graph's tombstone table (ascending), the dead
+    /// slots [`export_segment`](Self::export_segment) ships; the engine
+    /// passes the graph's own table, so a snapshot holds it without a
+    /// copy.
+    // Each argument is one of the graph's or the outcome's shared tables;
+    // bundling them would only rename the list.
+    #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn new(
         epoch: u64,
@@ -90,6 +99,7 @@ impl RankSnapshot {
         site_rank: Option<Arc<Vec<f64>>>,
         site_members: Arc<Vec<Arc<[DocId]>>>,
         site_of: Arc<Vec<SiteId>>,
+        dead_docs: Arc<Vec<DocId>>,
         staleness: Staleness,
     ) -> Self {
         debug_assert_eq!(scores.len(), site_of.len());
@@ -100,6 +110,7 @@ impl RankSnapshot {
             site_rank,
             site_members,
             site_of,
+            dead_docs,
             staleness,
         }
     }
@@ -195,11 +206,10 @@ impl RankSnapshot {
 
     /// Exports the slice of this snapshot one shard needs: the member
     /// lists and scores of the sites in `sites`, plus the tombstoned
-    /// document slots assigned to those sites (so a remote store can
-    /// answer "gone" distinctly from "never existed"). The segment is the
-    /// unit a cluster controller stages to a shard node over the wire; a
-    /// node turns it back into a servable (sparse) snapshot with
-    /// [`SnapshotSegment::to_snapshot`].
+    /// document slots assigned to those sites, ascending. The segment is
+    /// the unit a cluster controller stages to a shard node over the
+    /// wire. It costs the covered sites' documents plus one pass over the
+    /// tombstone table, never the whole id space.
     ///
     /// Sites beyond this snapshot's range contribute nothing (the range is
     /// clamped), so callers can pass a shard map's last-shard range
@@ -215,15 +225,14 @@ impl RankSnapshot {
             .iter()
             .map(|docs| docs.iter().map(|d| self.scores[d.index()]).collect())
             .collect();
-        // One pass over the assignment table finds the dead slots owned by
-        // the covered sites: assigned in range, absent from the members.
+        // The dead slots owned by the covered sites, in the tombstone
+        // table's ascending order.
         let tombstoned: Vec<(DocId, SiteId)> = self
-            .site_of
+            .dead_docs
             .iter()
-            .enumerate()
-            .filter_map(|(d, &site)| {
-                let doc = DocId(d);
-                (sites.contains(&site.index()) && !self.is_live_doc(doc)).then_some((doc, site))
+            .filter_map(|&doc| {
+                let site = self.site_of[doc.index()];
+                sites.contains(&site.index()).then_some((doc, site))
             })
             .collect();
         SnapshotSegment {
@@ -264,9 +273,9 @@ pub struct SnapshotSegment {
     pub members: Vec<Vec<DocId>>,
     /// Scores parallel to `members`.
     pub member_scores: Vec<Vec<f64>>,
-    /// Dead document slots assigned to covered sites, with their last site
-    /// assignment — needed so point lookups for removed documents answer
-    /// typed "tombstoned" rather than "unknown".
+    /// Dead document slots assigned to covered sites, ascending, with their
+    /// last site assignment. A store needs no entry for them: `n_docs`
+    /// already tells a dead slot from an id that never existed.
     pub tombstoned: Vec<(DocId, SiteId)>,
 }
 
@@ -275,43 +284,6 @@ impl SnapshotSegment {
     #[must_use]
     pub fn n_live_docs(&self) -> usize {
         self.members.iter().map(Vec::len).sum()
-    }
-
-    /// Reconstructs a servable snapshot covering exactly this segment's
-    /// sites. The result is **sparse**: score and membership tables have
-    /// the source snapshot's full dimensions (so document/site ids resolve
-    /// identically), but only the covered sites' entries are populated —
-    /// queries for documents of *uncovered* sites are a routing error and
-    /// answer as dead slots. Staleness is [`Staleness::Full`]; swap
-    /// grading happens controller-side, before segments are cut.
-    #[must_use]
-    pub fn to_snapshot(&self) -> RankSnapshot {
-        let mut scores = vec![0.0f64; self.n_docs];
-        let mut site_members: Vec<Arc<[DocId]>> = vec![Arc::from([]); self.n_sites];
-        // Uncovered documents point at an out-of-range site, whose member
-        // list is empty: `is_live_doc` correctly answers false.
-        let mut site_of = vec![SiteId(usize::MAX); self.n_docs];
-        for (offset, (docs, doc_scores)) in self.members.iter().zip(&self.member_scores).enumerate()
-        {
-            let site = self.sites.start + offset;
-            for (&doc, &score) in docs.iter().zip(doc_scores) {
-                scores[doc.index()] = score;
-                site_of[doc.index()] = SiteId(site);
-            }
-            site_members[site] = Arc::from(docs.as_slice());
-        }
-        for &(doc, site) in &self.tombstoned {
-            site_of[doc.index()] = site;
-        }
-        RankSnapshot::new(
-            self.epoch,
-            self.backend.clone(),
-            Arc::new(scores),
-            None,
-            Arc::new(site_members),
-            Arc::new(site_of),
-            Staleness::Full,
-        )
     }
 }
 
@@ -331,6 +303,7 @@ mod tests {
             None,
             members(vec![vec![DocId(0)], vec![DocId(1)]]),
             Arc::new(vec![SiteId(0), SiteId(1)]),
+            Arc::default(),
             staleness,
         )
     }
@@ -359,6 +332,7 @@ mod tests {
             None,
             members(vec![vec![DocId(0)], Vec::new(), vec![DocId(2)]]),
             Arc::new(vec![SiteId(0), SiteId(1), SiteId(2)]),
+            Arc::new(vec![DocId(1)]),
             Staleness::Resized {
                 sites: vec![],
                 removed_sites: vec![1],
@@ -392,6 +366,7 @@ mod tests {
                 vec![DocId(3), DocId(4)],
             ]),
             Arc::new(vec![SiteId(0), SiteId(0), SiteId(1), SiteId(2), SiteId(2)]),
+            Arc::new(vec![DocId(2)]),
             Staleness::Full,
         )
     }
@@ -423,34 +398,49 @@ mod tests {
         assert_eq!(seg.members.len(), 1);
     }
 
+    /// The segment as it was cut before the tombstone table was shared: a
+    /// walk over every document slot, keeping the dead ones assigned to a
+    /// covered site. The reference the table filter must equal.
+    fn walked_segment(s: &RankSnapshot, sites: std::ops::Range<usize>) -> SnapshotSegment {
+        let mut seg = s.export_segment(sites);
+        seg.tombstoned = (0..s.n_docs())
+            .map(DocId)
+            .filter(|&d| seg.sites.contains(&s.site_of(d).index()) && !s.is_live_doc(d))
+            .map(|d| (d, s.site_of(d)))
+            .collect();
+        seg
+    }
+
     #[test]
-    fn reconstructed_snapshot_answers_like_the_source_on_covered_sites() {
-        let s = tombstoned_snapshot();
-        let seg = s.export_segment(1..3);
-        let sparse = seg.to_snapshot();
-        assert_eq!(sparse.epoch(), 5);
-        assert_eq!(sparse.n_docs(), 5);
-        assert_eq!(sparse.n_sites(), 3);
-        // Covered sites: bitwise-equal scores, identical membership and
-        // liveness — including the typed tombstone for doc 2.
-        for doc in [3usize, 4] {
-            assert_eq!(
-                sparse.scores()[doc].to_bits(),
-                s.scores()[doc].to_bits(),
-                "score of doc {doc} must survive the segment bit-exactly"
-            );
-            assert!(sparse.is_live_doc(DocId(doc)));
-            assert_eq!(sparse.site_of(DocId(doc)), s.site_of(DocId(doc)));
+    fn segment_tombstones_equal_the_slot_walk() {
+        // Ids interleave across sites, as appended pages do: site 2 was
+        // removed (docs 2 and 6), docs 3, 5 and 9 were removed from live
+        // sites 0 and 1.
+        let site_of = [0, 1, 2, 0, 3, 1, 2, 0, 3, 1].map(SiteId);
+        let s = RankSnapshot::new(
+            9,
+            "test".into(),
+            Arc::new(vec![0.2, 0.1, 0.0, 0.0, 0.3, 0.0, 0.0, 0.15, 0.25, 0.0]),
+            None,
+            members(vec![
+                vec![DocId(0), DocId(7)],
+                vec![DocId(1)],
+                Vec::new(),
+                vec![DocId(4), DocId(8)],
+            ]),
+            Arc::new(site_of.to_vec()),
+            Arc::new([2, 3, 5, 6, 9].map(DocId).to_vec()),
+            Staleness::Full,
+        );
+        for start in 0..=4 {
+            for end in start..=6 {
+                let seg = s.export_segment(start..end);
+                assert_eq!(seg, walked_segment(&s, start..end), "sites {start}..{end}");
+            }
         }
         assert_eq!(
-            sparse.members_of_site(SiteId(2)),
-            s.members_of_site(SiteId(2))
+            s.export_segment(0..3).tombstoned,
+            [(2, 2), (3, 0), (5, 1), (6, 2), (9, 1)].map(|(d, site)| (DocId(d), SiteId(site)))
         );
-        assert!(sparse.is_tombstoned_site(SiteId(1)));
-        assert!(!sparse.is_live_doc(DocId(2)));
-        // Uncovered documents read as dead slots, never as live zeros.
-        assert!(!sparse.is_live_doc(DocId(0)));
-        // Out-of-range ids stay out of range.
-        assert!(!sparse.is_live_doc(DocId(9)));
     }
 }

@@ -314,6 +314,14 @@ impl DocGraph {
         &self.dead_docs
     }
 
+    /// The tombstone table itself, for a consumer that keeps it (a serving
+    /// snapshot); [`apply`](Self::apply) copies it only when it removes
+    /// documents.
+    #[must_use]
+    pub fn shared_dead_docs(&self) -> &Arc<Vec<DocId>> {
+        &self.dead_docs
+    }
+
     /// Tombstoned site ids, ascending.
     #[must_use]
     pub fn dead_sites(&self) -> &[SiteId] {

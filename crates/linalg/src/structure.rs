@@ -165,30 +165,47 @@ pub fn period(m: &CsrMatrix) -> Result<usize> {
             period: 0,
         });
     }
-    // BFS from node 0 over positive edges.
-    let mut level = vec![usize::MAX; n];
+    Ok(recurrent_period(m, &scc))
+}
+
+/// The largest period among the closed classes of `m` — the strongly
+/// connected components no positive edge leaves — by the BFS-level
+/// criterion within each (a BFS from any node of a closed class reaches
+/// exactly that class). A class without an edge counts as aperiodic.
+fn recurrent_period(m: &CsrMatrix, scc: &SccDecomposition) -> usize {
+    let comp = &scc.component_of;
+    let mut closed = vec![true; scc.count];
+    for (u, v, w) in m.iter() {
+        if w > 0.0 && comp[u] != comp[v] {
+            closed[comp[u]] = false;
+        }
+    }
+    let mut level = vec![usize::MAX; m.nrows()];
     let mut queue = std::collections::VecDeque::new();
-    level[0] = 0;
-    queue.push_back(0usize);
-    while let Some(u) = queue.pop_front() {
-        let (cols, vals) = m.row(u);
-        for (&v, &w) in cols.iter().zip(vals) {
-            if w > 0.0 && level[v] == usize::MAX {
-                level[v] = level[u] + 1;
-                queue.push_back(v);
+    for root in 0..m.nrows() {
+        if !closed[comp[root]] || level[root] != usize::MAX {
+            continue;
+        }
+        level[root] = 0;
+        queue.push_back(root);
+        while let Some(u) = queue.pop_front() {
+            let (cols, vals) = m.row(u);
+            for (&v, &w) in cols.iter().zip(vals) {
+                if w > 0.0 && level[v] == usize::MAX {
+                    level[v] = level[u] + 1;
+                    queue.push_back(v);
+                }
             }
         }
     }
-    let mut g: u64 = 0;
+    let mut g = vec![0u64; scc.count];
     for (u, v, w) in m.iter() {
-        if w <= 0.0 {
-            continue;
+        if w > 0.0 && closed[comp[u]] {
+            let d = level[u] as i64 + 1 - level[v] as i64;
+            g[comp[u]] = gcd(g[comp[u]], d.unsigned_abs());
         }
-        let d = level[u] as i64 + 1 - level[v] as i64;
-        g = gcd(g, d.unsigned_abs());
     }
-    // A strongly connected graph with at least one edge always yields g >= 1.
-    Ok(g.max(1) as usize)
+    g.into_iter().max().unwrap_or(0).max(1) as usize
 }
 
 /// Full structural report for a square transition matrix.
@@ -204,6 +221,12 @@ pub struct StructureReport {
     pub aperiodic: bool,
     /// Whether the matrix is primitive: irreducible and aperiodic.
     pub primitive: bool,
+    /// Largest period among the closed (recurrent) classes, the
+    /// components no edge leaves; an edgeless class counts as aperiodic.
+    /// For an irreducible chain this is its period. Power iteration can
+    /// converge from every start only when it is 1 — a reducible chain
+    /// whose closed classes are aperiodic still converges.
+    pub recurrent_period: usize,
 }
 
 impl std::fmt::Display for StructureReport {
@@ -232,22 +255,16 @@ pub fn analyze(m: &CsrMatrix) -> Result<StructureReport> {
         return Err(LinalgError::Empty);
     }
     let scc = strongly_connected_components(m)?;
-    if scc.count != 1 {
-        return Ok(StructureReport {
-            components: scc.count,
-            period: None,
-            irreducible: false,
-            aperiodic: false,
-            primitive: false,
-        });
-    }
-    let p = period(m)?;
+    let recurrent_period = recurrent_period(m, &scc);
+    let irreducible = scc.count == 1;
+    let aperiodic = irreducible && recurrent_period == 1;
     Ok(StructureReport {
-        components: 1,
-        period: Some(p),
-        irreducible: true,
-        aperiodic: p == 1,
-        primitive: p == 1,
+        components: scc.count,
+        period: irreducible.then_some(recurrent_period),
+        irreducible,
+        aperiodic,
+        primitive: aperiodic,
+        recurrent_period,
     })
 }
 
@@ -389,6 +406,25 @@ mod tests {
         assert_eq!(rep.period, None);
         assert!(!rep.primitive);
         assert!(rep.to_string().contains("components=3"));
+    }
+
+    #[test]
+    fn recurrent_period_is_the_closed_classes_period() {
+        // A transient node draining into a closed 2-cycle: reducible, and
+        // power iteration oscillates.
+        let periodic = csr_from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
+        assert_eq!(analyze(&periodic).unwrap().recurrent_period, 2);
+        // The same with a self-loop in the closed class: it converges.
+        let aperiodic = csr_from_edges(3, &[(0, 1), (1, 2), (2, 1), (2, 2)]);
+        assert_eq!(analyze(&aperiodic).unwrap().recurrent_period, 1);
+        // A periodic class that edges leave is transient, so it does not
+        // count; the edgeless sink counts as aperiodic.
+        let transient = csr_from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
+        assert_eq!(analyze(&transient).unwrap().recurrent_period, 1);
+        // Irreducible: the period itself.
+        let cycle = csr_from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let report = analyze(&cycle).unwrap();
+        assert_eq!((report.period, report.recurrent_period), (Some(3), 3));
     }
 
     #[test]

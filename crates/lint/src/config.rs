@@ -115,9 +115,10 @@ pub fn workspace() -> LintConfig {
                 tiers: &[&["publish_gate"], &["state"], &["pool"], &["aux"]],
             },
             LockOrder {
-                // Commit swaps serving while consuming the staged set.
+                // Stage and commit hold the staged set while they read
+                // the committed epoch, and commit swaps serving in last.
                 file: "crates/cluster/src/node.rs",
-                tiers: &[&["serving"], &["staged"]],
+                tiers: &[&["staged"], &["serving"]],
             },
             LockOrder {
                 file: "crates/cluster/src/client.rs",

@@ -25,7 +25,7 @@ use crate::network::{FaultConfig, SimNetwork};
 use crate::peer::GroupNode;
 use crate::stats::RunStats;
 use lmm_core::siterank::{
-    compose, flat_pagerank, local_ranks, site_layer, LayeredRankConfig, SiteLayerMethod,
+    compose, flat_pagerank, local_ranks, site_layer_over, LayeredRankConfig, SiteLayerMethod,
 };
 use lmm_graph::docgraph::DocGraph;
 use lmm_graph::sitegraph::{ranking_site_graph, SiteGraphOptions};
@@ -371,7 +371,7 @@ fn run_hybrid(graph: &DocGraph, config: &DistributedConfig) -> Result<Distribute
 
     // --- Phase 2: central SiteRank + broadcast of the shared vector.
     let t0 = Instant::now();
-    let (site_rank, site_report) = site_layer(graph, &config.layered(), None)?;
+    let (site_rank, site_report) = site_layer_over(graph, site_graph, &config.layered(), None)?;
     for s in 0..n_sites {
         net.send(
             Address::Coordinator,

@@ -536,6 +536,7 @@ mod tests {
             None,
             Arc::new(members),
             Arc::new(site_of),
+            Arc::default(),
             staleness,
         )
     }
@@ -786,6 +787,7 @@ mod tests {
             None,
             Arc::new(members),
             Arc::new(site_of),
+            Arc::default(),
             Staleness::Full,
         );
         srv.publish(&snap).unwrap();

@@ -406,6 +406,7 @@ mod tests {
                 Arc::from([DocId(2), DocId(3), DocId(4)]),
             ]),
             Arc::new(vec![SiteId(0), SiteId(0), SiteId(1), SiteId(1), SiteId(1)]),
+            Arc::default(),
             Staleness::Full,
         )
     }
@@ -461,6 +462,7 @@ mod tests {
             None,
             Arc::new(members),
             Arc::new((0..n).map(|d| SiteId(d % n_sites)).collect()),
+            Arc::default(),
             Staleness::Full,
         );
         for sites in [0..n_sites, 1..4] {
@@ -595,6 +597,7 @@ mod tests {
             None,
             Arc::new(vec![Arc::from([DocId(0), DocId(1)]), Arc::from([])]),
             Arc::new(vec![SiteId(0), SiteId(0), SiteId(1), SiteId(1), SiteId(1)]),
+            Arc::new(vec![DocId(2), DocId(3), DocId(4)]),
             Staleness::Resized {
                 sites: vec![],
                 removed_sites: vec![1],

@@ -33,6 +33,7 @@ fn snapshot(epoch: u64, scores: Vec<f64>, staleness: Staleness) -> RankSnapshot 
         None,
         Arc::new(members),
         Arc::new(site_of),
+        Arc::default(),
         staleness,
     )
 }
