@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use lmm_cluster::{encode_message, Message, NodeWireStats, WIRE_VERSION};
+use lmm_cluster::{encode_frame, encode_message, Message, NodeWireStats, WIRE_VERSION};
 use lmm_engine::SnapshotSegment;
 use lmm_graph::{DocId, SiteId};
 use lmm_serve::{DocScore, SiteTopK, SwapGrade};
@@ -43,20 +43,37 @@ fn segment() -> SnapshotSegment {
 }
 
 /// One exemplar per variant, labeled with its golden registry name.
-fn exemplars() -> Vec<(&'static str, Message)> {
+fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
     vec![
-        ("Register", Message::Register { addr: "a:1".into() }),
-        ("Registered", Message::Registered { node: 7 }),
+        (
+            "Register",
+            Message::Register { addr: "a:1".into() },
+            "00000009 01 01 00000003 613a31",
+        ),
+        (
+            "Registered",
+            Message::Registered { node: 7 },
+            "0000000a 01 02 0000000000000007",
+        ),
         (
             "Rejoin",
             Message::Rejoin {
                 node: 7,
                 addr: "a:2".into(),
             },
+            "00000011 01 17 0000000000000007 00000003 613a32",
         ),
-        ("Ping", Message::Ping { seq: 1 }),
-        ("Pong", Message::Pong { seq: 1, epoch: 2 }),
-        ("PlacementReq", Message::PlacementReq),
+        (
+            "Ping",
+            Message::Ping { seq: 1 },
+            "0000000a 01 03 0000000000000001",
+        ),
+        (
+            "Pong",
+            Message::Pong { seq: 1, epoch: 2 },
+            "00000012 01 04 0000000000000001 0000000000000002",
+        ),
+        ("PlacementReq", Message::PlacementReq, "00000002 01 05"),
         (
             "Placement",
             Message::Placement {
@@ -65,14 +82,19 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 boundaries: vec![0, 3],
                 owners: vec!["a:1".into(), "b:2".into()],
             },
+            "00000038 01 06 0000000000000001 0000000000000002 00000002 \
+             0000000000000000 0000000000000003 00000002 00000003 613a31 \
+             00000003 623a32",
         ),
-        ("RoutingReq", Message::RoutingReq),
+        ("RoutingReq", Message::RoutingReq, "00000002 01 07"),
         (
             "Routing",
             Message::Routing {
                 rank_epoch: 2,
                 site_of: vec![0, 0, 1],
             },
+            "00000026 01 08 0000000000000002 00000003 0000000000000000 \
+             0000000000000000 0000000000000001",
         ),
         (
             "Stage",
@@ -82,6 +104,11 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 grade: SwapGrade::Rebuild,
                 segment: Some(segment()),
             },
+            "00000073 01 09 0000000000000003 0000000000000000 00 01 \
+             0000000000000009 00000007 6c617965726564 0000000000000002 \
+             0000000000000003 000000000000000a 0000000000000005 \
+             00000001 00000001 0000000000000003 3fe0000000000000 \
+             00000001 0000000000000005 0000000000000002",
         ),
         (
             "Commit",
@@ -89,17 +116,32 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 epoch: 3,
                 rank_epoch: 2,
             },
+            "00000012 01 0a 0000000000000003 0000000000000002",
         ),
-        ("Abort", Message::Abort { epoch: 3 }),
-        ("Ack", Message::Ack { epoch: 3 }),
+        (
+            "Abort",
+            Message::Abort { epoch: 3 },
+            "0000000a 01 16 0000000000000003",
+        ),
+        (
+            "Ack",
+            Message::Ack { epoch: 3 },
+            "0000000a 01 0b 0000000000000003",
+        ),
         (
             "ScoreBatch",
             Message::ScoreBatch {
                 shard: 0,
                 docs: vec![1, 2],
             },
+            "0000001e 01 0c 0000000000000000 00000002 0000000000000001 \
+             0000000000000002",
         ),
-        ("TopKReq", Message::TopKReq { shard: 0, k: 5 }),
+        (
+            "TopKReq",
+            Message::TopKReq { shard: 0, k: 5 },
+            "00000012 01 0d 0000000000000000 0000000000000005",
+        ),
         (
             "SiteTopKReq",
             Message::SiteTopKReq {
@@ -107,6 +149,8 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 site: 1,
                 k: 5,
             },
+            "0000001a 01 0e 0000000000000000 0000000000000001 \
+             0000000000000005",
         ),
         (
             "Scores",
@@ -115,6 +159,8 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 rank_epoch: 2,
                 scores: vec![DocScore::Live(0.5), DocScore::Tombstoned, DocScore::Unknown],
             },
+            "00000021 01 0f 0000000000000003 0000000000000002 00000003 \
+             00 3fe0000000000000 01 02",
         ),
         (
             "Top",
@@ -124,6 +170,8 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 entries: vec![(DocId(1), 0.5)],
                 complete: true,
             },
+            "00000027 01 10 0000000000000003 0000000000000002 00000001 \
+             0000000000000001 3fe0000000000000 01",
         ),
         (
             "SiteTop",
@@ -132,8 +180,10 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 rank_epoch: 2,
                 reply: SiteTopK::Entries(vec![(DocId(1), 0.5)]),
             },
+            "00000027 01 11 0000000000000003 0000000000000002 00 \
+             00000001 0000000000000001 3fe0000000000000",
         ),
-        ("StatsReq", Message::StatsReq),
+        ("StatsReq", Message::StatsReq, "00000002 01 12"),
         (
             "Stats",
             Message::Stats(NodeWireStats {
@@ -150,13 +200,23 @@ fn exemplars() -> Vec<(&'static str, Message)> {
                 bytes_sent: 0,
                 bytes_recv: 0,
             }),
+            "0000006e 01 13 0000000000000007 0000000000000003 \
+             0000000000000002 00000001 0000000000000000 \
+             000000000000000a 0000000000000000 0000000000000000 \
+             0000000000000000 0000000000000000 0000000000000000 \
+             0000000000000000 0000000000000000 0000000000000000",
         ),
-        ("NotOwner", Message::NotOwner { shard: 0 }),
+        (
+            "NotOwner",
+            Message::NotOwner { shard: 0 },
+            "0000000a 01 14 0000000000000000",
+        ),
         (
             "Bad",
             Message::Bad {
                 detail: "no".into(),
             },
+            "00000008 01 15 00000002 6e6f",
         ),
     ]
 }
@@ -166,7 +226,7 @@ fn every_variant_tag_matches_the_golden_registry() {
     let golden = golden();
     let by_name: BTreeMap<&String, u8> = golden.iter().map(|(t, n)| (n, *t)).collect();
     let mut seen = BTreeMap::new();
-    for (name, msg) in exemplars() {
+    for (name, msg, _) in exemplars() {
         let payload = encode_message(&msg).expect("encode");
         assert_eq!(payload[0], WIRE_VERSION, "{name}: version byte");
         let tag = payload[1];
@@ -193,4 +253,23 @@ fn registry_is_the_contiguous_range_1_to_23() {
     let golden = golden();
     let tags: Vec<u8> = golden.keys().copied().collect();
     assert_eq!(tags, (1..=23).collect::<Vec<u8>>());
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Known-answer vectors: every exemplar's full frame, byte for byte. The
+/// expected hex may be spaced for reading; spaces are not compared.
+#[test]
+fn every_variant_frame_matches_its_known_answer_bytes() {
+    let mut wrong = Vec::new();
+    for (name, msg, expected) in exemplars() {
+        let got = hex(&encode_frame(&msg).expect("encode"));
+        let expected: String = expected.split_whitespace().collect();
+        if got != expected {
+            wrong.push(format!("{name}: got {got}"));
+        }
+    }
+    assert!(wrong.is_empty(), "frames drifted:\n{}", wrong.join("\n"));
 }
