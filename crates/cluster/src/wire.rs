@@ -11,13 +11,23 @@
 //! **bitwise**, which is what lets the parity bench compare a remote
 //! answer against an in-process one with `==` instead of a tolerance.
 //!
+//! Each message is declared once, in the `messages!` table that defines
+//! [`Message`]: one line gives a variant its tag byte and its fields, and
+//! the table generates the enum, the tag, the encoder and the decoder
+//! from it. A body is its fields in declaration order, each written by
+//! its type's `Wire` codec; a reused tag does not compile. A new message
+//! is one line in the table (next free tag) plus one line in
+//! `wire_tags.golden`, which `tests/wire_tags.rs` holds the tags to.
+//!
 //! Decoding is total: [`decode_frame`] and [`decode_message`] return a
 //! typed [`WireError`] for truncated frames, oversized length prefixes,
 //! unknown version bytes, unknown tags, and malformed bodies — they never
 //! panic and never allocate proportionally to a length claim that the
 //! remaining bytes cannot back (a 4 GB vector header on a 40-byte frame
-//! is rejected before any allocation). The property suite in
-//! `tests/wire_props.rs` hammers both directions.
+//! is rejected before any allocation). That guard is written once, in
+//! `Vec<T>`'s decoder: a claim of `n` items needs `n` times the fewest
+//! bytes a `T` encodes to. `tests/wire_props.rs` hammers both directions,
+//! and `tests/wire_refusals.rs` pins each refusal.
 
 use std::fmt;
 
@@ -99,6 +109,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+fn malformed(detail: String) -> WireError {
+    WireError::Malformed { detail }
+}
+
 /// Per-node counters shipped over the wire on a stats request — the
 /// cluster-tier analogue of `ServeStatsSnapshot`, extended with transport
 /// accounting.
@@ -152,171 +166,233 @@ impl NodeWireStats {
     }
 }
 
-/// Every message of the cluster protocol. One enum for both directions —
-/// the tag byte identifies the variant on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    /// Node → controller: announce a fresh node listening on `addr`.
-    Register {
-        /// The node's `ip:port` listen address.
-        addr: String,
-    },
-    /// Controller → node: registration accepted, node id assigned.
-    Registered {
-        /// The assigned node id.
-        node: u64,
-    },
-    /// Node → controller: a restarted node announces itself under the id
-    /// it held before it died. The controller re-admits the id, restores
-    /// its former shard claim, and catches it up by republishing the
-    /// pinned snapshot under a bumped cluster epoch (rank epoch
-    /// untouched). Answered with [`Message::Registered`].
-    Rejoin {
-        /// The node id from the previous incarnation.
-        node: u64,
-        /// The restarted node's new `ip:port` listen address.
-        addr: String,
-    },
-    /// Controller → node heartbeat probe.
-    Ping {
-        /// Echo token.
-        seq: u64,
-    },
-    /// Node → controller heartbeat answer.
-    Pong {
-        /// The probe's echo token.
-        seq: u64,
-        /// The node's committed cluster epoch.
-        epoch: u64,
-    },
-    /// Client → controller: request the current placement map.
-    PlacementReq,
-    /// Controller → client: the committed placement.
-    Placement {
-        /// Committed cluster epoch.
-        epoch: u64,
-        /// Rank (snapshot) epoch the cluster serves.
-        rank_epoch: u64,
-        /// Shard-map boundaries (first site of each shard, starting 0).
-        boundaries: Vec<u64>,
-        /// Owning node address per shard (parallel to shards).
-        owners: Vec<String>,
-    },
-    /// Client → controller: request the document → site routing table.
-    RoutingReq,
-    /// Controller → client: document → site assignments (append-only ids,
-    /// so a cached prefix stays valid as the web grows).
-    Routing {
-        /// Rank epoch the table was read from.
-        rank_epoch: u64,
-        /// `site_of[doc]` for every document id.
-        site_of: Vec<u64>,
-    },
-    /// Controller → node, publish phase 1: stage one shard at the next
-    /// cluster epoch. `segment` is `None` exactly for [`SwapGrade::Repin`]
-    /// — the node reuses its current store.
-    Stage {
-        /// The cluster epoch being staged (commit flips to it).
-        epoch: u64,
-        /// The shard being staged.
-        shard: u64,
-        /// How the node must swap this shard.
-        grade: SwapGrade,
-        /// The shard's snapshot slice (rebuild/refresh only).
-        segment: Option<SnapshotSegment>,
-    },
-    /// Controller → node, publish phase 2: flip to the staged epoch.
-    Commit {
-        /// The cluster epoch to commit (must equal the staged epoch).
-        epoch: u64,
-        /// The rank epoch the staged segments came from.
-        rank_epoch: u64,
-    },
-    /// Controller → node: a publish attempt died between stage and
-    /// commit; discard anything staged at or below this epoch and refuse
-    /// to ever commit it. Answered with [`Message::Ack`].
-    Abort {
-        /// The dead cluster epoch.
-        epoch: u64,
-    },
-    /// Node → controller: stage or commit applied (also acknowledges an
-    /// abort).
-    Ack {
-        /// The acknowledged cluster epoch.
-        epoch: u64,
-    },
-    /// Client → node: score a batch of documents on one owned shard.
-    ScoreBatch {
-        /// The shard to answer from.
-        shard: u64,
-        /// Document ids to score.
-        docs: Vec<u64>,
-    },
-    /// Client → node: one shard's best `k` documents.
-    TopKReq {
-        /// The shard to answer from.
-        shard: u64,
-        /// How many documents.
-        k: u64,
-    },
-    /// Client → node: one site's best `k` documents.
-    SiteTopKReq {
-        /// The shard owning the site.
-        shard: u64,
-        /// The site.
-        site: u64,
-        /// How many documents.
-        k: u64,
-    },
-    /// Node → client: batched score answer.
-    Scores {
-        /// The node's committed cluster epoch.
-        epoch: u64,
-        /// The rank epoch the scores came from.
-        rank_epoch: u64,
-        /// One typed answer per requested document, in request order.
-        scores: Vec<DocScore>,
-    },
-    /// Node → client: shard top-k answer.
-    Top {
-        /// The node's committed cluster epoch.
-        epoch: u64,
-        /// The rank epoch the entries came from.
-        rank_epoch: u64,
-        /// The shard's best documents in serving order.
-        entries: Vec<(DocId, f64)>,
-        /// `false` when `k` exceeded the precomputed list and the shard
-        /// fell back to a scan.
-        complete: bool,
-    },
-    /// Node → client: site top-k answer.
-    SiteTop {
-        /// The node's committed cluster epoch.
-        epoch: u64,
-        /// The rank epoch the reply came from.
-        rank_epoch: u64,
-        /// The typed site answer.
-        reply: SiteTopK,
-    },
-    /// Controller/client → node: request counters.
-    StatsReq,
-    /// Node → requester: counters.
-    Stats(NodeWireStats),
-    /// Node → client: the queried shard is not owned here (placement
-    /// changed under the client; refresh and retry).
-    NotOwner {
-        /// The shard that was asked for.
-        shard: u64,
-    },
-    /// Either direction: the request could not be honoured.
-    Bad {
-        /// Human-readable cause.
-        detail: String,
-    },
+// ---------------------------------------------------------------------------
+// the message table
+// ---------------------------------------------------------------------------
+
+/// Declares the message enum from a table of `tag Variant { fields }`
+/// lines (a unit variant has no fields; the one tuple variant names its
+/// field, `Variant(name: Type)`) and generates, from that one table,
+/// `tag()`, the body encoder and the body decoder. A field is written
+/// and read by its type's `Wire` codec, in declaration order. The
+/// decoder's match denies unreachable patterns, so a tag used twice is a
+/// compile error.
+macro_rules! messages {
+    (
+        $(#[$meta:meta])*
+        pub enum Message {
+            $(
+                $(#[$doc:meta])*
+                $tag:literal $name:ident
+                $({ $($(#[$field_doc:meta])* $field:ident: $ty:ty),* $(,)? })?
+                $(($one:ident: $one_ty:ty))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Message {
+            $(
+                $(#[$doc])*
+                $name $({ $($(#[$field_doc])* $field: $ty),* })? $(($one_ty))?,
+            )*
+        }
+
+        impl Message {
+            fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$name { .. } => $tag,)*
+                }
+            }
+
+            fn encode_body(&self, w: &mut Writer) {
+                match self {
+                    $(Self::$name $({ $($field),* })? $(($one))? => {
+                        $($($field.encode(w);)*)?
+                        $($one.encode(w);)?
+                    })*
+                }
+            }
+
+            #[deny(unreachable_patterns)]
+            fn decode_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match tag {
+                    $($tag => Self::$name
+                        $({ $($field: Wire::decode(r)?),* })?
+                        $((<$one_ty>::decode(r)?))?,)*
+                    tag => return Err(WireError::BadTag { tag }),
+                })
+            }
+        }
+    };
+}
+
+messages! {
+    /// Every message of the cluster protocol. One enum for both directions —
+    /// the tag byte identifies the variant on the wire.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Message {
+        /// Node → controller: announce a fresh node listening on `addr`.
+        1 Register {
+            /// The node's `ip:port` listen address.
+            addr: String,
+        },
+        /// Controller → node: registration accepted, node id assigned.
+        2 Registered {
+            /// The assigned node id.
+            node: u64,
+        },
+        /// Controller → node heartbeat probe.
+        3 Ping {
+            /// Echo token.
+            seq: u64,
+        },
+        /// Node → controller heartbeat answer.
+        4 Pong {
+            /// The probe's echo token.
+            seq: u64,
+            /// The node's committed cluster epoch.
+            epoch: u64,
+        },
+        /// Client → controller: request the current placement map.
+        5 PlacementReq,
+        /// Controller → client: the committed placement.
+        6 Placement {
+            /// Committed cluster epoch.
+            epoch: u64,
+            /// Rank (snapshot) epoch the cluster serves.
+            rank_epoch: u64,
+            /// Shard-map boundaries (first site of each shard, starting 0).
+            boundaries: Vec<u64>,
+            /// Owning node address per shard (parallel to shards).
+            owners: Vec<String>,
+        },
+        /// Client → controller: request the document → site routing table.
+        7 RoutingReq,
+        /// Controller → client: document → site assignments (append-only ids,
+        /// so a cached prefix stays valid as the web grows).
+        8 Routing {
+            /// Rank epoch the table was read from.
+            rank_epoch: u64,
+            /// `site_of[doc]` for every document id.
+            site_of: Vec<u64>,
+        },
+        /// Controller → node, publish phase 1: stage one shard at the next
+        /// cluster epoch. `segment` is `None` exactly for [`SwapGrade::Repin`]
+        /// — the node reuses its current store.
+        9 Stage {
+            /// The cluster epoch being staged (commit flips to it).
+            epoch: u64,
+            /// The shard being staged.
+            shard: u64,
+            /// How the node must swap this shard.
+            grade: SwapGrade,
+            /// The shard's snapshot slice (rebuild/refresh only).
+            segment: Option<SnapshotSegment>,
+        },
+        /// Controller → node, publish phase 2: flip to the staged epoch.
+        10 Commit {
+            /// The cluster epoch to commit (must equal the staged epoch).
+            epoch: u64,
+            /// The rank epoch the staged segments came from.
+            rank_epoch: u64,
+        },
+        /// Node → controller: stage or commit applied (also acknowledges an
+        /// abort).
+        11 Ack {
+            /// The acknowledged cluster epoch.
+            epoch: u64,
+        },
+        /// Client → node: score a batch of documents on one owned shard.
+        12 ScoreBatch {
+            /// The shard to answer from.
+            shard: u64,
+            /// Document ids to score.
+            docs: Vec<u64>,
+        },
+        /// Client → node: one shard's best `k` documents.
+        13 TopKReq {
+            /// The shard to answer from.
+            shard: u64,
+            /// How many documents.
+            k: u64,
+        },
+        /// Client → node: one site's best `k` documents.
+        14 SiteTopKReq {
+            /// The shard owning the site.
+            shard: u64,
+            /// The site.
+            site: u64,
+            /// How many documents.
+            k: u64,
+        },
+        /// Node → client: batched score answer.
+        15 Scores {
+            /// The node's committed cluster epoch.
+            epoch: u64,
+            /// The rank epoch the scores came from.
+            rank_epoch: u64,
+            /// One typed answer per requested document, in request order.
+            scores: Vec<DocScore>,
+        },
+        /// Node → client: shard top-k answer.
+        16 Top {
+            /// The node's committed cluster epoch.
+            epoch: u64,
+            /// The rank epoch the entries came from.
+            rank_epoch: u64,
+            /// The shard's best documents in serving order.
+            entries: Vec<(DocId, f64)>,
+            /// `false` when `k` exceeded the precomputed list and the shard
+            /// fell back to a scan.
+            complete: bool,
+        },
+        /// Node → client: site top-k answer.
+        17 SiteTop {
+            /// The node's committed cluster epoch.
+            epoch: u64,
+            /// The rank epoch the reply came from.
+            rank_epoch: u64,
+            /// The typed site answer.
+            reply: SiteTopK,
+        },
+        /// Controller/client → node: request counters.
+        18 StatsReq,
+        /// Node → requester: counters.
+        19 Stats(stats: NodeWireStats),
+        /// Node → client: the queried shard is not owned here (placement
+        /// changed under the client; refresh and retry).
+        20 NotOwner {
+            /// The shard that was asked for.
+            shard: u64,
+        },
+        /// Either direction: the request could not be honoured.
+        21 Bad {
+            /// Human-readable cause.
+            detail: String,
+        },
+        /// Controller → node: a publish attempt died between stage and
+        /// commit; discard anything staged at or below this epoch and refuse
+        /// to ever commit it. Answered with [`Message::Ack`].
+        22 Abort {
+            /// The dead cluster epoch.
+            epoch: u64,
+        },
+        /// Node → controller: a restarted node announces itself under the id
+        /// it held before it died. The controller re-admits the id, restores
+        /// its former shard claim, and catches it up by republishing the
+        /// pinned snapshot under a bumped cluster epoch (rank epoch
+        /// untouched). Answered with [`Message::Registered`].
+        23 Rejoin {
+            /// The node id from the previous incarnation.
+            node: u64,
+            /// The restarted node's new `ip:port` listen address.
+            addr: String,
+        },
+    }
 }
 
 // ---------------------------------------------------------------------------
-// primitive writers/readers
+// byte writer and reader
 // ---------------------------------------------------------------------------
 
 struct Writer(Vec<u8>);
@@ -331,109 +407,62 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_be_bytes());
     }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn boolean(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    fn len(&mut self, n: usize) -> Result<(), WireError> {
-        let n32 = u32::try_from(n).map_err(|_| WireError::Malformed {
-            detail: format!("collection of {n} items exceeds u32 length prefix"),
-        })?;
-        self.u32(n32);
-        Ok(())
-    }
-    fn str(&mut self, s: &str) -> Result<(), WireError> {
-        self.len(s.len())?;
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
+    /// A collection's length prefix. A count past `u32::MAX` wraps here,
+    /// but its items alone outgrow [`MAX_PAYLOAD`], so the frame is
+    /// refused as oversized before it can leave.
+    fn len(&mut self, n: usize) {
+        self.u32(n as u32);
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
+        if self.0.len() < n {
             return Err(WireError::Truncated {
                 needed: n,
-                have: self.remaining(),
+                have: self.0.len(),
             });
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N)?);
         Ok(out)
     }
 
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn boolean(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed {
-                detail: format!("boolean byte {b}"),
-            }),
-        }
+    fn len(&mut self) -> Result<usize, WireError> {
+        Ok(u32::from_be_bytes(self.array()?) as usize)
     }
 
     /// Reads a collection length prefix and refuses any claim the
-    /// remaining bytes cannot possibly back (`min_elem` bytes/element),
-    /// so a corrupt header cannot drive an allocation.
-    fn claimed_len(&mut self, min_elem: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let floor = n.saturating_mul(min_elem.max(1));
-        if floor > self.remaining() {
+    /// remaining bytes cannot possibly back (`min_bytes` per item), so a
+    /// corrupt header cannot drive an allocation.
+    fn claimed_len(&mut self, min_bytes: usize) -> Result<usize, WireError> {
+        let n = self.len()?;
+        let floor = n.saturating_mul(min_bytes.max(1));
+        if floor > self.0.len() {
             return Err(WireError::Truncated {
                 needed: floor,
-                have: self.remaining(),
+                have: self.0.len(),
             });
         }
         Ok(n)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.claimed_len(1)?;
-        let raw = self.bytes(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed {
-            detail: "invalid UTF-8 in string field".into(),
-        })
-    }
-
     fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
+        if !self.0.is_empty() {
             return Err(WireError::TrailingBytes {
-                extra: self.remaining(),
+                extra: self.0.len(),
             });
         }
         Ok(())
@@ -441,374 +470,364 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// compound field codecs
+// field codecs
 // ---------------------------------------------------------------------------
 
-fn put_u64s(w: &mut Writer, items: &[u64]) -> Result<(), WireError> {
-    w.len(items.len())?;
-    for &v in items {
-        w.u64(v);
+/// How one field type crosses the wire. `MIN_BYTES` is the fewest bytes
+/// any value of the type encodes to: the floor a collection's length
+/// claim is held against.
+trait Wire: Sized {
+    const MIN_BYTES: usize;
+    fn encode(&self, w: &mut Writer);
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+impl Wire for u64 {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut Writer) {
+        w.u64(*self);
     }
-    Ok(())
-}
-
-fn take_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
-    let n = r.claimed_len(8)?;
-    (0..n).map(|_| r.u64()).collect()
-}
-
-fn put_entries(w: &mut Writer, entries: &[(DocId, f64)]) -> Result<(), WireError> {
-    w.len(entries.len())?;
-    for &(doc, score) in entries {
-        w.u64(doc.index() as u64);
-        w.f64(score);
-    }
-    Ok(())
-}
-
-fn take_entries(r: &mut Reader<'_>) -> Result<Vec<(DocId, f64)>, WireError> {
-    let n = r.claimed_len(16)?;
-    (0..n).map(|_| Ok((take_doc(r)?, r.f64()?))).collect()
-}
-
-fn take_doc(r: &mut Reader<'_>) -> Result<DocId, WireError> {
-    let raw = r.u64()?;
-    usize::try_from(raw)
-        .map(DocId)
-        .map_err(|_| WireError::Malformed {
-            detail: format!("document id {raw} does not fit this platform"),
-        })
-}
-
-fn take_usize(r: &mut Reader<'_>) -> Result<usize, WireError> {
-    let raw = r.u64()?;
-    usize::try_from(raw).map_err(|_| WireError::Malformed {
-        detail: format!("value {raw} does not fit this platform"),
-    })
-}
-
-fn put_grade(w: &mut Writer, grade: SwapGrade) {
-    w.u8(match grade {
-        SwapGrade::Rebuild => 0,
-        SwapGrade::Refresh => 1,
-        SwapGrade::Repin => 2,
-    });
-}
-
-fn take_grade(r: &mut Reader<'_>) -> Result<SwapGrade, WireError> {
-    match r.u8()? {
-        0 => Ok(SwapGrade::Rebuild),
-        1 => Ok(SwapGrade::Refresh),
-        2 => Ok(SwapGrade::Repin),
-        b => Err(WireError::Malformed {
-            detail: format!("swap grade discriminant {b}"),
-        }),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(u64::from_be_bytes(r.array()?))
     }
 }
 
-fn put_doc_score(w: &mut Writer, score: DocScore) {
-    match score {
-        DocScore::Live(v) => {
-            w.u8(0);
-            w.f64(v);
-        }
-        DocScore::Tombstoned => w.u8(1),
-        DocScore::Unknown => w.u8(2),
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut Writer) {
+        w.u64(*self as u64);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let raw = u64::decode(r)?;
+        usize::try_from(raw)
+            .map_err(|_| malformed(format!("value {raw} does not fit this platform")))
     }
 }
 
-fn take_doc_score(r: &mut Reader<'_>) -> Result<DocScore, WireError> {
-    match r.u8()? {
-        0 => Ok(DocScore::Live(r.f64()?)),
-        1 => Ok(DocScore::Tombstoned),
-        2 => Ok(DocScore::Unknown),
-        b => Err(WireError::Malformed {
-            detail: format!("doc score discriminant {b}"),
-        }),
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.to_bits());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        u64::decode(r).map(f64::from_bits)
     }
 }
 
-fn put_site_top(w: &mut Writer, reply: &SiteTopK) -> Result<(), WireError> {
-    match reply {
-        SiteTopK::Entries(entries) => {
-            w.u8(0);
-            put_entries(w, entries)?;
-        }
-        SiteTopK::Tombstoned => w.u8(1),
-        SiteTopK::NotCovered => w.u8(2),
+impl Wire for DocId {
+    const MIN_BYTES: usize = 8;
+    fn encode(&self, w: &mut Writer) {
+        self.index().encode(w);
     }
-    Ok(())
-}
-
-fn take_site_top(r: &mut Reader<'_>) -> Result<SiteTopK, WireError> {
-    match r.u8()? {
-        0 => Ok(SiteTopK::Entries(take_entries(r)?)),
-        1 => Ok(SiteTopK::Tombstoned),
-        2 => Ok(SiteTopK::NotCovered),
-        b => Err(WireError::Malformed {
-            detail: format!("site top-k discriminant {b}"),
-        }),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        usize::decode(r).map(DocId)
     }
 }
 
-fn put_segment(w: &mut Writer, seg: &SnapshotSegment) -> Result<(), WireError> {
-    w.u64(seg.epoch);
-    w.str(&seg.backend)?;
-    w.u64(seg.sites.start as u64);
-    w.u64(seg.sites.end as u64);
-    w.u64(seg.n_docs as u64);
-    w.u64(seg.n_sites as u64);
-    w.len(seg.members.len())?;
-    for (docs, scores) in seg.members.iter().zip(&seg.member_scores) {
-        w.len(docs.len())?;
-        for (&doc, &score) in docs.iter().zip(scores) {
-            w.u64(doc.index() as u64);
-            w.f64(score);
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(malformed(format!("boolean byte {b}"))),
         }
     }
-    w.len(seg.tombstoned.len())?;
-    for &(doc, site) in &seg.tombstoned {
-        w.u64(doc.index() as u64);
-        w.u64(site.index() as u64);
-    }
-    Ok(())
 }
 
-fn take_segment(r: &mut Reader<'_>) -> Result<SnapshotSegment, WireError> {
-    let epoch = r.u64()?;
-    let backend = r.str()?;
-    let start = take_usize(r)?;
-    let end = take_usize(r)?;
-    if end < start {
-        return Err(WireError::Malformed {
-            detail: format!("segment site range {start}..{end} is inverted"),
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.len());
+        w.0.extend_from_slice(self.as_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.len()?;
+        String::from_utf8(r.bytes(n)?.to_vec())
+            .map_err(|_| malformed("invalid UTF-8 in string field".into()))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.len());
+        for item in self {
+            item.encode(w);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.claimed_len(T::MIN_BYTES)?;
+        (0..n).map(|_| T::decode(r)).collect()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Some(v) => {
+                w.u8(1);
+                v.encode(w);
+            }
+            None => w.u8(0),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => T::decode(r).map(Some),
+            b => Err(malformed(format!("option byte {b}"))),
+        }
+    }
+}
+
+impl Wire for SwapGrade {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut Writer) {
+        w.u8(match self {
+            SwapGrade::Rebuild => 0,
+            SwapGrade::Refresh => 1,
+            SwapGrade::Repin => 2,
         });
     }
-    let n_docs = take_usize(r)?;
-    let n_sites = take_usize(r)?;
-    let covered = r.claimed_len(4)?;
-    if covered != end - start {
-        return Err(WireError::Malformed {
-            detail: format!(
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(SwapGrade::Rebuild),
+            1 => Ok(SwapGrade::Refresh),
+            2 => Ok(SwapGrade::Repin),
+            b => Err(malformed(format!("swap grade discriminant {b}"))),
+        }
+    }
+}
+
+impl Wire for DocScore {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            DocScore::Live(v) => {
+                w.u8(0);
+                v.encode(w);
+            }
+            DocScore::Tombstoned => w.u8(1),
+            DocScore::Unknown => w.u8(2),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => f64::decode(r).map(DocScore::Live),
+            1 => Ok(DocScore::Tombstoned),
+            2 => Ok(DocScore::Unknown),
+            b => Err(malformed(format!("doc score discriminant {b}"))),
+        }
+    }
+}
+
+impl Wire for SiteTopK {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            SiteTopK::Entries(entries) => {
+                w.u8(0);
+                entries.encode(w);
+            }
+            SiteTopK::Tombstoned => w.u8(1),
+            SiteTopK::NotCovered => w.u8(2),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Vec::decode(r).map(SiteTopK::Entries),
+            1 => Ok(SiteTopK::Tombstoned),
+            2 => Ok(SiteTopK::NotCovered),
+            b => Err(malformed(format!("site top-k discriminant {b}"))),
+        }
+    }
+}
+
+impl Wire for NodeWireStats {
+    const MIN_BYTES: usize = 11 * u64::MIN_BYTES + Vec::<(u64, u64)>::MIN_BYTES;
+    fn encode(&self, w: &mut Writer) {
+        let NodeWireStats {
+            node,
+            epoch,
+            rank_epoch,
+            shard_docs,
+            queries,
+            tombstone_rejections,
+            staged,
+            commits,
+            aborted,
+            staged_expired,
+            bytes_sent,
+            bytes_recv,
+        } = self;
+        node.encode(w);
+        epoch.encode(w);
+        rank_epoch.encode(w);
+        shard_docs.encode(w);
+        queries.encode(w);
+        tombstone_rejections.encode(w);
+        staged.encode(w);
+        commits.encode(w);
+        aborted.encode(w);
+        staged_expired.encode(w);
+        bytes_sent.encode(w);
+        bytes_recv.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(NodeWireStats {
+            node: Wire::decode(r)?,
+            epoch: Wire::decode(r)?,
+            rank_epoch: Wire::decode(r)?,
+            shard_docs: Wire::decode(r)?,
+            queries: Wire::decode(r)?,
+            tombstone_rejections: Wire::decode(r)?,
+            staged: Wire::decode(r)?,
+            commits: Wire::decode(r)?,
+            aborted: Wire::decode(r)?,
+            staged_expired: Wire::decode(r)?,
+            bytes_sent: Wire::decode(r)?,
+            bytes_recv: Wire::decode(r)?,
+        })
+    }
+}
+
+/// A covered site's members: `(doc, score)` pairs, carried as the two
+/// parallel lists a segment holds.
+type Member = (DocId, f64);
+
+impl Wire for SnapshotSegment {
+    const MIN_BYTES: usize =
+        u64::MIN_BYTES + String::MIN_BYTES + 4 * usize::MIN_BYTES + 2 * Vec::<Member>::MIN_BYTES;
+    fn encode(&self, w: &mut Writer) {
+        w.0.reserve(
+            Self::MIN_BYTES
+                + self.backend.len()
+                + self.members.len() * Vec::<Member>::MIN_BYTES
+                + (self.n_live_docs() + self.tombstoned.len()) * Member::MIN_BYTES,
+        );
+        self.epoch.encode(w);
+        self.backend.encode(w);
+        self.sites.start.encode(w);
+        self.sites.end.encode(w);
+        self.n_docs.encode(w);
+        self.n_sites.encode(w);
+        w.len(self.members.len());
+        for (docs, scores) in self.members.iter().zip(&self.member_scores) {
+            w.len(docs.len());
+            for (doc, score) in docs.iter().zip(scores) {
+                doc.encode(w);
+                score.encode(w);
+            }
+        }
+        w.len(self.tombstoned.len());
+        for (doc, site) in &self.tombstoned {
+            doc.encode(w);
+            site.index().encode(w);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let epoch = u64::decode(r)?;
+        let backend = String::decode(r)?;
+        let start = usize::decode(r)?;
+        let end = usize::decode(r)?;
+        if end < start {
+            return Err(malformed(format!(
+                "segment site range {start}..{end} is inverted"
+            )));
+        }
+        let n_docs = usize::decode(r)?;
+        let n_sites = usize::decode(r)?;
+        let in_space = |doc: DocId, what: &str| {
+            if doc.index() < n_docs {
+                Ok(doc)
+            } else {
+                Err(malformed(format!(
+                    "{what} doc {} outside id space {n_docs}",
+                    doc.index()
+                )))
+            }
+        };
+        let covered = r.claimed_len(Vec::<Member>::MIN_BYTES)?;
+        if covered != end - start {
+            return Err(malformed(format!(
                 "segment covers {covered} sites but its range {start}..{end} holds {}",
                 end - start
-            ),
-        });
-    }
-    let mut members = Vec::with_capacity(covered);
-    let mut member_scores = Vec::with_capacity(covered);
-    for _ in 0..covered {
-        let n = r.claimed_len(16)?;
-        let mut docs = Vec::with_capacity(n);
-        let mut scores = Vec::with_capacity(n);
-        for _ in 0..n {
-            let doc = take_doc(r)?;
-            if doc.index() >= n_docs {
-                return Err(WireError::Malformed {
-                    detail: format!("member doc {} outside id space {n_docs}", doc.index()),
-                });
+            )));
+        }
+        let mut members = Vec::with_capacity(covered);
+        let mut member_scores = Vec::with_capacity(covered);
+        for _ in 0..covered {
+            let n = r.claimed_len(Member::MIN_BYTES)?;
+            let mut docs = Vec::with_capacity(n);
+            let mut scores = Vec::with_capacity(n);
+            for _ in 0..n {
+                docs.push(in_space(DocId::decode(r)?, "member")?);
+                scores.push(f64::decode(r)?);
             }
-            docs.push(doc);
-            scores.push(r.f64()?);
+            members.push(docs);
+            member_scores.push(scores);
         }
-        members.push(docs);
-        member_scores.push(scores);
-    }
-    let n_tomb = r.claimed_len(16)?;
-    let mut tombstoned = Vec::with_capacity(n_tomb);
-    for _ in 0..n_tomb {
-        let doc = take_doc(r)?;
-        if doc.index() >= n_docs {
-            return Err(WireError::Malformed {
-                detail: format!("tombstoned doc {} outside id space {n_docs}", doc.index()),
-            });
+        let n_tomb = r.claimed_len(<(DocId, usize)>::MIN_BYTES)?;
+        let mut tombstoned = Vec::with_capacity(n_tomb);
+        for _ in 0..n_tomb {
+            let doc = in_space(DocId::decode(r)?, "tombstoned")?;
+            tombstoned.push((doc, SiteId(usize::decode(r)?)));
         }
-        tombstoned.push((doc, SiteId(take_usize(r)?)));
+        Ok(SnapshotSegment {
+            epoch,
+            backend,
+            sites: start..end,
+            n_docs,
+            n_sites,
+            members,
+            member_scores,
+            tombstoned,
+        })
     }
-    Ok(SnapshotSegment {
-        epoch,
-        backend,
-        sites: start..end,
-        n_docs,
-        n_sites,
-        members,
-        member_scores,
-        tombstoned,
-    })
 }
 
 // ---------------------------------------------------------------------------
-// message codec
+// frames
 // ---------------------------------------------------------------------------
 
-impl Message {
-    fn tag(&self) -> u8 {
-        match self {
-            Message::Register { .. } => 1,
-            Message::Registered { .. } => 2,
-            Message::Ping { .. } => 3,
-            Message::Pong { .. } => 4,
-            Message::PlacementReq => 5,
-            Message::Placement { .. } => 6,
-            Message::RoutingReq => 7,
-            Message::Routing { .. } => 8,
-            Message::Stage { .. } => 9,
-            Message::Commit { .. } => 10,
-            Message::Ack { .. } => 11,
-            Message::ScoreBatch { .. } => 12,
-            Message::TopKReq { .. } => 13,
-            Message::SiteTopKReq { .. } => 14,
-            Message::Scores { .. } => 15,
-            Message::Top { .. } => 16,
-            Message::SiteTop { .. } => 17,
-            Message::StatsReq => 18,
-            Message::Stats(_) => 19,
-            Message::NotOwner { .. } => 20,
-            Message::Bad { .. } => 21,
-            Message::Abort { .. } => 22,
-            Message::Rejoin { .. } => 23,
-        }
+/// Appends `msg`'s payload (`[version][tag][body]`) to `w`, refusing one
+/// over [`MAX_PAYLOAD`]. Returns the payload's length.
+fn put_payload(msg: &Message, w: &mut Writer) -> Result<usize, WireError> {
+    let start = w.0.len();
+    w.u8(WIRE_VERSION);
+    w.u8(msg.tag());
+    msg.encode_body(w);
+    let len = w.0.len() - start;
+    if len > MAX_PAYLOAD as usize {
+        return Err(WireError::Oversized { len: len as u64 });
     }
+    Ok(len)
 }
 
 /// Encodes a message payload (`[version][tag][body]`, no length prefix —
 /// the transport frames it).
 ///
 /// # Errors
-/// [`WireError::Malformed`] when a collection exceeds the u32 length
-/// prefix (practically unreachable below [`MAX_PAYLOAD`]).
+/// [`WireError::Oversized`] when the payload exceeds [`MAX_PAYLOAD`].
 pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
     let mut w = Writer(Vec::with_capacity(64));
-    w.u8(WIRE_VERSION);
-    w.u8(msg.tag());
-    match msg {
-        Message::Register { addr } => w.str(addr)?,
-        Message::Registered { node } => w.u64(*node),
-        Message::Ping { seq } => w.u64(*seq),
-        Message::Pong { seq, epoch } => {
-            w.u64(*seq);
-            w.u64(*epoch);
-        }
-        Message::PlacementReq | Message::RoutingReq | Message::StatsReq => {}
-        Message::Placement {
-            epoch,
-            rank_epoch,
-            boundaries,
-            owners,
-        } => {
-            w.u64(*epoch);
-            w.u64(*rank_epoch);
-            put_u64s(&mut w, boundaries)?;
-            w.len(owners.len())?;
-            for owner in owners {
-                w.str(owner)?;
-            }
-        }
-        Message::Routing {
-            rank_epoch,
-            site_of,
-        } => {
-            w.u64(*rank_epoch);
-            put_u64s(&mut w, site_of)?;
-        }
-        Message::Stage {
-            epoch,
-            shard,
-            grade,
-            segment,
-        } => {
-            w.u64(*epoch);
-            w.u64(*shard);
-            put_grade(&mut w, *grade);
-            match segment {
-                Some(seg) => {
-                    w.u8(1);
-                    put_segment(&mut w, seg)?;
-                }
-                None => w.u8(0),
-            }
-        }
-        Message::Commit { epoch, rank_epoch } => {
-            w.u64(*epoch);
-            w.u64(*rank_epoch);
-        }
-        Message::Ack { epoch } => w.u64(*epoch),
-        Message::ScoreBatch { shard, docs } => {
-            w.u64(*shard);
-            put_u64s(&mut w, docs)?;
-        }
-        Message::TopKReq { shard, k } => {
-            w.u64(*shard);
-            w.u64(*k);
-        }
-        Message::SiteTopKReq { shard, site, k } => {
-            w.u64(*shard);
-            w.u64(*site);
-            w.u64(*k);
-        }
-        Message::Scores {
-            epoch,
-            rank_epoch,
-            scores,
-        } => {
-            w.u64(*epoch);
-            w.u64(*rank_epoch);
-            w.len(scores.len())?;
-            for &s in scores {
-                put_doc_score(&mut w, s);
-            }
-        }
-        Message::Top {
-            epoch,
-            rank_epoch,
-            entries,
-            complete,
-        } => {
-            w.u64(*epoch);
-            w.u64(*rank_epoch);
-            put_entries(&mut w, entries)?;
-            w.boolean(*complete);
-        }
-        Message::SiteTop {
-            epoch,
-            rank_epoch,
-            reply,
-        } => {
-            w.u64(*epoch);
-            w.u64(*rank_epoch);
-            put_site_top(&mut w, reply)?;
-        }
-        Message::Stats(stats) => {
-            w.u64(stats.node);
-            w.u64(stats.epoch);
-            w.u64(stats.rank_epoch);
-            w.len(stats.shard_docs.len())?;
-            for &(shard, docs) in &stats.shard_docs {
-                w.u64(shard);
-                w.u64(docs);
-            }
-            w.u64(stats.queries);
-            w.u64(stats.tombstone_rejections);
-            w.u64(stats.staged);
-            w.u64(stats.commits);
-            w.u64(stats.aborted);
-            w.u64(stats.staged_expired);
-            w.u64(stats.bytes_sent);
-            w.u64(stats.bytes_recv);
-        }
-        Message::NotOwner { shard } => w.u64(*shard),
-        Message::Bad { detail } => w.str(detail)?,
-        Message::Abort { epoch } => w.u64(*epoch),
-        Message::Rejoin { node, addr } => {
-            w.u64(*node);
-            w.str(addr)?;
-        }
-    }
-    if w.0.len() > MAX_PAYLOAD as usize {
-        return Err(WireError::Oversized {
-            len: w.0.len() as u64,
-        });
-    }
+    put_payload(msg, &mut w)?;
     Ok(w.0)
 }
 
@@ -819,148 +838,29 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
 /// # Errors
 /// See [`WireError`].
 pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = Reader::new(payload);
+    let mut r = Reader(payload);
     let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion { version });
     }
     let tag = r.u8()?;
-    let msg = match tag {
-        1 => Message::Register { addr: r.str()? },
-        2 => Message::Registered { node: r.u64()? },
-        3 => Message::Ping { seq: r.u64()? },
-        4 => Message::Pong {
-            seq: r.u64()?,
-            epoch: r.u64()?,
-        },
-        5 => Message::PlacementReq,
-        6 => {
-            let epoch = r.u64()?;
-            let rank_epoch = r.u64()?;
-            let boundaries = take_u64s(&mut r)?;
-            let n = r.claimed_len(4)?;
-            let owners = (0..n).map(|_| r.str()).collect::<Result<_, _>>()?;
-            Message::Placement {
-                epoch,
-                rank_epoch,
-                boundaries,
-                owners,
-            }
-        }
-        7 => Message::RoutingReq,
-        8 => Message::Routing {
-            rank_epoch: r.u64()?,
-            site_of: take_u64s(&mut r)?,
-        },
-        9 => {
-            let epoch = r.u64()?;
-            let shard = r.u64()?;
-            let grade = take_grade(&mut r)?;
-            let segment = match r.u8()? {
-                0 => None,
-                1 => Some(take_segment(&mut r)?),
-                b => {
-                    return Err(WireError::Malformed {
-                        detail: format!("segment option byte {b}"),
-                    })
-                }
-            };
-            Message::Stage {
-                epoch,
-                shard,
-                grade,
-                segment,
-            }
-        }
-        10 => Message::Commit {
-            epoch: r.u64()?,
-            rank_epoch: r.u64()?,
-        },
-        11 => Message::Ack { epoch: r.u64()? },
-        12 => Message::ScoreBatch {
-            shard: r.u64()?,
-            docs: take_u64s(&mut r)?,
-        },
-        13 => Message::TopKReq {
-            shard: r.u64()?,
-            k: r.u64()?,
-        },
-        14 => Message::SiteTopKReq {
-            shard: r.u64()?,
-            site: r.u64()?,
-            k: r.u64()?,
-        },
-        15 => {
-            let epoch = r.u64()?;
-            let rank_epoch = r.u64()?;
-            let n = r.claimed_len(1)?;
-            let scores = (0..n)
-                .map(|_| take_doc_score(&mut r))
-                .collect::<Result<_, _>>()?;
-            Message::Scores {
-                epoch,
-                rank_epoch,
-                scores,
-            }
-        }
-        16 => Message::Top {
-            epoch: r.u64()?,
-            rank_epoch: r.u64()?,
-            entries: take_entries(&mut r)?,
-            complete: r.boolean()?,
-        },
-        17 => Message::SiteTop {
-            epoch: r.u64()?,
-            rank_epoch: r.u64()?,
-            reply: take_site_top(&mut r)?,
-        },
-        18 => Message::StatsReq,
-        19 => {
-            let node = r.u64()?;
-            let epoch = r.u64()?;
-            let rank_epoch = r.u64()?;
-            let n = r.claimed_len(16)?;
-            let shard_docs = (0..n)
-                .map(|_| Ok((r.u64()?, r.u64()?)))
-                .collect::<Result<_, WireError>>()?;
-            Message::Stats(NodeWireStats {
-                node,
-                epoch,
-                rank_epoch,
-                shard_docs,
-                queries: r.u64()?,
-                tombstone_rejections: r.u64()?,
-                staged: r.u64()?,
-                commits: r.u64()?,
-                aborted: r.u64()?,
-                staged_expired: r.u64()?,
-                bytes_sent: r.u64()?,
-                bytes_recv: r.u64()?,
-            })
-        }
-        20 => Message::NotOwner { shard: r.u64()? },
-        21 => Message::Bad { detail: r.str()? },
-        22 => Message::Abort { epoch: r.u64()? },
-        23 => Message::Rejoin {
-            node: r.u64()?,
-            addr: r.str()?,
-        },
-        tag => return Err(WireError::BadTag { tag }),
-    };
+    let msg = Message::decode_body(tag, &mut r)?;
     r.finish()?;
     Ok(msg)
 }
 
-/// Encodes a full frame: `[u32 BE payload length][payload]`.
+/// Encodes a full frame: `[u32 BE payload length][payload]`, in one
+/// buffer — the prefix is reserved first and patched once the payload's
+/// length is known.
 ///
 /// # Errors
 /// [`WireError::Oversized`] when the payload exceeds [`MAX_PAYLOAD`].
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, WireError> {
-    let payload = encode_message(msg)?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(&payload);
-    Ok(frame)
+    let mut w = Writer(Vec::with_capacity(64));
+    w.u32(0);
+    let len = put_payload(msg, &mut w)? as u32;
+    w.0[..4].copy_from_slice(&len.to_be_bytes());
+    Ok(w.0)
 }
 
 /// Decodes one frame off the front of `bytes`, returning the message and
@@ -969,26 +869,18 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, WireError> {
 /// # Errors
 /// See [`WireError`].
 pub fn decode_frame(bytes: &[u8]) -> Result<(Message, usize), WireError> {
-    if bytes.len() < 4 {
-        return Err(WireError::Truncated {
-            needed: 4,
-            have: bytes.len(),
-        });
+    let mut r = Reader(bytes);
+    let len = r.len()?;
+    if len > MAX_PAYLOAD as usize {
+        return Err(WireError::Oversized { len: len as u64 });
     }
-    let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    if len > MAX_PAYLOAD {
-        return Err(WireError::Oversized {
-            len: u64::from(len),
-        });
-    }
-    let len = len as usize;
-    if bytes.len() - 4 < len {
+    if r.0.len() < len {
         return Err(WireError::Truncated {
             needed: 4 + len,
             have: bytes.len(),
         });
     }
-    let msg = decode_message(&bytes[4..4 + len])?;
+    let msg = decode_message(&r.0[..len])?;
     Ok((msg, 4 + len))
 }
 

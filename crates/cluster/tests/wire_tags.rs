@@ -2,8 +2,8 @@
 //! match the committed golden registry (`wire_tags.golden`) byte for
 //! byte. Tag numbering is wire-compat critical — a mixed-version cluster
 //! decodes frames by these bytes — so a failure here means a variant was
-//! renumbered, dropped, or added without updating the registry
-//! (`cargo run -p lmm-lint -- --update-golden`).
+//! renumbered, dropped, or added without appending its line to the
+//! registry by hand.
 
 use std::collections::BTreeMap;
 

@@ -67,10 +67,6 @@ pub struct LintConfig {
     pub det_prefixes: &'static [&'static str],
     /// Tokens banned inside the fence.
     pub det_banned: &'static [&'static str],
-    /// The wire codec source whose tag registry is extracted.
-    pub wire_file: &'static str,
-    /// The committed golden tag registry compared against it.
-    pub wire_golden: &'static str,
     /// Directories whose `.rs` files count as users for `dead_pub`: a
     /// library `pub` item none of them names is dead. Wider than
     /// `scan_roots`, since tests, examples and the benchmark harness are
@@ -213,8 +209,6 @@ pub fn workspace() -> LintConfig {
             "crates/graph/src/delta.rs",
         ],
         det_banned: &["Instant::now", "SystemTime", "RandomState"],
-        wire_file: "crates/cluster/src/wire.rs",
-        wire_golden: "crates/cluster/wire_tags.golden",
         dead_pub_corpus: &["crates", "src", "tests", "examples", "benchmark/src"],
     }
 }

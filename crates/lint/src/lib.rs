@@ -15,7 +15,6 @@
 //! | key | pass | enforces |
 //! |-----|------|----------|
 //! | `panic` | [`rules::panics`] | hot-path modules (`serve/{router,shard}`, `cluster/{node,client,transport,wire,retry}`, `par`) contain no unannotated `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` |
-//! | `wire_tags` | [`rules::wire`] | tag bytes in `cluster/src/wire.rs` are unique, encode/decode arms agree, and both match the committed golden registry |
 //! | `lock_order` | [`rules::locks`] | nested `.lock()`/`.read()`/`.write()` acquisitions follow the declared per-file partial order (no deadlock-shaped inversions) |
 //! | `lock_free` | [`rules::locks`] | the declared serve read-path functions (every `serve/router.rs` read) exist and contain no blocking synchronization at all — no `.lock()`/`.read()`/`.write()`, no `Mutex`/`RwLock` |
 //! | `relaxed` | [`rules::atomics`] | `Ordering::Relaxed` only on allowlisted counter names; epochs, flags, and shutdown bits need a stronger ordering or a reasoned annotation |
@@ -32,7 +31,7 @@
 //! # Entry points
 //!
 //! * `cargo run -p lmm-lint` — check the workspace, exit non-zero on any
-//!   violation (`-- --update-golden` regenerates the wire-tag registry).
+//!   violation.
 //! * `cargo test -p lmm-lint` — fixture tests for each rule plus a
 //!   `workspace_is_clean` test that runs the full pass, so plain
 //!   `cargo test` catches violations locally before CI does.
@@ -84,15 +83,9 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
     }
 }
 
-/// Runs every rule over one already-lexed file. `golden` is the wire
-/// registry contents when `rel` is the wire file.
+/// Runs every per-file rule over one already-lexed file.
 #[must_use]
-fn check_file(
-    file: &MaskedFile,
-    rel: &str,
-    cfg: &LintConfig,
-    golden: Option<&str>,
-) -> Vec<Violation> {
+fn check_file(file: &MaskedFile, rel: &str, cfg: &LintConfig) -> Vec<Violation> {
     let mut out = Vec::new();
     if cfg.hot_path.contains(&rel) {
         out.extend(rules::panics::check(file, rel));
@@ -107,9 +100,6 @@ fn check_file(
     if cfg.det_prefixes.iter().any(|p| rel.starts_with(p)) {
         out.extend(rules::det::check(file, rel, cfg));
     }
-    if rel == cfg.wire_file {
-        out.extend(rules::wire::check(file, rel, golden, cfg.wire_golden));
-    }
     out.extend(rules::safety::check(file, rel));
     out
 }
@@ -119,14 +109,13 @@ fn check_file(
 /// back sorted by file then line.
 #[must_use]
 pub fn run_workspace(root: &Path, cfg: &LintConfig) -> Vec<Violation> {
-    let golden = std::fs::read_to_string(root.join(cfg.wire_golden)).ok();
     let lex = |rel: String| {
         let source = std::fs::read_to_string(root.join(&rel)).ok()?;
         Some((rel, MaskedFile::new(&source)))
     };
     let mut out = Vec::new();
     for (rel, file) in collect_files(root, cfg).into_iter().filter_map(lex) {
-        out.extend(check_file(&file, &rel, cfg, golden.as_deref()));
+        out.extend(check_file(&file, &rel, cfg));
     }
     let corpus: Vec<_> = collect_under(root, cfg.dead_pub_corpus, cfg)
         .into_iter()
@@ -135,20 +124,6 @@ pub fn run_workspace(root: &Path, cfg: &LintConfig) -> Vec<Violation> {
     out.extend(rules::dead_pub::check(&corpus));
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
-}
-
-/// Regenerates the golden wire-tag registry from the current codec.
-/// Returns the path written.
-///
-/// # Errors
-/// Propagates io errors from reading the codec or writing the registry.
-pub fn update_golden(root: &Path, cfg: &LintConfig) -> std::io::Result<PathBuf> {
-    let source = std::fs::read_to_string(root.join(cfg.wire_file))?;
-    let file = MaskedFile::new(&source);
-    let golden = rules::wire::render_golden(&rules::wire::encode_tags(&file));
-    let path = root.join(cfg.wire_golden);
-    std::fs::write(&path, golden)?;
-    Ok(path)
 }
 
 /// The workspace root, resolved from this crate's own manifest dir so

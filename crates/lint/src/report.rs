@@ -5,14 +5,14 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// The rule key (`panic`, `wire_tags`, `lock_order`, `lock_free`,
-    /// `relaxed`, `nondet`, `safety`, `dead_pub`) — also the key an
+    /// The rule key (`panic`, `lock_order`, `lock_free`, `relaxed`,
+    /// `nondet`, `safety`, `dead_pub`) — also the key an
     /// annotation must use to allow it.
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,
     /// 1-based line, or 0 when the violation is file-level (e.g. a
-    /// missing golden registry).
+    /// declared lock-free function the file no longer defines).
     pub line: usize,
     /// Human-readable description with enough context to act on.
     pub message: String,

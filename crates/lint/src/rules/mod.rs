@@ -8,7 +8,6 @@ pub mod det;
 pub mod locks;
 pub mod panics;
 pub mod safety;
-pub mod wire;
 
 /// Yields every occurrence of `token` in `masked` that starts at an
 /// identifier boundary (so `unreachable!` does not match inside

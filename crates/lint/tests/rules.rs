@@ -140,50 +140,6 @@ fn safety_negative_is_clean() {
     assert!(v.is_empty(), "{v:#?}");
 }
 
-#[test]
-fn wire_positive_flags_duplicates_and_asymmetry() {
-    let file = fixture("wire_bad.rs");
-    let golden = rules::wire::render_golden(&rules::wire::encode_tags(&file));
-    let v = rules::wire::check(&file, "wire_bad.rs", Some(&golden), "wire.golden");
-    // Duplicate tag 2 in encode; encode tag 3 = Pong vs decode tag 3 =
-    // Ping (both directions flagged); encode tag 4 with no decode arm.
-    assert!(v.len() >= 3, "{v:#?}");
-    assert!(v.iter().any(|v| v.message.contains("duplicate tag 2")));
-    assert!(
-        v.iter().any(|v| v.message.contains("no matching")),
-        "{v:#?}"
-    );
-}
-
-#[test]
-fn wire_negative_is_clean_and_nested_arms_are_ignored() {
-    let file = fixture("wire_ok.rs");
-    let encode = rules::wire::encode_tags(&file);
-    let decode = rules::wire::decode_tags(&file);
-    assert_eq!(encode.len(), 3);
-    // The nested `match r.u8()?` arms (0/1) must not appear as tags.
-    assert_eq!(decode.len(), 3, "{decode:#?}");
-    let golden = rules::wire::render_golden(&encode);
-    let v = rules::wire::check(&file, "wire_ok.rs", Some(&golden), "wire.golden");
-    assert!(v.is_empty(), "{v:#?}");
-}
-
-#[test]
-fn wire_missing_golden_is_a_violation() {
-    let file = fixture("wire_ok.rs");
-    let v = rules::wire::check(&file, "wire_ok.rs", None, "wire.golden");
-    assert_eq!(v.len(), 1);
-    assert!(v[0].message.contains("missing"));
-}
-
-#[test]
-fn wire_golden_drift_is_a_violation() {
-    let file = fixture("wire_ok.rs");
-    let golden = "1 Register\n2 Registered\n3 Renamed\n";
-    let v = rules::wire::check(&file, "wire_ok.rs", Some(golden), "wire.golden");
-    assert!(!v.is_empty());
-}
-
 /// A two-file corpus: `lib` as a library file, beside the fixture that
 /// uses (and only mentions) its items.
 fn dead_pub_corpus(lib: &str) -> Vec<(String, MaskedFile)> {
