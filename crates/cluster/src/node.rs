@@ -194,7 +194,7 @@ impl Tables {
     }
 
     /// The node's snapshot over these tables at `rank_epoch`. It shares
-    /// every table and lists no dead documents: a node never exports.
+    /// every table.
     fn snapshot(&self, rank_epoch: u64) -> RankSnapshot {
         RankSnapshot::new(
             rank_epoch,
@@ -203,7 +203,6 @@ impl Tables {
             None,
             Arc::clone(&self.members),
             Arc::clone(&self.site_of),
-            Arc::default(),
             Staleness::Full,
         )
     }

@@ -32,13 +32,13 @@
 use std::fmt;
 
 use lmm_engine::SnapshotSegment;
-use lmm_graph::{DocId, SiteId};
+use lmm_graph::DocId;
 use lmm_serve::{DocScore, SiteTopK, SwapGrade};
 
 /// Protocol version carried by every frame. Peers reject frames whose
 /// version byte differs — a mixed-version cluster fails typed instead of
 /// misparsing.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard cap on a frame's payload length. Large enough for a full-web
 /// snapshot segment, small enough that a corrupt or hostile length prefix
@@ -713,13 +713,13 @@ type Member = (DocId, f64);
 
 impl Wire for SnapshotSegment {
     const MIN_BYTES: usize =
-        u64::MIN_BYTES + String::MIN_BYTES + 4 * usize::MIN_BYTES + 2 * Vec::<Member>::MIN_BYTES;
+        u64::MIN_BYTES + String::MIN_BYTES + 4 * usize::MIN_BYTES + Vec::<Member>::MIN_BYTES;
     fn encode(&self, w: &mut Writer) {
         w.0.reserve(
             Self::MIN_BYTES
                 + self.backend.len()
                 + self.members.len() * Vec::<Member>::MIN_BYTES
-                + (self.n_live_docs() + self.tombstoned.len()) * Member::MIN_BYTES,
+                + self.n_live_docs() * Member::MIN_BYTES,
         );
         self.epoch.encode(w);
         self.backend.encode(w);
@@ -735,11 +735,6 @@ impl Wire for SnapshotSegment {
                 score.encode(w);
             }
         }
-        w.len(self.tombstoned.len());
-        for (doc, site) in &self.tombstoned {
-            doc.encode(w);
-            site.index().encode(w);
-        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let epoch = u64::decode(r)?;
@@ -753,16 +748,6 @@ impl Wire for SnapshotSegment {
         }
         let n_docs = usize::decode(r)?;
         let n_sites = usize::decode(r)?;
-        let in_space = |doc: DocId, what: &str| {
-            if doc.index() < n_docs {
-                Ok(doc)
-            } else {
-                Err(malformed(format!(
-                    "{what} doc {} outside id space {n_docs}",
-                    doc.index()
-                )))
-            }
-        };
         let covered = r.claimed_len(Vec::<Member>::MIN_BYTES)?;
         if covered != end - start {
             return Err(malformed(format!(
@@ -777,17 +762,18 @@ impl Wire for SnapshotSegment {
             let mut docs = Vec::with_capacity(n);
             let mut scores = Vec::with_capacity(n);
             for _ in 0..n {
-                docs.push(in_space(DocId::decode(r)?, "member")?);
-                scores.push(f64::decode(r)?);
+                let (doc, score) = Member::decode(r)?;
+                if doc.index() >= n_docs {
+                    return Err(malformed(format!(
+                        "member doc {} outside id space {n_docs}",
+                        doc.index()
+                    )));
+                }
+                docs.push(doc);
+                scores.push(score);
             }
             members.push(docs);
             member_scores.push(scores);
-        }
-        let n_tomb = r.claimed_len(<(DocId, usize)>::MIN_BYTES)?;
-        let mut tombstoned = Vec::with_capacity(n_tomb);
-        for _ in 0..n_tomb {
-            let doc = in_space(DocId::decode(r)?, "tombstoned")?;
-            tombstoned.push((doc, SiteId(usize::decode(r)?)));
         }
         Ok(SnapshotSegment {
             epoch,
@@ -797,7 +783,6 @@ impl Wire for SnapshotSegment {
             n_sites,
             members,
             member_scores,
-            tombstoned,
         })
     }
 }
@@ -937,7 +922,6 @@ mod tests {
             n_sites: 5,
             members: vec![vec![DocId(3), DocId(4)], vec![DocId(7)]],
             member_scores: vec![vec![0.1 + 0.2, f64::MIN_POSITIVE], vec![1.0 / 3.0]],
-            tombstoned: vec![(DocId(5), SiteId(2))],
         };
         let msg = Message::Stage {
             epoch: 4,

@@ -7,7 +7,7 @@ use lmm_cluster::{
     decode_frame, decode_message, encode_frame, Message, NodeWireStats, WireError, MAX_PAYLOAD,
 };
 use lmm_engine::SnapshotSegment;
-use lmm_graph::{DocId, SiteId};
+use lmm_graph::DocId;
 use lmm_serve::{DocScore, SiteTopK, SwapGrade};
 use proptest::prelude::*;
 
@@ -47,14 +47,6 @@ fn segment(s: &mut u64) -> SnapshotSegment {
         n_sites: start + covered + (xorshift(s) % 3) as usize,
         members,
         member_scores,
-        tombstoned: (0..xorshift(s) % 3)
-            .map(|_| {
-                (
-                    DocId((xorshift(s) % n_docs as u64) as usize),
-                    SiteId((xorshift(s) % 16) as usize),
-                )
-            })
-            .collect(),
     }
 }
 

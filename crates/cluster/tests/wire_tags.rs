@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use lmm_cluster::{encode_frame, encode_message, Message, NodeWireStats, WIRE_VERSION};
 use lmm_engine::SnapshotSegment;
-use lmm_graph::{DocId, SiteId};
+use lmm_graph::DocId;
 use lmm_serve::{DocScore, SiteTopK, SwapGrade};
 
 fn golden() -> BTreeMap<u8, String> {
@@ -38,7 +38,6 @@ fn segment() -> SnapshotSegment {
         n_sites: 5,
         members: vec![vec![DocId(3)]],
         member_scores: vec![vec![0.5]],
-        tombstoned: vec![(DocId(5), SiteId(2))],
     }
 }
 
@@ -48,12 +47,12 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
         (
             "Register",
             Message::Register { addr: "a:1".into() },
-            "00000009 01 01 00000003 613a31",
+            "00000009 02 01 00000003 613a31",
         ),
         (
             "Registered",
             Message::Registered { node: 7 },
-            "0000000a 01 02 0000000000000007",
+            "0000000a 02 02 0000000000000007",
         ),
         (
             "Rejoin",
@@ -61,19 +60,19 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 node: 7,
                 addr: "a:2".into(),
             },
-            "00000011 01 17 0000000000000007 00000003 613a32",
+            "00000011 02 17 0000000000000007 00000003 613a32",
         ),
         (
             "Ping",
             Message::Ping { seq: 1 },
-            "0000000a 01 03 0000000000000001",
+            "0000000a 02 03 0000000000000001",
         ),
         (
             "Pong",
             Message::Pong { seq: 1, epoch: 2 },
-            "00000012 01 04 0000000000000001 0000000000000002",
+            "00000012 02 04 0000000000000001 0000000000000002",
         ),
-        ("PlacementReq", Message::PlacementReq, "00000002 01 05"),
+        ("PlacementReq", Message::PlacementReq, "00000002 02 05"),
         (
             "Placement",
             Message::Placement {
@@ -82,18 +81,18 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 boundaries: vec![0, 3],
                 owners: vec!["a:1".into(), "b:2".into()],
             },
-            "00000038 01 06 0000000000000001 0000000000000002 00000002 \
+            "00000038 02 06 0000000000000001 0000000000000002 00000002 \
              0000000000000000 0000000000000003 00000002 00000003 613a31 \
              00000003 623a32",
         ),
-        ("RoutingReq", Message::RoutingReq, "00000002 01 07"),
+        ("RoutingReq", Message::RoutingReq, "00000002 02 07"),
         (
             "Routing",
             Message::Routing {
                 rank_epoch: 2,
                 site_of: vec![0, 0, 1],
             },
-            "00000026 01 08 0000000000000002 00000003 0000000000000000 \
+            "00000026 02 08 0000000000000002 00000003 0000000000000000 \
              0000000000000000 0000000000000001",
         ),
         (
@@ -104,11 +103,10 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 grade: SwapGrade::Rebuild,
                 segment: Some(segment()),
             },
-            "00000073 01 09 0000000000000003 0000000000000000 00 01 \
+            "0000005f 02 09 0000000000000003 0000000000000000 00 01 \
              0000000000000009 00000007 6c617965726564 0000000000000002 \
              0000000000000003 000000000000000a 0000000000000005 \
-             00000001 00000001 0000000000000003 3fe0000000000000 \
-             00000001 0000000000000005 0000000000000002",
+             00000001 00000001 0000000000000003 3fe0000000000000",
         ),
         (
             "Commit",
@@ -116,17 +114,17 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 epoch: 3,
                 rank_epoch: 2,
             },
-            "00000012 01 0a 0000000000000003 0000000000000002",
+            "00000012 02 0a 0000000000000003 0000000000000002",
         ),
         (
             "Abort",
             Message::Abort { epoch: 3 },
-            "0000000a 01 16 0000000000000003",
+            "0000000a 02 16 0000000000000003",
         ),
         (
             "Ack",
             Message::Ack { epoch: 3 },
-            "0000000a 01 0b 0000000000000003",
+            "0000000a 02 0b 0000000000000003",
         ),
         (
             "ScoreBatch",
@@ -134,13 +132,13 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 shard: 0,
                 docs: vec![1, 2],
             },
-            "0000001e 01 0c 0000000000000000 00000002 0000000000000001 \
+            "0000001e 02 0c 0000000000000000 00000002 0000000000000001 \
              0000000000000002",
         ),
         (
             "TopKReq",
             Message::TopKReq { shard: 0, k: 5 },
-            "00000012 01 0d 0000000000000000 0000000000000005",
+            "00000012 02 0d 0000000000000000 0000000000000005",
         ),
         (
             "SiteTopKReq",
@@ -149,7 +147,7 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 site: 1,
                 k: 5,
             },
-            "0000001a 01 0e 0000000000000000 0000000000000001 \
+            "0000001a 02 0e 0000000000000000 0000000000000001 \
              0000000000000005",
         ),
         (
@@ -159,7 +157,7 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 rank_epoch: 2,
                 scores: vec![DocScore::Live(0.5), DocScore::Tombstoned, DocScore::Unknown],
             },
-            "00000021 01 0f 0000000000000003 0000000000000002 00000003 \
+            "00000021 02 0f 0000000000000003 0000000000000002 00000003 \
              00 3fe0000000000000 01 02",
         ),
         (
@@ -170,7 +168,7 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 entries: vec![(DocId(1), 0.5)],
                 complete: true,
             },
-            "00000027 01 10 0000000000000003 0000000000000002 00000001 \
+            "00000027 02 10 0000000000000003 0000000000000002 00000001 \
              0000000000000001 3fe0000000000000 01",
         ),
         (
@@ -180,10 +178,10 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 rank_epoch: 2,
                 reply: SiteTopK::Entries(vec![(DocId(1), 0.5)]),
             },
-            "00000027 01 11 0000000000000003 0000000000000002 00 \
+            "00000027 02 11 0000000000000003 0000000000000002 00 \
              00000001 0000000000000001 3fe0000000000000",
         ),
-        ("StatsReq", Message::StatsReq, "00000002 01 12"),
+        ("StatsReq", Message::StatsReq, "00000002 02 12"),
         (
             "Stats",
             Message::Stats(NodeWireStats {
@@ -200,7 +198,7 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
                 bytes_sent: 0,
                 bytes_recv: 0,
             }),
-            "0000006e 01 13 0000000000000007 0000000000000003 \
+            "0000006e 02 13 0000000000000007 0000000000000003 \
              0000000000000002 00000001 0000000000000000 \
              000000000000000a 0000000000000000 0000000000000000 \
              0000000000000000 0000000000000000 0000000000000000 \
@@ -209,14 +207,14 @@ fn exemplars() -> Vec<(&'static str, Message, &'static str)> {
         (
             "NotOwner",
             Message::NotOwner { shard: 0 },
-            "0000000a 01 14 0000000000000000",
+            "0000000a 02 14 0000000000000000",
         ),
         (
             "Bad",
             Message::Bad {
                 detail: "no".into(),
             },
-            "00000008 01 15 00000002 6e6f",
+            "00000008 02 15 00000002 6e6f",
         ),
     ]
 }

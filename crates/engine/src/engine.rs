@@ -373,7 +373,6 @@ fn build_snapshot(
             .map(|r| Arc::clone(r.shared_scores())),
         Arc::clone(graph.shared_members()),
         Arc::clone(graph.shared_site_assignments()),
-        Arc::clone(graph.shared_dead_docs()),
         staleness,
     )
 }

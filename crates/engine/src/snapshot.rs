@@ -76,21 +76,12 @@ pub struct RankSnapshot {
     site_rank: Option<Arc<Vec<f64>>>,
     site_members: Arc<Vec<Arc<[DocId]>>>,
     site_of: Arc<Vec<SiteId>>,
-    dead_docs: Arc<Vec<DocId>>,
     staleness: Staleness,
 }
 
 impl RankSnapshot {
     /// Assembles a snapshot. Used by the engine; external `Ranker`
     /// implementations normally receive snapshots rather than build them.
-    ///
-    /// `dead_docs` is the graph's tombstone table (ascending), the dead
-    /// slots [`export_segment`](Self::export_segment) ships; the engine
-    /// passes the graph's own table, so a snapshot holds it without a
-    /// copy.
-    // Each argument is one of the graph's or the outcome's shared tables;
-    // bundling them would only rename the list.
-    #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn new(
         epoch: u64,
@@ -99,7 +90,6 @@ impl RankSnapshot {
         site_rank: Option<Arc<Vec<f64>>>,
         site_members: Arc<Vec<Arc<[DocId]>>>,
         site_of: Arc<Vec<SiteId>>,
-        dead_docs: Arc<Vec<DocId>>,
         staleness: Staleness,
     ) -> Self {
         debug_assert_eq!(scores.len(), site_of.len());
@@ -110,7 +100,6 @@ impl RankSnapshot {
             site_rank,
             site_members,
             site_of,
-            dead_docs,
             staleness,
         }
     }
@@ -205,11 +194,9 @@ impl RankSnapshot {
     }
 
     /// Exports the slice of this snapshot one shard needs: the member
-    /// lists and scores of the sites in `sites`, plus the tombstoned
-    /// document slots assigned to those sites, ascending. The segment is
-    /// the unit a cluster controller stages to a shard node over the
-    /// wire. It costs the covered sites' documents plus one pass over the
-    /// tombstone table, never the whole id space.
+    /// lists and scores of the sites in `sites`. The segment is the unit
+    /// a cluster controller stages to a shard node over the wire. It
+    /// costs the covered sites' documents, never the whole id space.
     ///
     /// Sites beyond this snapshot's range contribute nothing (the range is
     /// clamped), so callers can pass a shard map's last-shard range
@@ -225,16 +212,6 @@ impl RankSnapshot {
             .iter()
             .map(|docs| docs.iter().map(|d| self.scores[d.index()]).collect())
             .collect();
-        // The dead slots owned by the covered sites, in the tombstone
-        // table's ascending order.
-        let tombstoned: Vec<(DocId, SiteId)> = self
-            .dead_docs
-            .iter()
-            .filter_map(|&doc| {
-                let site = self.site_of[doc.index()];
-                sites.contains(&site.index()).then_some((doc, site))
-            })
-            .collect();
         SnapshotSegment {
             epoch: self.epoch,
             backend: self.backend.clone(),
@@ -243,7 +220,6 @@ impl RankSnapshot {
             n_sites: self.n_sites(),
             members,
             member_scores,
-            tombstoned,
         }
     }
 }
@@ -265,7 +241,8 @@ pub struct SnapshotSegment {
     /// The covered site-id range (clamped to the snapshot's site count).
     pub sites: std::ops::Range<usize>,
     /// Total documents of the source snapshot (the full id space, so the
-    /// reconstruction can distinguish out-of-range ids from dead slots).
+    /// reconstruction can distinguish out-of-range ids from dead slots:
+    /// a dead slot is an id below `n_docs` that no covered site lists).
     pub n_docs: usize,
     /// Total sites of the source snapshot.
     pub n_sites: usize,
@@ -273,10 +250,6 @@ pub struct SnapshotSegment {
     pub members: Vec<Vec<DocId>>,
     /// Scores parallel to `members`.
     pub member_scores: Vec<Vec<f64>>,
-    /// Dead document slots assigned to covered sites, ascending, with their
-    /// last site assignment. A store needs no entry for them: `n_docs`
-    /// already tells a dead slot from an id that never existed.
-    pub tombstoned: Vec<(DocId, SiteId)>,
 }
 
 impl SnapshotSegment {
@@ -303,7 +276,6 @@ mod tests {
             None,
             members(vec![vec![DocId(0)], vec![DocId(1)]]),
             Arc::new(vec![SiteId(0), SiteId(1)]),
-            Arc::default(),
             staleness,
         )
     }
@@ -332,7 +304,6 @@ mod tests {
             None,
             members(vec![vec![DocId(0)], Vec::new(), vec![DocId(2)]]),
             Arc::new(vec![SiteId(0), SiteId(1), SiteId(2)]),
-            Arc::new(vec![DocId(1)]),
             Staleness::Resized {
                 sites: vec![],
                 removed_sites: vec![1],
@@ -366,7 +337,6 @@ mod tests {
                 vec![DocId(3), DocId(4)],
             ]),
             Arc::new(vec![SiteId(0), SiteId(0), SiteId(1), SiteId(2), SiteId(2)]),
-            Arc::new(vec![DocId(2)]),
             Staleness::Full,
         )
     }
@@ -382,10 +352,6 @@ mod tests {
         assert_eq!(seg.n_live_docs(), 2);
         assert_eq!(seg.members, vec![Vec::new(), vec![DocId(3), DocId(4)]]);
         assert_eq!(seg.member_scores, vec![Vec::new(), vec![0.4, 0.1]]);
-        // Doc 2's slot is dead and owned by covered site 1.
-        assert_eq!(seg.tombstoned, vec![(DocId(2), SiteId(1))]);
-        // A segment of other sites does not carry it.
-        assert!(s.export_segment(0..1).tombstoned.is_empty());
     }
 
     #[test]
@@ -396,51 +362,5 @@ mod tests {
         let seg = s.export_segment(2..10);
         assert_eq!(seg.sites, 2..3);
         assert_eq!(seg.members.len(), 1);
-    }
-
-    /// The segment as it was cut before the tombstone table was shared: a
-    /// walk over every document slot, keeping the dead ones assigned to a
-    /// covered site. The reference the table filter must equal.
-    fn walked_segment(s: &RankSnapshot, sites: std::ops::Range<usize>) -> SnapshotSegment {
-        let mut seg = s.export_segment(sites);
-        seg.tombstoned = (0..s.n_docs())
-            .map(DocId)
-            .filter(|&d| seg.sites.contains(&s.site_of(d).index()) && !s.is_live_doc(d))
-            .map(|d| (d, s.site_of(d)))
-            .collect();
-        seg
-    }
-
-    #[test]
-    fn segment_tombstones_equal_the_slot_walk() {
-        // Ids interleave across sites, as appended pages do: site 2 was
-        // removed (docs 2 and 6), docs 3, 5 and 9 were removed from live
-        // sites 0 and 1.
-        let site_of = [0, 1, 2, 0, 3, 1, 2, 0, 3, 1].map(SiteId);
-        let s = RankSnapshot::new(
-            9,
-            "test".into(),
-            Arc::new(vec![0.2, 0.1, 0.0, 0.0, 0.3, 0.0, 0.0, 0.15, 0.25, 0.0]),
-            None,
-            members(vec![
-                vec![DocId(0), DocId(7)],
-                vec![DocId(1)],
-                Vec::new(),
-                vec![DocId(4), DocId(8)],
-            ]),
-            Arc::new(site_of.to_vec()),
-            Arc::new([2, 3, 5, 6, 9].map(DocId).to_vec()),
-            Staleness::Full,
-        );
-        for start in 0..=4 {
-            for end in start..=6 {
-                let seg = s.export_segment(start..end);
-                assert_eq!(seg, walked_segment(&s, start..end), "sites {start}..{end}");
-            }
-        }
-        assert_eq!(
-            s.export_segment(0..3).tombstoned,
-            [(2, 2), (3, 0), (5, 1), (6, 2), (9, 1)].map(|(d, site)| (DocId(d), SiteId(site)))
-        );
     }
 }

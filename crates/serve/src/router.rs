@@ -536,7 +536,6 @@ mod tests {
             None,
             Arc::new(members),
             Arc::new(site_of),
-            Arc::default(),
             staleness,
         )
     }
@@ -787,7 +786,6 @@ mod tests {
             None,
             Arc::new(members),
             Arc::new(site_of),
-            Arc::default(),
             Staleness::Full,
         );
         srv.publish(&snap).unwrap();
