@@ -13,21 +13,23 @@
 //!
 //! Each message is declared once, in the `messages!` table that defines
 //! [`Message`]: one line gives a variant its tag byte and its fields, and
-//! the table generates the enum, the tag, the encoder and the decoder
-//! from it. A body is its fields in declaration order, each written by
-//! its type's `Wire` codec; a reused tag does not compile. A new message
-//! is one line in the table (next free tag) plus one line in
-//! `wire_tags.golden`, which `tests/wire_tags.rs` holds the tags to.
+//! the table generates the enum, its encoder and its decoder. A body is
+//! its fields in declaration order, each written by its type's `Wire`
+//! codec; a reused tag does not compile. A new message is one line in
+//! the table (next free tag) plus one line in `wire_tags.golden`, which
+//! `tests/wire_tags.rs` holds the tags to.
 //!
 //! Decoding is total: [`decode_frame`] and [`decode_message`] return a
 //! typed [`WireError`] for truncated frames, oversized length prefixes,
 //! unknown version bytes, unknown tags, and malformed bodies — they never
 //! panic and never allocate proportionally to a length claim that the
 //! remaining bytes cannot back (a 4 GB vector header on a 40-byte frame
-//! is rejected before any allocation). That guard is written once, in
-//! `Vec<T>`'s decoder: a claim of `n` items needs `n` times the fewest
-//! bytes a `T` encodes to. `tests/wire_props.rs` hammers both directions,
-//! and `tests/wire_refusals.rs` pins each refusal.
+//! is rejected before any allocation). That guard is written once, as
+//! `Reader::claimed_len`, and fed by types: `Vec<T>`'s decoder holds a
+//! claim of `n` items to `n` times the fewest bytes a `T` encodes to
+//! (`Wire::MIN_BYTES`), as a snapshot segment does for its sites and
+//! members. `tests/wire_props.rs` hammers both directions, and
+//! `tests/wire_refusals.rs` pins each refusal.
 
 use std::fmt;
 
@@ -172,11 +174,11 @@ impl NodeWireStats {
 
 /// Declares the message enum from a table of `tag Variant { fields }`
 /// lines (a unit variant has no fields; the one tuple variant names its
-/// field, `Variant(name: Type)`) and generates, from that one table,
-/// `tag()`, the body encoder and the body decoder. A field is written
-/// and read by its type's `Wire` codec, in declaration order. The
-/// decoder's match denies unreachable patterns, so a tag used twice is a
-/// compile error.
+/// field, `Variant(name: Type)`) and generates, from that one table, the
+/// encoder of `[tag][body]` and the body decoder of each tag. A field is
+/// written and read by its type's `Wire` codec, in declaration order.
+/// The decoder's match denies unreachable patterns, so a tag used twice
+/// is a compile error.
 macro_rules! messages {
     (
         $(#[$meta:meta])*
@@ -198,15 +200,10 @@ macro_rules! messages {
         }
 
         impl Message {
-            fn tag(&self) -> u8 {
-                match self {
-                    $(Self::$name { .. } => $tag,)*
-                }
-            }
-
-            fn encode_body(&self, w: &mut Writer) {
+            fn encode(&self, w: &mut Writer) {
                 match self {
                     $(Self::$name $({ $($field),* })? $(($one))? => {
+                        w.u8($tag);
                         $($($field.encode(w);)*)?
                         $($one.encode(w);)?
                     })*
@@ -214,7 +211,7 @@ macro_rules! messages {
             }
 
             #[deny(unreachable_patterns)]
-            fn decode_body(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+            fn decode(tag: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(match tag {
                     $($tag => Self::$name
                         $({ $($field: Wire::decode(r)?),* })?
@@ -715,12 +712,6 @@ impl Wire for SnapshotSegment {
     const MIN_BYTES: usize =
         u64::MIN_BYTES + String::MIN_BYTES + 4 * usize::MIN_BYTES + Vec::<Member>::MIN_BYTES;
     fn encode(&self, w: &mut Writer) {
-        w.0.reserve(
-            Self::MIN_BYTES
-                + self.backend.len()
-                + self.members.len() * Vec::<Member>::MIN_BYTES
-                + self.n_live_docs() * Member::MIN_BYTES,
-        );
         self.epoch.encode(w);
         self.backend.encode(w);
         self.sites.start.encode(w);
@@ -796,8 +787,7 @@ impl Wire for SnapshotSegment {
 fn put_payload(msg: &Message, w: &mut Writer) -> Result<usize, WireError> {
     let start = w.0.len();
     w.u8(WIRE_VERSION);
-    w.u8(msg.tag());
-    msg.encode_body(w);
+    msg.encode(w);
     let len = w.0.len() - start;
     if len > MAX_PAYLOAD as usize {
         return Err(WireError::Oversized { len: len as u64 });
@@ -829,7 +819,7 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, WireError> {
         return Err(WireError::BadVersion { version });
     }
     let tag = r.u8()?;
-    let msg = Message::decode_body(tag, &mut r)?;
+    let msg = Message::decode(tag, &mut r)?;
     r.finish()?;
     Ok(msg)
 }
